@@ -2,8 +2,12 @@
 
 The model keeps per-class running counts, means, and sums of squared
 deviations, merged batch-wise with Chan's parallel update, so training on a
-chunk is equivalent to having seen every instance one at a time. Prediction
-maximizes the log joint density with a per-feature variance floor.
+chunk is equivalent to having seen every instance one at a time. A chunk's
+own class statistics are computed once per chunk and cached on it, so every
+model trained on the same chunk (the primary and each race candidate) only
+pays for the merge. Prediction maximizes the log joint density with a
+per-feature variance floor; the log priors and floored variances are cached
+until the next ``train``.
 
 Module-level operation counters record how many instances were pushed
 through predict and train calls. The adaptation logic is bounded to a fixed
@@ -13,8 +17,6 @@ check that bound.
 
 from __future__ import annotations
 
-import copy as _copy
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -50,7 +52,25 @@ class EvalOutcome(NamedTuple):
     statistic: float
 
 
-@dataclass
+def _chunk_stats(chunk: Chunk) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The chunk's sorted labels with their per-label count, mean and M2.
+
+    Computed on the first call for a chunk and cached on it; chunk arrays
+    are read-only, so the cache cannot go stale.
+    """
+    stats = chunk.cache.get("class_stats")
+    if stats is None:
+        X = np.ascontiguousarray(chunk.X, dtype=np.float64)
+        if not np.isfinite(X).all():
+            raise ModelError(f"chunk {chunk.index} has non-finite feature values")
+        labels, y_idx = np.unique(np.asarray(chunk.y, dtype=np.int64), return_inverse=True)
+        stats = (labels, *kernels.class_stats(X, y_idx.astype(np.int64, copy=False), labels.shape[0]))
+        for array in stats:
+            array.setflags(write=False)
+        chunk.cache["class_stats"] = stats
+    return stats
+
+
 class GaussianNB:
     """Gaussian naive Bayes with incremental chunk training.
 
@@ -63,6 +83,7 @@ class GaussianNB:
         self._counts = np.empty(0, dtype=np.float64)
         self._means = np.empty((0, 0), dtype=np.float64)
         self._m2 = np.empty((0, 0), dtype=np.float64)
+        self._predict_params: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def is_fitted(self) -> bool:
@@ -83,6 +104,8 @@ class GaussianNB:
             raise ModelError(f"expected {self.n_features} features, got {X.shape[1]}")
 
     def _admit_classes(self, labels: np.ndarray) -> None:
+        if labels.shape == self._classes.shape and (labels == self._classes).all():
+            return
         new = np.setdiff1d(labels, self._classes)
         if new.shape[0] == 0:
             return
@@ -99,17 +122,23 @@ class GaussianNB:
         self._classes, self._counts, self._means, self._m2 = merged, counts, means, m2
 
     def train(self, chunk: Chunk) -> "GaussianNB":
-        X = np.ascontiguousarray(chunk.X, dtype=np.float64)
-        y = np.asarray(chunk.y, dtype=np.int64)
-        if X.shape[0] == 0:
+        if chunk.X.shape[0] == 0:
             raise ModelError("cannot train on an empty chunk")
-        self._require_width(X)
+        self._require_width(chunk.X)
+        labels, counts, means, m2 = _chunk_stats(chunk)
         if not self.is_fitted:
-            self._means = np.empty((0, X.shape[1]), dtype=np.float64)
-            self._m2 = np.empty((0, X.shape[1]), dtype=np.float64)
-        self._admit_classes(np.unique(y))
-        y_idx = np.searchsorted(self._classes, y).astype(np.int64)
-        b_counts, b_means, b_m2 = kernels.class_stats(X, y_idx, self._classes.shape[0])
+            self._means = np.empty((0, chunk.X.shape[1]), dtype=np.float64)
+            self._m2 = np.empty((0, chunk.X.shape[1]), dtype=np.float64)
+        self._admit_classes(labels)
+        if labels.shape[0] == self._classes.shape[0]:
+            b_counts, b_means, b_m2 = counts, means, m2
+        else:
+            # the chunk lacks some known classes: scatter into the model layout
+            pos = np.searchsorted(self._classes, labels)
+            b_counts = np.zeros(self._classes.shape[0])
+            b_means = np.zeros(self._means.shape)
+            b_m2 = np.zeros(self._m2.shape)
+            b_counts[pos], b_means[pos], b_m2[pos] = counts, means, m2
 
         n_a, n_b = self._counts, b_counts
         n_ab = n_a + n_b
@@ -122,7 +151,8 @@ class GaussianNB:
         cross[seen] = n_a[seen] * n_b[seen] / n_ab[seen]
         self._m2 = self._m2 + b_m2 + delta * delta * cross[:, None]
         self._counts = n_ab
-        op_counts.train_instances += X.shape[0]
+        self._predict_params = None
+        op_counts.train_instances += chunk.X.shape[0]
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -130,17 +160,26 @@ class GaussianNB:
             raise ModelError("predict called before any training data")
         X = np.ascontiguousarray(X, dtype=np.float64)
         self._require_width(X)
-        log_priors = np.log(self._counts / self._counts.sum())
-        variances = self._m2 / self._counts[:, None]
-        top = variances.max(axis=0)
-        floor = VARIANCE_FLOOR_SCALE * np.where(top > 0.0, top, 1.0)
-        variances = np.maximum(variances, floor[None, :])
+        if self._predict_params is None:
+            log_priors = np.log(self._counts / self._counts.sum())
+            variances = self._m2 / self._counts[:, None]
+            top = variances.max(axis=0)
+            floor = VARIANCE_FLOOR_SCALE * np.where(top > 0.0, top, 1.0)
+            self._predict_params = (log_priors, np.maximum(variances, floor[None, :]))
+        log_priors, variances = self._predict_params
         idx = kernels.predict_indices(X, log_priors, self._means, variances)
         op_counts.predict_instances += X.shape[0]
         return self._classes[idx]
 
     def copy(self) -> "GaussianNB":
-        return _copy.deepcopy(self)
+        twin = type(self).__new__(type(self))
+        twin._classes = self._classes.copy()
+        twin._counts = self._counts.copy()
+        twin._means = self._means.copy()
+        twin._m2 = self._m2.copy()
+        # derived from the arrays above and never written in place
+        twin._predict_params = self._predict_params
+        return twin
 
 
 def adapt(model: GaussianNB, chunk: Chunk) -> GaussianNB:

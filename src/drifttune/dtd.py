@@ -19,7 +19,7 @@ of {previous statistic, unchanged, alarm statistic + eta}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 from .classifier import GaussianNB, adapt, evaluate
@@ -110,7 +110,7 @@ def create_candidates(model: GaussianNB, last_model: GaussianNB, chunk_curr: Chu
     if chunk_prev is None:
         raise PhaseError("cannot build candidates without a previous chunk")
 
-    rdm_model = adapt(model.copy(), chunk_curr)
+    rdm_model = adapt(model, chunk_curr)
     rdm_det = detector.clone()
     rdm_det.reset()
 

@@ -5,6 +5,10 @@ numpy, ``*_numba`` variants are njit-compiled loops (``None`` when numba is
 missing). The active pair is picked once at import time; set
 ``DRIFTTUNE_NUMBA=0`` to force the numpy path. ``benchmarks/bench_kernels.py``
 times the two side by side.
+
+``class_stats`` runs once per chunk, over the chunk's own label set: the
+classifier caches the result on the chunk and merges it into each model
+that trains on that chunk. ``predict_indices`` runs once per predict call.
 """
 
 from __future__ import annotations

@@ -35,11 +35,16 @@ class Instance(NamedTuple):
 
 @dataclass(frozen=True)
 class Chunk:
-    """One non-empty batch of instances. Arrays are read-only views."""
+    """One non-empty batch of instances. Arrays are read-only views.
+
+    ``cache`` holds values derived from the arrays, such as the class
+    statistics the model computes once per chunk.
+    """
 
     index: int
     X: np.ndarray
     y: np.ndarray
+    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.X.setflags(write=False)
@@ -166,6 +171,8 @@ def _load_csv(cfg: StreamConfig) -> list[Chunk]:
             features = [float(p) for p in parts[:-1]]
         except ValueError:
             raise IngestError(f"line {lineno}: non-numeric feature value") from None
+        if not all(map(math.isfinite, features)):
+            raise IngestError(f"line {lineno}: non-finite feature value")
         try:
             label = int(parts[-1].strip())
         except ValueError:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 

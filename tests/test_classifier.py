@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from drifttune import kernels
 from drifttune.classifier import GaussianNB, adapt, evaluate, op_counts
 from drifttune.errors import ModelError
 from drifttune.stream import Chunk, StreamConfig, make_stream
@@ -82,6 +85,126 @@ class TestTraining:
         assert model.train(chunk_of([[1.0]], [0])) is model
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_rejected(self, bad):
+        model = GaussianNB().train(chunk_of([[1.0, 2.0]], [0]))
+        with pytest.raises(ModelError, match="non-finite"):
+            model.train(chunk_of([[1.0, 2.0], [bad, 0.0]], [0, 1]))
+        # the rejected chunk left the model as it was
+        assert np.array_equal(model.classes, [0])
+        assert model._counts[0] == 1
+
+    def test_class_stats_computed_once_per_chunk(self, monkeypatch):
+        calls = []
+        real = kernels.class_stats
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(kernels, "class_stats", counting)
+        c = chunk_of([[1.0], [2.0], [8.0]], [0, 0, 1])
+        GaussianNB().train(c)
+        GaussianNB().train(chunk_of([[5.0]], [1])).train(c).train(c)
+        adapt(GaussianNB(), c)
+        assert len(calls) == 2
+
+
+def reference_train(model, chunk):
+    """The row-wise training path: admit the chunk's labels, index every row
+    into the model's classes, class-stat the chunk over that layout, then
+    merge. The per-chunk cache must give the same arrays bit for bit."""
+    X = np.ascontiguousarray(chunk.X, dtype=np.float64)
+    y = np.asarray(chunk.y, dtype=np.int64)
+    classes = np.union1d(model["classes"], y)
+    old_pos = np.searchsorted(classes, model["classes"])
+    n_features = X.shape[1]
+    counts, means, m2 = np.zeros(classes.shape[0]), np.zeros((classes.shape[0], n_features)), \
+        np.zeros((classes.shape[0], n_features))
+    if model["classes"].shape[0]:
+        counts[old_pos], means[old_pos], m2[old_pos] = model["counts"], model["means"], model["m2"]
+    y_idx = np.searchsorted(classes, y).astype(np.int64)
+    n_b, b_means, b_m2 = kernels.class_stats(X, y_idx, classes.shape[0])
+    n_ab = counts + n_b
+    seen = n_ab > 0
+    delta = b_means - means
+    ratio = np.zeros_like(n_ab)
+    ratio[seen] = n_b[seen] / n_ab[seen]
+    cross = np.zeros_like(n_ab)
+    cross[seen] = counts[seen] * n_b[seen] / n_ab[seen]
+    return {"classes": classes, "counts": n_ab, "means": means + delta * ratio[:, None],
+            "m2": m2 + b_m2 + delta * delta * cross[:, None]}
+
+
+@st.composite
+def chunkings(draw):
+    """A labelled sample cut into chunks at random points. Labels come from
+    an alphabet that grows along the stream, so classes appear late, and
+    some chunks miss classes the model already knows."""
+    n_features = draw(st.integers(1, 3))
+    n_rows = draw(st.integers(1, 60))
+    values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    X = np.array(draw(st.lists(st.lists(values, min_size=n_features, max_size=n_features),
+                               min_size=n_rows, max_size=n_rows)), dtype=np.float64)
+    alphabet = draw(st.lists(st.integers(-3, 6), min_size=1, max_size=4, unique=True))
+    y = np.array([draw(st.sampled_from(alphabet[: 1 + i * len(alphabet) // n_rows]))
+                  for i in range(n_rows)], dtype=np.int64)
+    cuts = sorted(draw(st.sets(st.integers(1, n_rows - 1), max_size=6))) if n_rows > 1 else []
+    bounds = [0, *cuts, n_rows]
+    return [chunk_of(X[a:b], y[a:b], index=i) for i, (a, b) in enumerate(zip(bounds, bounds[1:]))]
+
+
+class TestExactness:
+    @settings(max_examples=200, deadline=None)
+    @given(chunkings())
+    def test_cached_statistics_match_row_wise_path(self, chunks):
+        expected = {"classes": np.empty(0, dtype=np.int64), "counts": None, "means": None, "m2": None}
+        model = GaussianNB()
+        for chunk in chunks:
+            expected = reference_train(expected, chunk)
+            model.train(chunk)
+            assert np.array_equal(model._classes, expected["classes"])
+            assert np.array_equal(model._counts, expected["counts"])
+            assert np.array_equal(model._means, expected["means"])
+            assert np.array_equal(model._m2, expected["m2"])
+        # a second model over the same chunks reads every statistic from the cache
+        again = GaussianNB()
+        for chunk in chunks:
+            again.train(chunk)
+        for name in ("_classes", "_counts", "_means", "_m2"):
+            assert np.array_equal(getattr(again, name), getattr(model, name))
+
+    @settings(max_examples=100, deadline=None)
+    @given(chunkings(), st.data())
+    def test_predict_after_retrain_matches_fresh_model(self, chunks, data):
+        split = data.draw(st.integers(1, len(chunks)))
+        probe = np.vstack([c.X for c in chunks])
+        model = GaussianNB()
+        for chunk in chunks[:split]:
+            model.train(chunk)
+        model.predict(probe)
+        for chunk in chunks[split:]:
+            model.train(chunk)
+            model.predict(probe)
+        fresh = GaussianNB()
+        for chunk in chunks:
+            fresh.train(chunk)
+        assert np.array_equal(model.predict(probe), fresh.predict(probe))
+
+    def test_predict_params_refresh_after_train(self):
+        # b leaves class 0's mean at 0 but widens its variance, which moves
+        # the probe from class 1 to class 0
+        a = chunk_of([[-1.0], [1.0], [9.0], [11.0]], [0, 0, 1, 1])
+        b = chunk_of([[-30.0], [30.0]], [0, 0], index=1)
+        probe = np.array([[6.0]])
+        model = GaussianNB().train(a)
+        before = model.predict(probe)
+        model.train(b)
+        after = model.predict(probe)
+        assert not np.array_equal(before, after)
+        assert np.array_equal(after, GaussianNB().train(a).train(b).predict(probe))
+
+
 class TestPrediction:
     def test_separated_clusters(self):
         rng = np.random.default_rng(0)
@@ -121,6 +244,20 @@ class TestPrediction:
     def test_empty_chunk_rejected(self):
         with pytest.raises(ModelError, match="empty chunk"):
             GaussianNB().train(chunk_of(np.empty((0, 2)), np.empty(0)))
+
+
+class TestIdentity:
+    def test_models_compare_by_identity(self):
+        a = GaussianNB()
+        b = GaussianNB()
+        assert a == a
+        assert a != b
+        trained = chunk_of([[1.0]], [0])
+        assert GaussianNB().train(trained) != GaussianNB().train(trained)
+
+    def test_models_are_hashable(self):
+        a, b = GaussianNB(), GaussianNB()
+        assert len({a, b, a}) == 2
 
 
 class TestCopyAndAdapt:

@@ -244,6 +244,12 @@ class TestCsv:
         with pytest.raises(IngestError, match="line 2: non-numeric feature"):
             make_stream(StreamConfig(kind="csv", csv_path=path, chunk_size=10))
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_feature_reports_line(self, tmp_path, bad):
+        path = self.write(tmp_path, f"1.0,2.0,0\n1.5,{bad},0\n")
+        with pytest.raises(IngestError, match="line 2: non-finite feature"):
+            make_stream(StreamConfig(kind="csv", csv_path=path, chunk_size=10))
+
     def test_non_integer_label_reports_line(self, tmp_path):
         path = self.write(tmp_path, "1.0,0\n2.0,zero\n")
         with pytest.raises(IngestError, match="line 2: label 'zero'"):
