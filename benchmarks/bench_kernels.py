@@ -36,8 +36,9 @@ def median_ms(fn, args, repeats):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sizes", type=int, nargs="+", default=[500, 1000, 5000, 20000],
-                        help="chunk sizes (rows) to time")
+    parser.add_argument("--sizes", type=int, nargs="+", default=[100, 500, 1000, 5000, 20000],
+                        help="chunk sizes (rows) to time; at 100 rows, the small-chunk "
+                             "workloads' size, per-call overhead outweighs the row work")
     parser.add_argument("--features", type=int, default=3)
     parser.add_argument("--classes", type=int, default=2)
     parser.add_argument("--repeats", type=int, default=30)

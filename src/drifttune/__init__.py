@@ -18,7 +18,7 @@ from .harness import (METHODS, ExperimentConfig, ExperimentResult, RunTrace,
                       baseline_trace, dtd_trace, load_config, load_config_dir,
                       render_table, run_experiment, run_single, run_suite,
                       summarize, summarize_stored, write_result)
-from .stream import (SEA_THRESHOLDS, STREAM_KINDS, Chunk, Instance, Stream,
+from .stream import (SEA_THRESHOLDS, STREAM_KINDS, Chunk, Stream,
                      StreamConfig, make_stream, sea_concept)
 from .theory import (RecurrentDriftParams, SuddenDriftParams, ThresholdStrategy,
                      analytic_recurrent, analytic_sudden, check_sudden_identity,
@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CandidateKind", "CandidateSet", "Chunk", "ConfigError", "DETECTOR_KINDS",
     "DetectorError", "DriftMonitor", "DriftTuneError", "DtdState", "EvalOutcome",
-    "ExperimentConfig", "ExperimentResult", "GaussianNB", "IngestError", "Instance",
+    "ExperimentConfig", "ExperimentResult", "GaussianNB", "IngestError",
     "METHODS", "ModelError", "PhaseError", "RecurrentDriftParams", "ReportError",
     "RunTrace", "SEA_THRESHOLDS", "STREAM_KINDS", "StepOutcome", "Stream",
     "StreamConfig", "SuddenDriftParams", "TRAINING_MODES", "ThresholdStrategy",

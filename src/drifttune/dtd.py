@@ -67,7 +67,6 @@ class StepOutcome:
 class DtdState:
     primary_model: GaussianNB
     primary_detector: DriftMonitor
-    last_model: GaussianNB
     race_len: int = 3
     eta: float = 1e-6
     training_mode: str = "continual"
@@ -93,17 +92,17 @@ class DtdState:
 
 def make_dtd_state(model: GaussianNB, detector: DriftMonitor, race_len: int = 3,
                    eta: float = 1e-6, training_mode: str = "continual") -> DtdState:
-    return DtdState(primary_model=model, primary_detector=detector,
-                    last_model=model.copy(), race_len=race_len, eta=eta,
-                    training_mode=training_mode)
+    return DtdState(primary_model=model, primary_detector=detector, race_len=race_len,
+                    eta=eta, training_mode=training_mode)
 
 
-def create_candidates(model: GaussianNB, last_model: GaussianNB, chunk_curr: Chunk,
-                      chunk_prev: Chunk | None, accuracy: float, stat_curr: float,
-                      stat_prev: float, detector: DriftMonitor, *, continual: bool,
-                      eta: float) -> CandidateSet:
+def create_candidates(model: GaussianNB, chunk_curr: Chunk, chunk_prev: Chunk | None,
+                      accuracy: float, stat_curr: float, stat_prev: float,
+                      detector: DriftMonitor, *, continual: bool, eta: float) -> CandidateSet:
     """Build the three candidates for an alarm on ``chunk_curr``.
 
+    EDM starts as a fresh model of the primary's type trained only on
+    ``chunk_prev``; ``adapt`` reads nothing of ``model`` but its type.
     The primary detector is only cloned, never touched, so it stays silent
     for the whole comparison phase.
     """
@@ -114,7 +113,7 @@ def create_candidates(model: GaussianNB, last_model: GaussianNB, chunk_curr: Chu
     rdm_det = detector.clone()
     rdm_det.reset()
 
-    edm_model = adapt(last_model, chunk_prev)
+    edm_model = adapt(model, chunk_prev)
     edm_det = detector.fresh()
     edm_det.threshold = stat_prev
     early_acc, early_stat = evaluate(edm_model, chunk_curr, edm_det)
@@ -192,20 +191,18 @@ def dtd_step(state: DtdState, chunk: Chunk) -> StepOutcome:
         # alarm before any history: adapt in place, no comparison possible
         state.primary_model = adapt(state.primary_model, chunk)
         state.primary_detector.reset()
-        state.last_model = state.primary_model.copy()
         state.prev_statistic = statistic
         state.prev_chunk = chunk
         return StepOutcome(accuracy=accuracy, statistic=statistic,
                            threshold=state.primary_detector.threshold, alarm=True, phase="normal")
     if alarmed:
         state.candidates = create_candidates(
-            state.primary_model, state.last_model, chunk, state.prev_chunk,
-            accuracy, statistic, state.prev_statistic, state.primary_detector,
-            continual=state.continual, eta=state.eta)
+            state.primary_model, chunk, state.prev_chunk, accuracy, statistic,
+            state.prev_statistic, state.primary_detector, continual=state.continual,
+            eta=state.eta)
         state.in_comparison = True
         state.countdown = state.race_len
         state.leader = CandidateKind.RDM
-    state.last_model = state.primary_model.copy()
     if state.continual:
         state.primary_model.train(chunk)
     state.prev_statistic = statistic

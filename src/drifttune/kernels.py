@@ -9,6 +9,17 @@ times the two side by side.
 ``class_stats`` runs once per chunk, over the chunk's own label set: the
 classifier caches the result on the chunk and merges it into each model
 that trains on that chunk. ``predict_indices`` runs once per predict call.
+
+The numpy kernels are feature-major: predict keeps its log-densities in a
+(features, classes, rows) block instead of a broadcast (rows, classes,
+features) one, and ``class_stats`` works one feature column at a time.
+Every floating-point operation, and the order of every sum, is the one
+the broadcast formulation uses, so their outputs are bit-identical to it:
+predict adds the per-feature slabs in the order of numpy's contiguous
+add-reduce (``_pairwise_sum``), and ``class_stats`` sums each class's
+rows one after another with a weighted ``bincount``. The numba pair computes the same
+quantities but not the same bits: its ``class_stats`` is a one-pass
+Welford update.
 """
 
 from __future__ import annotations
@@ -35,19 +46,59 @@ if _env_wants_numba():
         pass
 
 
+_PAIRWISE_BLOCK = 128  # numpy's PW_BLOCKSIZE
+
+
+def _pairwise_sum(terms):
+    """Sum a sequence of equal-shape arrays (or an array along its first axis)
+    in the order numpy's contiguous add-reduce uses.
+
+    ``np.stack(terms, axis=-1).sum(axis=-1)`` gives the same bits: left to
+    right below 8 terms, eight lanes combined pairwise up to 128 terms, and
+    halves (the first rounded down to a multiple of 8) above that.
+    """
+    n = len(terms)
+    if n < 8:
+        total = terms[0]
+        for term in terms[1:]:
+            total = total + term
+        return total
+    if n <= _PAIRWISE_BLOCK:
+        lanes = list(terms[:8])
+        stop = n - n % 8
+        for i in range(8, stop, 8):
+            lanes = [lane + term for lane, term in zip(lanes, terms[i:i + 8])]
+        total = (((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
+                 + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7])))
+        for term in terms[stop:]:
+            total = total + term
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+
+
 def predict_indices_numpy(X, log_priors, means, variances):
     """Index of the most probable class per row; ties go to the lowest index.
 
-    ``variances`` must already be floored to positive values.
+    ``variances`` must already be floored to positive values. The
+    log-densities live in a feature-major (features, classes, rows) block,
+    so each feature's terms are one contiguous slab, and the slabs are
+    added in the order a reduction over a trailing feature axis uses: the
+    joint log-likelihoods are bit-identical to those of the broadcast
+    (rows, classes, features) form.
     """
-    diff = X[:, None, :] - means[None, :, :]
-    log_like = -0.5 * (_LOG_2PI + np.log(variances)) - diff * diff / (2.0 * variances)
-    joint = log_priors[None, :] + log_like.sum(axis=2)
-    return np.argmax(joint, axis=1)
+    n_rows, n_features = X.shape
+    log_like = np.subtract(X.T[:, None, :], means.T[:, :, None],
+                           out=np.empty((n_features, means.shape[0], n_rows)))
+    log_like *= log_like
+    log_like /= (2.0 * variances).T[:, :, None]
+    np.subtract((-0.5 * (_LOG_2PI + np.log(variances))).T[:, :, None], log_like, out=log_like)
+    joint = log_priors[:, None] + _pairwise_sum(log_like)
+    return joint.argmax(axis=0)
 
 
-def class_stats_numpy(X, y_idx, n_classes):
-    """Per-class count, mean, and sum of squared deviations for one chunk."""
+def _class_stats_gathered(X, y_idx, n_classes):
     n_features = X.shape[1]
     counts = np.zeros(n_classes)
     means = np.zeros((n_classes, n_features))
@@ -60,6 +111,31 @@ def class_stats_numpy(X, y_idx, n_classes):
         mu = rows.mean(axis=0)
         means[c] = mu
         m2[c] = ((rows - mu) ** 2).sum(axis=0)
+    return counts, means, m2
+
+
+def class_stats_numpy(X, y_idx, n_classes):
+    """Per-class count, mean, and sum of squared deviations for one chunk.
+
+    Weighted ``bincount`` adds each class's rows one after another, which is
+    how numpy reduces a gathered multi-column block over its rows, so the
+    results are bit-identical to per-class ``rows.mean(axis=0)`` and
+    ``((rows - mu) ** 2).sum(axis=0)``. A single contiguous column is
+    summed pairwise by numpy instead, so one-feature chunks keep the
+    per-class gather. Classes without rows get zeros.
+    """
+    if X.shape[1] == 1:
+        return _class_stats_gathered(X, y_idx, n_classes)
+    counts = np.bincount(y_idx, minlength=n_classes).astype(np.float64)
+    seen = counts > 0
+    means = np.zeros((n_classes, X.shape[1]))
+    m2 = np.zeros((n_classes, X.shape[1]))
+    for j, x in enumerate(X.T):
+        sums = np.bincount(y_idx, weights=x, minlength=n_classes)
+        mu = np.divide(sums, counts, out=np.zeros(n_classes), where=seen)
+        means[:, j] = mu
+        dev = x - mu[y_idx]
+        m2[:, j] = np.bincount(y_idx, weights=dev * dev, minlength=n_classes)
     return counts, means, m2
 
 

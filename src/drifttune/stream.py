@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -26,11 +26,6 @@ SEA_THRESHOLDS = (8.0, 9.0, 7.0, 9.5)
 
 SYNTHETIC_KINDS = ("sea", "sine", "mixed")
 STREAM_KINDS = SYNTHETIC_KINDS + ("csv",)
-
-
-class Instance(NamedTuple):
-    features: np.ndarray
-    label: int
 
 
 @dataclass(frozen=True)
@@ -52,11 +47,6 @@ class Chunk:
 
     def __len__(self) -> int:
         return self.X.shape[0]
-
-    @property
-    def instances(self) -> Iterator[Instance]:
-        for row, label in zip(self.X, self.y):
-            yield Instance(row, int(label))
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ Accuracies everywhere in this module are fractions in [0, 1].
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import statistics
 from dataclasses import dataclass
@@ -25,8 +26,6 @@ from .detectors import PARAM_TYPES, DriftMonitor, make_monitor, params_from_dict
 from .errors import ConfigError
 from .harness import RunTrace, baseline_trace
 from .stream import Chunk, Stream, StreamConfig, make_stream
-
-import dataclasses
 
 FLOAT_SLACK = 1e-12
 

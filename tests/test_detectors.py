@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drifttune.detectors import (
     DETECTOR_KINDS,
@@ -358,6 +360,83 @@ class TestMonitorContract:
     def test_update_returns_statistic(self, monitor):
         for v in DRIFT_INPUT[:10]:
             assert monitor.update(v) == monitor.statistic
+
+
+# --------------------------------------------- contract on degenerate feeds
+
+def make_feed(shape, length, seed, value):
+    rng = np.random.default_rng(seed)
+    if shape == "zeros":
+        return [0.0] * length
+    if shape == "constant":
+        return [value] * length
+    if shape == "binary":  # raw per-instance outcomes
+        return rng.integers(0, 2, size=length).astype(float).tolist()
+    if shape == "step":  # a quiet stretch, then a jump
+        cut = length // 2
+        return (rng.uniform(0.0, 0.2, size=cut).tolist()
+                + rng.uniform(0.5, 1.0, size=length - cut).tolist())
+    return rng.uniform(0.0, 1.0, size=length).tolist()
+
+
+# all-zero error rates, constant input, raw 0/1 outcomes, a step and
+# arbitrary rates; up to 250 long, which fills a default KSWIN window
+FEEDS = st.builds(make_feed, st.sampled_from(["zeros", "constant", "binary", "step", "uniform"]),
+                  st.integers(1, 250), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+
+PARAM_VARIANTS = {
+    "ddm": [DdmParams(), DdmParams(samples_per_update=1000)],
+    "ph": [PhParams(), PhParams(delta=1e-9)],
+    "kswin": [KswinParams(), KswinParams(window=10, recent=3)],
+    "hddm_a": [HddmAParams(), HddmAParams(samples_per_update=1000)],
+    "hddm_w": [HddmWParams(), HddmWParams(ewma_weight=1.0, samples_per_update=1000)],
+}
+
+
+def monitors():
+    return st.sampled_from(DETECTOR_KINDS).flatmap(
+        lambda kind: st.sampled_from(PARAM_VARIANTS[kind]).map(
+            lambda params: make_monitor(kind, params)))
+
+
+class TestMonitorContractProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(monitor=monitors(), feed=FEEDS)
+    def test_statistic_finite_and_non_negative(self, monitor, feed):
+        for v in feed:
+            stat = monitor.update(v)
+            assert math.isfinite(stat) and stat >= 0.0
+            assert stat == monitor.statistic
+
+    @settings(max_examples=100, deadline=None)
+    @given(monitor=monitors(), feed=FEEDS, share=st.floats(0.0, 1.0),
+           threshold=st.one_of(st.floats(0.0, 100.0), st.just(math.inf)))
+    def test_reset_keeps_threshold(self, monitor, feed, share, threshold):
+        monitor.threshold = threshold
+        run(monitor, feed[:int(share * len(feed))])
+        monitor.reset()
+        assert monitor.threshold == threshold
+        assert monitor.statistic == 0.0
+        fresh = monitor.fresh()
+        fresh.threshold = threshold
+        assert run(monitor, feed) == run(fresh, feed)
+
+    @settings(max_examples=100, deadline=None)
+    @given(monitor=monitors(), feed=FEEDS, share=st.floats(0.0, 1.0))
+    def test_clone_is_independent(self, monitor, feed, share):
+        cut = int(share * len(feed))
+        head, tail = feed[:cut], feed[cut:]
+        run(monitor, head)
+        twin = monitor.clone()
+        frozen = twin.statistic
+        original_tail = run(monitor, tail)
+        assert twin.statistic == frozen
+        # the other way round: the clone's threshold and updates leave the
+        # original alone, and the clone replays the original's tail exactly
+        threshold, statistic = monitor.threshold, monitor.statistic
+        twin.threshold = threshold + 1.0
+        assert run(twin, tail) == original_tail
+        assert (monitor.threshold, monitor.statistic) == (threshold, statistic)
 
 
 class TestFactories:

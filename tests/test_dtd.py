@@ -65,6 +65,18 @@ class FirstLabelModel:
         return copy.deepcopy(self)
 
 
+class RecordingModel(FirstLabelModel):
+    """FirstLabelModel that also records the index of every chunk it trains on."""
+
+    def __init__(self):
+        super().__init__()
+        self.trained_on = []
+
+    def train(self, chunk):
+        self.trained_on.append(chunk.index)
+        return super().train(chunk)
+
+
 def chunk_from_labels(labels, index=0):
     y = np.asarray(labels, dtype=np.int64)
     return Chunk(index, np.zeros((y.shape[0], 1)), y)
@@ -84,11 +96,10 @@ def fresh_state(c=1, threshold=0.5, race_len=2, eta=1e-6, mode="sporadic"):
 
 
 class TestStateConstruction:
-    def test_last_model_starts_as_copy(self):
+    def test_starts_in_normal_phase_without_history(self):
         state = fresh_state()
-        assert state.last_model is not state.primary_model
-        assert state.last_model.c == state.primary_model.c
         assert not state.in_comparison
+        assert state.candidates is None and state.prev_chunk is None
         assert state.leader is CandidateKind.RDM
 
     def test_validation(self):
@@ -115,19 +126,18 @@ class TestNormalPhase:
         assert math.isclose(state.prev_statistic, 0.1)
         assert not state.in_comparison
 
-    def test_continual_trains_after_snapshotting_last_model(self):
+    def test_continual_trains_primary_in_place(self):
         state = fresh_state(c=1, mode="continual")
-        chunk = chunk_from_labels(labels(first=0, ones=60))
-        dtd_step(state, chunk)
-        # model trained on the chunk afterwards; last_model kept the pre-step fit
-        assert state.primary_model.c == 0
-        assert state.last_model.c == 1
+        primary = state.primary_model
+        dtd_step(state, chunk_from_labels(labels(first=0, ones=60)))
+        # scored before training, then trained on the chunk without a copy
+        assert state.primary_model is primary
+        assert primary.c == 0
 
     def test_sporadic_does_not_train(self):
         state = fresh_state(c=1, mode="sporadic")
         dtd_step(state, chunk_from_labels(labels(first=0, ones=60)))
         assert state.primary_model.c == 1
-        assert state.last_model.c == 1
 
     def test_first_chunk_alarm_falls_back_to_plain_adaptation(self):
         state = fresh_state(c=1, mode="sporadic")
@@ -138,7 +148,6 @@ class TestNormalPhase:
         assert not state.in_comparison and state.candidates is None
         # model re-fit on the alarming chunk, detector cleared
         assert state.primary_model.c == 0
-        assert state.last_model.c == 0
         assert state.primary_detector.statistic == 0.0
         assert state.prev_chunk is chunk
         assert math.isclose(state.prev_statistic, 0.9)
@@ -193,6 +202,19 @@ class TestCandidateCreation:
         state, prev, _, _ = self.alarm_setup()
         assert state.candidates.models[CandidateKind.EDM].c == int(prev.y[0])
 
+    def test_early_hypothesis_is_fresh_model_trained_on_previous_chunk(self):
+        model = RecordingModel().train(chunk_from_labels([1], index=-1))
+        state = make_dtd_state(model, IdentityMonitor(StubParams()), race_len=2,
+                               training_mode="sporadic")
+        prev = chunk_from_labels(labels(first=0, ones=99), index=0)
+        dtd_step(state, prev)
+        dtd_step(state, chunk_from_labels(labels(first=1, ones=1), index=1))
+        edm = state.candidates.models[CandidateKind.EDM]
+        # the primary's type, but none of its state: only the previous chunk
+        assert type(edm) is RecordingModel and edm is not state.primary_model
+        assert edm.trained_on == [prev.index]
+        assert state.primary_model.trained_on == [-1]
+
     def test_early_hypothesis_readapted_when_it_alarms_too(self):
         state = fresh_state(c=1, mode="sporadic")
         prev = chunk_from_labels(labels(first=1, ones=95), index=0)   # stat 0.05
@@ -205,9 +227,8 @@ class TestCandidateCreation:
         assert state.candidates.detectors[CandidateKind.EDM].statistic == 0.0
 
     def test_primary_still_trains_on_alarm_chunk_in_continual(self):
-        state, prev, alarm, _ = self.alarm_setup(mode="continual")
+        state, _, alarm, _ = self.alarm_setup(mode="continual")
         assert state.primary_model.c == int(alarm.y[0])
-        assert state.last_model.c == 1  # snapshot taken before that training step
 
     def test_pm_trains_on_alarm_chunk_in_continual(self):
         state, _, alarm, _ = self.alarm_setup(mode="continual")
@@ -216,9 +237,8 @@ class TestCandidateCreation:
     def test_create_candidates_requires_history(self):
         state = fresh_state()
         with pytest.raises(PhaseError, match="previous chunk"):
-            create_candidates(state.primary_model, state.last_model,
-                              chunk_from_labels([1]), None, 0.5, 0.9, 0.1,
-                              state.primary_detector, continual=False, eta=1e-6)
+            create_candidates(state.primary_model, chunk_from_labels([1]), None, 0.5, 0.9,
+                              0.1, state.primary_detector, continual=False, eta=1e-6)
 
 
 class TestComparisonPhase:

@@ -1,4 +1,5 @@
-"""Agreement between the numpy and numba kernel implementations."""
+"""Kernel exactness: the numpy kernels against frozen broadcast references,
+and agreement between the numpy and numba implementations."""
 
 import math
 import os
@@ -7,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from drifttune import kernels
 
@@ -106,3 +109,116 @@ def test_env_flag_forces_numpy_path():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "ok"
+
+
+# ------------------------------------------------- bit-exactness vs reference
+# Frozen copies of the broadcast numpy kernels that the column-wise ones
+# replaced. Every trace digest was recorded with these, so the kernels must
+# reproduce them bit for bit, not just approximately.
+
+
+def reference_predict_indices(X, log_priors, means, variances):
+    diff = X[:, None, :] - means[None, :, :]
+    log_like = -0.5 * (math.log(2.0 * math.pi) + np.log(variances)) - diff * diff / (2.0 * variances)
+    joint = log_priors[None, :] + log_like.sum(axis=2)
+    return np.argmax(joint, axis=1)
+
+
+def reference_class_stats(X, y_idx, n_classes):
+    n_features = X.shape[1]
+    counts = np.zeros(n_classes)
+    means = np.zeros((n_classes, n_features))
+    m2 = np.zeros((n_classes, n_features))
+    for c in range(n_classes):
+        rows = X[y_idx == c]
+        if rows.shape[0] == 0:
+            continue
+        counts[c] = rows.shape[0]
+        mu = rows.mean(axis=0)
+        means[c] = mu
+        m2[c] = ((rows - mu) ** 2).sum(axis=0)
+    return counts, means, m2
+
+
+def features(rng, n, d, scale, integral):
+    X = rng.normal(size=(n, d)) * scale
+    # integral values repeat, so deviations are often exactly zero
+    return np.round(X) if integral else X
+
+
+shapes = st.tuples(st.integers(1, 300), st.integers(1, 40), st.integers(1, 6))
+seeds = st.integers(0, 2**32 - 1)
+scales = st.sampled_from([1e-3, 1.0, 1e4])
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=shapes, seed=seeds, scale=scales, integral=st.booleans(), twin=st.sampled_from(["none", "copy", "permuted"]))
+# pinned shapes: one feature, exactly one block of 8 lanes, lanes plus a
+# remainder, the widest case and a lone class
+@example(shape=(50, 1, 3), seed=0, scale=1.0, integral=False, twin="copy")
+@example(shape=(120, 8, 2), seed=1, scale=1.0, integral=False, twin="permuted")
+@example(shape=(300, 13, 6), seed=2, scale=1e4, integral=True, twin="copy")
+@example(shape=(300, 40, 4), seed=3, scale=1e-3, integral=False, twin="permuted")
+@example(shape=(7, 5, 1), seed=4, scale=1.0, integral=False, twin="none")
+def test_predict_indices_bit_identical_to_reference(shape, seed, scale, integral, twin):
+    n, d, k = shape
+    rng = np.random.default_rng(seed)
+    X = features(rng, n, d, scale, integral)
+    log_priors = np.log(rng.dirichlet(np.ones(k)))
+    means = rng.normal(size=(k, d)) * scale
+    variances = rng.uniform(0.05, 3.0, size=(k, d)) * scale * scale
+    if twin != "none" and k > 1:
+        c = int(rng.integers(1, k))
+        log_priors[c] = log_priors[0]
+        if twin == "copy":
+            # an exact copy of class 0: every row ties, the lower index must win
+            means[c], variances[c] = means[0], variances[0]
+        else:
+            # class 0 with its features permuted, scored on rows that are
+            # constant across features: both classes sum the same terms in a
+            # different order, so the winner hangs on the summation order
+            perm = rng.permutation(d)
+            means[c], variances[c] = means[0][perm], variances[0][perm]
+            X = np.repeat(X[:, :1], d, axis=1)
+    got = kernels.predict_indices_numpy(X, log_priors, means, variances)
+    want = reference_predict_indices(X, log_priors, means, variances)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=shapes, seed=seeds, scale=scales, integral=st.booleans(),
+       n_present=st.integers(1, 6))
+@example(shape=(50, 1, 3), seed=0, scale=1.0, integral=False, n_present=2)
+@example(shape=(120, 8, 2), seed=1, scale=1.0, integral=True, n_present=2)
+@example(shape=(300, 13, 6), seed=2, scale=1e4, integral=False, n_present=3)
+@example(shape=(9, 40, 4), seed=3, scale=1e-3, integral=False, n_present=1)
+def test_class_stats_bit_identical_to_reference(shape, seed, scale, integral, n_present):
+    n, d, k = shape
+    rng = np.random.default_rng(seed)
+    X = features(rng, n, d, scale, integral) + rng.normal() * scale
+    # only some classes have rows; the others must come back as zeros
+    present = rng.choice(k, size=min(n_present, k), replace=False)
+    y_idx = rng.choice(present, size=n).astype(np.int64)
+    got = kernels.class_stats_numpy(X, y_idx, k)
+    want = reference_class_stats(X, y_idx, k)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
+def test_pairwise_sum_matches_numpy_reduce():
+    rng = np.random.default_rng(7)
+    differs_from_left_to_right = 0
+    for width in range(1, 301):
+        # magnitudes spread widely, so a different summation order shows
+        a = rng.normal(size=(4, width)) * 10.0 ** rng.uniform(-6, 6, size=(4, width))
+        want = a.sum(axis=1)
+        assert np.array_equal(kernels._pairwise_sum(list(a.T)), want), width
+        assert np.array_equal(kernels._pairwise_sum(np.ascontiguousarray(a.T)), want), width
+        left_to_right = a[:, 0].copy()
+        for j in range(1, width):
+            left_to_right = left_to_right + a[:, j]
+        differs_from_left_to_right += not np.array_equal(left_to_right, want)
+    # the check has teeth: plain left-to-right order would fail it
+    assert differs_from_left_to_right > 0

@@ -161,13 +161,9 @@ class TestChunkObject:
         with pytest.raises(ValueError):
             chunk.y[0] = 1
 
-    def test_len_and_instances(self):
+    def test_len(self):
         chunk = sea(n_chunks=2, chunk_size=10).chunk(1)
         assert len(chunk) == 10
-        instances = list(chunk.instances)
-        assert len(instances) == 10
-        assert instances[3].features.shape == (3,)
-        assert instances[3].label == int(chunk.y[3])
 
     def test_iteration_and_bounds(self):
         stream = sea(n_chunks=3, chunk_size=5)
