@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
-"""Time the numpy and numba kernel pairs side by side.
+"""Time the classifier kernels.
 
-Median wall time per call over a few chunk sizes, one row per (kernel,
-size). Run with DRIFTTUNE_NUMBA=0 to confirm the numpy fallback is the
-active pair; the numba columns still time the compiled variants when
-numba imports.
+Median wall time per call over a few chunk sizes, one row per chunk size.
+``predict_indices`` is timed on precomputed ``predict_params``, as the
+classifier calls it; ``predict_params`` itself runs once per model state.
 """
 
 import argparse
@@ -22,7 +21,7 @@ def make_inputs(rng, rows, features, classes):
     log_priors = np.log(np.full(classes, 1.0 / classes))
     means = rng.normal(size=(classes, features))
     variances = rng.uniform(0.5, 2.0, size=(classes, features))
-    return X, y_idx, log_priors, means, variances
+    return X, y_idx, kernels.predict_params(log_priors, means, variances)
 
 
 def median_ms(fn, args, repeats):
@@ -45,33 +44,14 @@ def main():
     args = parser.parse_args()
 
     rng = np.random.default_rng(0)
-    have_numba = kernels.predict_indices_numba is not None
-    print(f"active pair: {'numba' if kernels.NUMBA_ENABLED else 'numpy'}"
-          f" (numba available: {have_numba})")
-
-    pairs = [
-        ("predict_indices", kernels.predict_indices_numpy, kernels.predict_indices_numba,
-         lambda d: (d[0], d[2], d[3], d[4])),
-        ("class_stats", kernels.class_stats_numpy, kernels.class_stats_numba,
-         lambda d: (d[0], d[1], args.classes)),
-    ]
-
-    header = f"{'kernel':<16}{'rows':>8}{'numpy ms':>12}{'numba ms':>12}{'speedup':>10}"
+    header = f"{'rows':>8}{'predict_indices ms':>20}{'class_stats ms':>16}"
     print(header)
     print("-" * len(header))
     for rows in args.sizes:
-        data = make_inputs(rng, rows, args.features, args.classes)
-        for name, numpy_fn, numba_fn, pick in pairs:
-            call_args = pick(data)
-            if numba_fn is not None:
-                numba_fn(*call_args)  # compile outside the timed region
-            t_numpy = median_ms(numpy_fn, call_args, args.repeats)
-            if numba_fn is None:
-                print(f"{name:<16}{rows:>8}{t_numpy:>12.4f}{'n/a':>12}{'n/a':>10}")
-                continue
-            t_numba = median_ms(numba_fn, call_args, args.repeats)
-            print(f"{name:<16}{rows:>8}{t_numpy:>12.4f}{t_numba:>12.4f}"
-                  f"{t_numpy / t_numba:>10.2f}x")
+        X, y_idx, params = make_inputs(rng, rows, args.features, args.classes)
+        t_predict = median_ms(kernels.predict_indices, (X, params), args.repeats)
+        t_stats = median_ms(kernels.class_stats, (X, y_idx, args.classes), args.repeats)
+        print(f"{rows:>8}{t_predict:>20.4f}{t_stats:>16.4f}")
 
 
 if __name__ == "__main__":

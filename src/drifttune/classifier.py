@@ -6,8 +6,9 @@ chunk is equivalent to having seen every instance one at a time. A chunk's
 own class statistics are computed once per chunk and cached on it, so every
 model trained on the same chunk (the primary and each race candidate) only
 pays for the merge. Prediction maximizes the log joint density with a
-per-feature variance floor; the log priors and floored variances are cached
-until the next ``train``.
+per-feature variance floor; the kernel's per-model constants (log priors,
+means, doubled floored variances and log normalizers) are cached until the
+next ``train``.
 
 Module-level operation counters record how many instances were pushed
 through predict and train calls. The adaptation logic is bounded to a fixed
@@ -83,7 +84,7 @@ class GaussianNB:
         self._counts = np.empty(0, dtype=np.float64)
         self._means = np.empty((0, 0), dtype=np.float64)
         self._m2 = np.empty((0, 0), dtype=np.float64)
-        self._predict_params: tuple[np.ndarray, np.ndarray] | None = None
+        self._predict_params: tuple[np.ndarray, ...] | None = None
 
     @property
     def is_fitted(self) -> bool:
@@ -165,9 +166,9 @@ class GaussianNB:
             variances = self._m2 / self._counts[:, None]
             top = variances.max(axis=0)
             floor = VARIANCE_FLOOR_SCALE * np.where(top > 0.0, top, 1.0)
-            self._predict_params = (log_priors, np.maximum(variances, floor[None, :]))
-        log_priors, variances = self._predict_params
-        idx = kernels.predict_indices(X, log_priors, self._means, variances)
+            self._predict_params = kernels.predict_params(
+                log_priors, self._means, np.maximum(variances, floor[None, :]))
+        idx = kernels.predict_indices(X, self._predict_params)
         op_counts.predict_instances += X.shape[0]
         return self._classes[idx]
 
@@ -177,7 +178,7 @@ class GaussianNB:
         twin._counts = self._counts.copy()
         twin._means = self._means.copy()
         twin._m2 = self._m2.copy()
-        # derived from the arrays above and never written in place
+        # read-only arrays derived from the ones above
         twin._predict_params = self._predict_params
         return twin
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .errors import ConfigError, DriftTuneError
 from .harness import (load_config, load_config_dir, render_table, run_experiment,
-                      run_suite, summarize, summarize_stored)
+                      run_suite, summarize, summarize_stored, write_suite_summary)
 from .theory import validate_theory
 
 
@@ -76,9 +76,7 @@ def _cmd_suite(args) -> int:
 
 def _cmd_report(args) -> int:
     report = summarize_stored(args.out)
-    out_dir = Path(args.out)
-    (out_dir / "suite_summary.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    (out_dir / "suite_summary.txt").write_text(render_table(report))
+    write_suite_summary(report, args.out)
     print(render_table(report), end="")
     return 0
 

@@ -260,6 +260,14 @@ def write_result(result: ExperimentResult, out_root: str | Path) -> Path:
     return cell_dir
 
 
+def write_suite_summary(report: dict, out_root: str | Path) -> None:
+    """Write a suite report as suite_summary.json plus its rendered table."""
+    out_dir = Path(out_root)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "suite_summary.json").write_text(_dump_json(report))
+    (out_dir / "suite_summary.txt").write_text(render_table(report))
+
+
 def run_experiment(config: ExperimentConfig, method: str | None = None,
                    parallel: int = 1, out: str | Path | None = None,
                    write: bool = True) -> dict[str, ExperimentResult]:
@@ -318,10 +326,7 @@ def run_suite(configs: Sequence[ExperimentConfig], out: str | Path,
     for result in results:
         write_result(result, out)
     report = summarize(results)
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "suite_summary.json").write_text(_dump_json(report))
-    (out_dir / "suite_summary.txt").write_text(render_table(report))
+    write_suite_summary(report, out)
     return results, report
 
 

@@ -1,49 +1,32 @@
-"""Numerically hot kernels, with optional numba acceleration.
-
-Both code paths are always importable: ``*_numpy`` variants are vectorized
-numpy, ``*_numba`` variants are njit-compiled loops (``None`` when numba is
-missing). The active pair is picked once at import time; set
-``DRIFTTUNE_NUMBA=0`` to force the numpy path. ``benchmarks/bench_kernels.py``
-times the two side by side.
+"""Numerically hot kernels: the Gaussian naive Bayes predict and the
+per-chunk class statistics, in numpy.
 
 ``class_stats`` runs once per chunk, over the chunk's own label set: the
 classifier caches the result on the chunk and merges it into each model
-that trains on that chunk. ``predict_indices`` runs once per predict call.
+that trains on that chunk. ``predict_params`` runs once per model state:
+the classifier caches its per-model constants until the next ``train``.
+``predict_indices`` runs once per predict call.
 
-The numpy kernels are feature-major: predict keeps its log-densities in a
+The kernels are feature-major: predict keeps its log-densities in a
 (features, classes, rows) block instead of a broadcast (rows, classes,
 features) one, and ``class_stats`` works one feature column at a time.
 Every floating-point operation, and the order of every sum, is the one
 the broadcast formulation uses, so their outputs are bit-identical to it:
 predict adds the per-feature slabs in the order of numpy's contiguous
 add-reduce (``_pairwise_sum``), and ``class_stats`` sums each class's
-rows one after another with a weighted ``bincount``. The numba pair computes the same
-quantities but not the same bits: its ``class_stats`` is a one-pass
-Welford update.
+rows one after another with a weighted ``bincount``.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
-
-def _env_wants_numba() -> bool:
-    return os.environ.get("DRIFTTUNE_NUMBA", "1").strip().lower() not in ("0", "false", "off")
-
-
+# there is one kernel path; environment records still read this flag
 NUMBA_ENABLED = False
-if _env_wants_numba():
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a hard dep, but stay usable
-        pass
 
 
 _PAIRWISE_BLOCK = 128  # numpy's PW_BLOCKSIZE
@@ -78,23 +61,43 @@ def _pairwise_sum(terms):
     return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
 
 
-def predict_indices_numpy(X, log_priors, means, variances):
+def predict_params(log_priors, means, variances):
+    """The per-model constants of ``predict_indices``, feature-major.
+
+    ``variances`` must already be floored to positive values. Returns the
+    log priors as a (classes, 1) column and, shaped (features, classes, 1)
+    to broadcast over rows, the means, twice the variances and the log
+    normalizers ``-0.5 * (log 2pi + log var)``. They are read-only views,
+    so model copies can share them; the means view aliases ``means``,
+    which must not be written in place afterwards.
+    """
+    params = (log_priors[:, None],
+              means.T[:, :, None],
+              (2.0 * variances).T[:, :, None],
+              (-0.5 * (_LOG_2PI + np.log(variances))).T[:, :, None])
+    for array in params:
+        array.setflags(write=False)
+    return params
+
+
+def predict_indices(X, params):
     """Index of the most probable class per row; ties go to the lowest index.
 
-    ``variances`` must already be floored to positive values. The
-    log-densities live in a feature-major (features, classes, rows) block,
-    so each feature's terms are one contiguous slab, and the slabs are
-    added in the order a reduction over a trailing feature axis uses: the
-    joint log-likelihoods are bit-identical to those of the broadcast
-    (rows, classes, features) form.
+    ``params`` comes from ``predict_params``. The log-densities live in a
+    feature-major (features, classes, rows) block, so each feature's terms
+    are one contiguous slab, and the slabs are added in the order a
+    reduction over a trailing feature axis uses: the joint log-likelihoods
+    are bit-identical to those of the broadcast (rows, classes, features)
+    form.
     """
+    log_priors, means, two_variances, log_norms = params
     n_rows, n_features = X.shape
-    log_like = np.subtract(X.T[:, None, :], means.T[:, :, None],
-                           out=np.empty((n_features, means.shape[0], n_rows)))
+    log_like = np.subtract(X.T[:, None, :], means,
+                           out=np.empty((n_features, means.shape[1], n_rows)))
     log_like *= log_like
-    log_like /= (2.0 * variances).T[:, :, None]
-    np.subtract((-0.5 * (_LOG_2PI + np.log(variances))).T[:, :, None], log_like, out=log_like)
-    joint = log_priors[:, None] + _pairwise_sum(log_like)
+    log_like /= two_variances
+    np.subtract(log_norms, log_like, out=log_like)
+    joint = log_priors + _pairwise_sum(log_like)
     return joint.argmax(axis=0)
 
 
@@ -114,7 +117,7 @@ def _class_stats_gathered(X, y_idx, n_classes):
     return counts, means, m2
 
 
-def class_stats_numpy(X, y_idx, n_classes):
+def class_stats(X, y_idx, n_classes):
     """Per-class count, mean, and sum of squared deviations for one chunk.
 
     Weighted ``bincount`` adds each class's rows one after another, which is
@@ -137,56 +140,3 @@ def class_stats_numpy(X, y_idx, n_classes):
         dev = x - mu[y_idx]
         m2[:, j] = np.bincount(y_idx, weights=dev * dev, minlength=n_classes)
     return counts, means, m2
-
-
-predict_indices_numba = None
-class_stats_numba = None
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def _predict_indices_jit(X, log_priors, means, variances):
-        n, d = X.shape
-        k = means.shape[0]
-        out = np.empty(n, np.int64)
-        for i in range(n):
-            best = 0
-            best_ll = -np.inf
-            for c in range(k):
-                ll = log_priors[c]
-                for j in range(d):
-                    v = variances[c, j]
-                    diff = X[i, j] - means[c, j]
-                    ll += -0.5 * (_LOG_2PI + np.log(v)) - diff * diff / (2.0 * v)
-                if ll > best_ll:  # strict keeps the lowest index on exact ties
-                    best_ll = ll
-                    best = c
-            out[i] = best
-        return out
-
-    @njit(cache=True)
-    def _class_stats_jit(X, y_idx, n_classes):
-        n, d = X.shape
-        counts = np.zeros(n_classes)
-        means = np.zeros((n_classes, d))
-        m2 = np.zeros((n_classes, d))
-        for i in range(n):
-            c = y_idx[i]
-            counts[c] += 1.0
-            cn = counts[c]
-            for j in range(d):
-                delta = X[i, j] - means[c, j]
-                means[c, j] += delta / cn
-                m2[c, j] += delta * (X[i, j] - means[c, j])
-        return counts, means, m2
-
-    predict_indices_numba = _predict_indices_jit
-    class_stats_numba = _class_stats_jit
-
-
-if NUMBA_ENABLED:
-    predict_indices = predict_indices_numba
-    class_stats = class_stats_numba
-else:
-    predict_indices = predict_indices_numpy
-    class_stats = class_stats_numpy

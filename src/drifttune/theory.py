@@ -22,9 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import GaussianNB, adapt
-from .detectors import PARAM_TYPES, DriftMonitor, make_monitor, params_from_dict
 from .errors import ConfigError
-from .harness import RunTrace, baseline_trace
+from .harness import ExperimentConfig, RunTrace, baseline_trace, detector_for_run
 from .stream import Chunk, Stream, StreamConfig, make_stream
 
 FLOAT_SLACK = 1e-12
@@ -220,22 +219,13 @@ class ThresholdStrategy:
         return theta
 
 
-def _policy_monitor(stream: Stream, kind: str, overrides: dict | None = None) -> DriftMonitor:
-    mapping = dict(overrides or {})
-    names = {f.name for f in dataclasses.fields(PARAM_TYPES[kind])}
-    if "samples_per_update" in names:
-        mapping.setdefault("samples_per_update", stream.config.chunk_size)
-    if "seed" in names:
-        mapping.setdefault("seed", stream.config.seed)
-    return make_monitor(kind, params_from_dict(kind, mapping))
-
-
 def policy_trace(stream: Stream, strategy: ThresholdStrategy, detector: str = "ddm",
                  mode: str = "continual", overrides: dict | None = None) -> RunTrace:
     """Baseline prequential run with the threshold looked up per segment."""
     strategy.validate_for(len(stream))
-    monitor = _policy_monitor(stream, detector, overrides)
-    return baseline_trace(stream, monitor, mode=mode,
+    config = ExperimentConfig(name="policy", stream=stream.config, detector=detector,
+                              detector_overrides=dict(overrides or {}), mode=mode)
+    return baseline_trace(stream, detector_for_run(config, stream.config.seed), mode=mode,
                           threshold_fn=strategy.threshold_at,
                           seed=stream.config.seed)
 

@@ -1,19 +1,13 @@
-"""Kernel exactness: the numpy kernels against frozen broadcast references,
-and agreement between the numpy and numba implementations."""
+"""Kernel exactness: the kernels against hand-computed densities, two-pass
+class statistics and frozen copies of the broadcast kernels they replaced."""
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drifttune import kernels
-
-needs_numba = pytest.mark.skipif(not kernels.NUMBA_ENABLED, reason="numba path disabled")
 
 
 def random_model(rng, n=64, d=5, k=3):
@@ -27,7 +21,7 @@ def random_model(rng, n=64, d=5, k=3):
 def test_numpy_predict_matches_manual_densities():
     rng = np.random.default_rng(0)
     X, log_priors, means, variances = random_model(rng, n=10, d=2, k=2)
-    out = kernels.predict_indices_numpy(X, log_priors, means, variances)
+    out = kernels.predict_indices(X, kernels.predict_params(log_priors, means, variances))
     for i in range(10):
         scores = []
         for c in range(2):
@@ -44,7 +38,7 @@ def test_numpy_class_stats_matches_two_pass():
     rng = np.random.default_rng(1)
     X = rng.normal(size=(50, 3))
     y = rng.integers(0, 4, size=50).astype(np.int64)
-    counts, means, m2 = kernels.class_stats_numpy(X, y, 4)
+    counts, means, m2 = kernels.class_stats(X, y, 4)
     for c in range(4):
         rows = X[y == c]
         assert counts[c] == rows.shape[0]
@@ -55,60 +49,12 @@ def test_numpy_class_stats_matches_two_pass():
         assert np.allclose(m2[c], ((rows - rows.mean(axis=0)) ** 2).sum(axis=0))
 
 
-@needs_numba
-def test_predict_paths_agree():
+def test_predict_params_are_read_only():
+    # models and their copies share the cached tuple
     rng = np.random.default_rng(2)
-    for _ in range(5):
-        X, log_priors, means, variances = random_model(rng)
-        a = kernels.predict_indices_numpy(X, log_priors, means, variances)
-        b = kernels.predict_indices_numba(X, log_priors, means, variances)
-        assert np.array_equal(a, b)
-
-
-@needs_numba
-def test_predict_paths_agree_on_exact_ties():
-    # identical classes: every joint is tied, both paths must pick index 0
-    X = np.array([[0.5, 0.5], [2.0, -1.0]])
-    log_priors = np.log(np.array([0.5, 0.5]))
-    means = np.zeros((2, 2))
-    variances = np.ones((2, 2))
-    a = kernels.predict_indices_numpy(X, log_priors, means, variances)
-    b = kernels.predict_indices_numba(X, log_priors, means, variances)
-    assert np.array_equal(a, np.zeros(2, dtype=np.int64))
-    assert np.array_equal(b, np.zeros(2, dtype=np.int64))
-
-
-@needs_numba
-def test_class_stats_paths_agree():
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        X = rng.normal(size=(200, 4))
-        y = rng.integers(0, 3, size=200).astype(np.int64)
-        c_np, m_np, s_np = kernels.class_stats_numpy(X, y, 3)
-        c_nb, m_nb, s_nb = kernels.class_stats_numba(X, y, 3)
-        assert np.array_equal(c_np, c_nb)
-        assert np.allclose(m_np, m_nb, rtol=1e-10, atol=1e-12)
-        assert np.allclose(s_np, s_nb, rtol=1e-10, atol=1e-10)
-
-
-@needs_numba
-def test_active_pair_is_numba_when_enabled():
-    assert kernels.predict_indices is kernels.predict_indices_numba
-    assert kernels.class_stats is kernels.class_stats_numba
-
-
-def test_env_flag_forces_numpy_path():
-    code = (
-        "from drifttune import kernels; "
-        "assert not kernels.NUMBA_ENABLED; "
-        "assert kernels.predict_indices is kernels.predict_indices_numpy; "
-        "assert kernels.class_stats is kernels.class_stats_numpy; "
-        "print('ok')"
-    )
-    env = dict(os.environ, DRIFTTUNE_NUMBA="0")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "ok"
+    _, log_priors, means, variances = random_model(rng)
+    for array in kernels.predict_params(log_priors, means, variances):
+        assert not array.flags.writeable
 
 
 # ------------------------------------------------- bit-exactness vs reference
@@ -180,7 +126,7 @@ def test_predict_indices_bit_identical_to_reference(shape, seed, scale, integral
             perm = rng.permutation(d)
             means[c], variances[c] = means[0][perm], variances[0][perm]
             X = np.repeat(X[:, :1], d, axis=1)
-    got = kernels.predict_indices_numpy(X, log_priors, means, variances)
+    got = kernels.predict_indices(X, kernels.predict_params(log_priors, means, variances))
     want = reference_predict_indices(X, log_priors, means, variances)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
@@ -200,7 +146,7 @@ def test_class_stats_bit_identical_to_reference(shape, seed, scale, integral, n_
     # only some classes have rows; the others must come back as zeros
     present = rng.choice(k, size=min(n_present, k), replace=False)
     y_idx = rng.choice(present, size=n).astype(np.int64)
-    got = kernels.class_stats_numpy(X, y_idx, k)
+    got = kernels.class_stats(X, y_idx, k)
     want = reference_class_stats(X, y_idx, k)
     for a, b in zip(got, want):
         assert a.shape == b.shape

@@ -198,14 +198,22 @@ class TestPolicySimulation:
         return make_stream(StreamConfig(kind="sea", seed=seed, n_chunks=n_chunks,
                                         chunk_size=400, drift_period=drift_period))
 
-    def test_constant_schedule_equals_plain_baseline(self):
-        stream = self.stream()
-        policy = policy_trace(stream, ThresholdStrategy.constant(3.0))
-        monitor = make_monitor("ddm", params_from_dict("ddm", {"samples_per_update": 400}))
-        plain = baseline_trace(stream, monitor, mode="continual", seed=0)
+    # ``filled`` is what the policy's monitor must get from the stream: the
+    # chunk size for ddm, the stream seed (3, not the default 0) for kswin,
+    # whose short window fills early enough for its subsample to show
+    @pytest.mark.parametrize("kind, theta, overrides, filled", [
+        ("ddm", 3.0, {}, {"samples_per_update": 400}),
+        ("kswin", 0.6, {"window": 10, "recent": 3}, {"seed": 3}),
+    ], ids=["ddm", "kswin"])
+    def test_constant_schedule_equals_plain_baseline(self, kind, theta, overrides, filled):
+        stream = self.stream(seed=3)
+        policy = policy_trace(stream, ThresholdStrategy.constant(theta), kind, overrides=overrides)
+        params = params_from_dict(kind, {**overrides, **filled, "threshold": theta})
+        plain = baseline_trace(stream, make_monitor(kind, params), mode="continual", seed=3)
         assert policy.accuracy == plain.accuracy
         assert policy.alarm == plain.alarm
         assert policy.threshold == plain.threshold
+        assert policy.statistic[1:] == plain.statistic[1:]
 
     def test_infinite_threshold_matches_never_adapt_oracle(self):
         from drifttune.classifier import GaussianNB, adapt  # noqa: F401
