@@ -10,13 +10,13 @@ from .classifier import EvalOutcome, GaussianNB, adapt, evaluate, op_counts
 from .detectors import (DETECTOR_KINDS, DriftMonitor, ks_distance, make_monitor,
                         params_from_dict, params_to_dict)
 from .dtd import (CandidateKind, CandidateSet, DtdState, StepOutcome, TRAINING_MODES,
-                  create_candidates, dtd_step, eval_candidates, finalize_comparison,
-                  make_dtd_state)
+                  baseline_step, create_candidates, dtd_step, eval_candidates,
+                  finalize_comparison)
 from .errors import (ConfigError, DetectorError, DriftTuneError, IngestError,
                      ModelError, PhaseError, ReportError)
 from .harness import (METHODS, ExperimentConfig, ExperimentResult, RunTrace,
                       baseline_trace, dtd_trace, load_config, load_config_dir,
-                      render_table, run_experiment, run_single, run_suite,
+                      render_table, run_experiment, run_policies, run_single, run_suite,
                       summarize, summarize_stored, write_result)
 from .stream import (SEA_THRESHOLDS, STREAM_KINDS, Chunk, Stream,
                      StreamConfig, make_stream, sea_concept)
@@ -34,12 +34,12 @@ __all__ = [
     "METHODS", "ModelError", "PhaseError", "RecurrentDriftParams", "ReportError",
     "RunTrace", "SEA_THRESHOLDS", "STREAM_KINDS", "StepOutcome", "Stream",
     "StreamConfig", "SuddenDriftParams", "TRAINING_MODES", "ThresholdStrategy",
-    "adapt", "analytic_recurrent", "analytic_sudden", "baseline_trace",
+    "adapt", "analytic_recurrent", "analytic_sudden", "baseline_step", "baseline_trace",
     "check_sudden_identity", "create_candidates", "dtd_step", "dtd_trace",
     "eval_candidates", "evaluate", "finalize_comparison", "ks_distance",
-    "load_config", "load_config_dir", "make_dtd_state", "make_monitor",
+    "load_config", "load_config_dir", "make_monitor",
     "make_stream", "op_counts", "params_from_dict", "params_to_dict",
-    "render_table", "run_experiment", "run_single", "run_suite", "sea_concept",
+    "render_table", "run_experiment", "run_policies", "run_single", "run_suite", "sea_concept",
     "simulate_policy", "simulate_recurrent_drift", "summarize", "summarize_stored",
     "validate_theorem3", "validate_theorem3_analytic", "validate_theory",
     "write_result",

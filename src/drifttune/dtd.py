@@ -15,6 +15,10 @@ The three race for ``race_len`` chunks, each with its own detector, and the
 one with the best mean accuracy over the race (seed entry included) becomes
 the new primary model and detector. The installed threshold is therefore one
 of {previous statistic, unchanged, alarm statistic + eta}.
+
+A threshold policy is a step ``step(state, chunk) -> StepOutcome`` over one
+:class:`DtdState`: :func:`baseline_step` keeps its threshold, :func:`dtd_step`
+races. Both, and every race candidate, react to a chunk through :func:`respond`.
 """
 
 from __future__ import annotations
@@ -65,6 +69,8 @@ class StepOutcome:
 
 @dataclass
 class DtdState:
+    """One run's policy state; the baseline uses only the primary pair and mode."""
+
     primary_model: GaussianNB
     primary_detector: DriftMonitor
     race_len: int = 3
@@ -72,7 +78,7 @@ class DtdState:
     training_mode: str = "continual"
     in_comparison: bool = False
     countdown: int = 0
-    leader: CandidateKind = CandidateKind.RDM
+    leader: CandidateKind = CandidateKind.RDM  # RDM leads whenever a race opens
     candidates: CandidateSet | None = None
     prev_statistic: float = 0.0
     prev_chunk: Chunk | None = None
@@ -90,10 +96,16 @@ class DtdState:
         return self.training_mode == "continual"
 
 
-def make_dtd_state(model: GaussianNB, detector: DriftMonitor, race_len: int = 3,
-                   eta: float = 1e-6, training_mode: str = "continual") -> DtdState:
-    return DtdState(primary_model=model, primary_detector=detector, race_len=race_len,
-                    eta=eta, training_mode=training_mode)
+def respond(model: GaussianNB, chunk: Chunk, detector: DriftMonitor, alarmed: bool,
+            continual: bool) -> GaussianNB:
+    """React to an evaluated chunk: on an alarm reset the monitor and return a
+    model adapted to the chunk, else train in place in continual mode."""
+    if alarmed:
+        detector.reset()
+        return adapt(model, chunk)
+    if continual:
+        model.train(chunk)
+    return model
 
 
 def create_candidates(model: GaussianNB, chunk_curr: Chunk, chunk_prev: Chunk | None,
@@ -117,12 +129,8 @@ def create_candidates(model: GaussianNB, chunk_curr: Chunk, chunk_prev: Chunk | 
     edm_det = detector.fresh()
     edm_det.threshold = stat_prev
     early_acc, early_stat = evaluate(edm_model, chunk_curr, edm_det)
-    if early_stat > stat_prev:
-        # the earlier hypothesis alarms on the current chunk too: re-adapt
-        edm_model = adapt(edm_model, chunk_curr)
-        edm_det.reset()
-    elif continual:
-        edm_model.train(chunk_curr)
+    # the earlier hypothesis may alarm on the current chunk too: then re-adapt
+    edm_model = respond(edm_model, chunk_curr, edm_det, early_stat > stat_prev, continual)
 
     pm_model = model.copy()
     pm_det = detector.fresh()
@@ -149,11 +157,7 @@ def eval_candidates(candidates: CandidateSet | None, chunk: Chunk, *,
         acc, stat = evaluate(model, chunk, det)
         candidates.accuracy_logs[kind].append(acc)
         accuracies[kind] = acc
-        if stat > det.threshold:
-            candidates.models[kind] = adapt(model, chunk)
-            det.reset()
-        elif continual:
-            model.train(chunk)
+        candidates.models[kind] = respond(model, chunk, det, stat > det.threshold, continual)
     return accuracies
 
 
@@ -166,6 +170,16 @@ def finalize_comparison(candidates: CandidateSet | None):
     return winner, candidates.models[winner], candidates.detectors[winner]
 
 
+def baseline_step(state: DtdState, chunk: Chunk) -> StepOutcome:
+    """Fixed threshold: an alarm adapts on the chunk and resets the monitor."""
+    accuracy, statistic = evaluate(state.primary_model, chunk, state.primary_detector)
+    alarmed = statistic > state.primary_detector.threshold
+    state.primary_model = respond(state.primary_model, chunk, state.primary_detector,
+                                  alarmed, state.continual)
+    return StepOutcome(accuracy=accuracy, statistic=statistic,
+                       threshold=state.primary_detector.threshold, alarm=alarmed, phase="normal")
+
+
 def dtd_step(state: DtdState, chunk: Chunk) -> StepOutcome:
     """Process one chunk; returns the reported accuracy and trace fields."""
     if state.in_comparison:
@@ -175,9 +189,8 @@ def dtd_step(state: DtdState, chunk: Chunk) -> StepOutcome:
         state.leader = _best(accuracies)
         winner = None
         if state.countdown == 0:
-            winner, model, detector = finalize_comparison(state.candidates)
-            state.primary_model = model
-            state.primary_detector = detector
+            winner, state.primary_model, state.primary_detector = \
+                finalize_comparison(state.candidates)
             state.candidates = None
             state.in_comparison = False
             state.leader = CandidateKind.RDM
@@ -187,24 +200,18 @@ def dtd_step(state: DtdState, chunk: Chunk) -> StepOutcome:
 
     accuracy, statistic = evaluate(state.primary_model, chunk, state.primary_detector)
     alarmed = statistic > state.primary_detector.threshold
-    if alarmed and state.prev_chunk is None:
-        # alarm before any history: adapt in place, no comparison possible
-        state.primary_model = adapt(state.primary_model, chunk)
-        state.primary_detector.reset()
-        state.prev_statistic = statistic
-        state.prev_chunk = chunk
-        return StepOutcome(accuracy=accuracy, statistic=statistic,
-                           threshold=state.primary_detector.threshold, alarm=True, phase="normal")
-    if alarmed:
+    if alarmed and state.prev_chunk is not None:
+        # the primary model is not trained: the race winner replaces it
         state.candidates = create_candidates(
             state.primary_model, chunk, state.prev_chunk, accuracy, statistic,
             state.prev_statistic, state.primary_detector, continual=state.continual,
             eta=state.eta)
         state.in_comparison = True
         state.countdown = state.race_len
-        state.leader = CandidateKind.RDM
-    if state.continual:
-        state.primary_model.train(chunk)
+    else:
+        # quiet, or an alarm before any history, where no race is possible
+        state.primary_model = respond(state.primary_model, chunk, state.primary_detector,
+                                      alarmed, state.continual)
     state.prev_statistic = statistic
     state.prev_chunk = chunk
     return StepOutcome(accuracy=accuracy, statistic=statistic,

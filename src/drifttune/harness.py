@@ -1,17 +1,20 @@
 """Prequential experiment harness.
 
-Runs a classifier plus drift monitor over a chunk stream, once per seed,
-and records a per-chunk trace. Chunk 0 is warm-up: the model trains on it
-and evaluation starts at chunk 1, so every trace has exactly one row per
-chunk. The "baseline" method reacts to an alarm by adapting on the current
-chunk and resetting the monitor with the threshold unchanged; the "dtd"
-method hands control to the candidate race in :mod:`drifttune.dtd`.
+One loop, :func:`run_policies`, drives every threshold policy over a chunk
+stream and records a per-chunk trace for each. A policy is a step function
+over its own :class:`~drifttune.dtd.DtdState`: the "baseline" method
+(:func:`~drifttune.dtd.baseline_step`) adapts on an alarming chunk and
+resets the monitor with the threshold unchanged, the "dtd" method
+(:func:`~drifttune.dtd.dtd_step`) hands control to the candidate race.
+Chunk 0 is warm-up: every model trains on it and evaluation starts at
+chunk 1, so every trace has exactly one row per chunk.
 
-Seeds pair runs across methods: run seed k replaces the stream seed and,
-for monitors that subsample (kswin), the subsample seed, so baseline and
-dtd see identical data. Monitors that scale deviations by a per-update
-sample count get that count set to the chunk size unless a config override
-pins it.
+One run is one (config, seed) pass: each chunk is built once and fed to
+every method in lockstep, so the methods share the chunk and its cached
+class statistics. Run seed k replaces the stream seed and, for monitors
+that subsample (kswin), the subsample seed. Monitors that scale deviations
+by a per-update sample count get that count set to the chunk size unless
+a config override pins it.
 """
 
 from __future__ import annotations
@@ -27,9 +30,9 @@ from typing import Callable, Sequence
 
 import yaml
 
-from .classifier import GaussianNB, adapt, evaluate
+from .classifier import GaussianNB
 from .detectors import DETECTOR_KINDS, PARAM_TYPES, DriftMonitor, make_monitor, params_from_dict
-from .dtd import TRAINING_MODES, dtd_step, make_dtd_state
+from .dtd import TRAINING_MODES, DtdState, baseline_step, dtd_step
 from .errors import ConfigError, ReportError
 from .stream import Stream, StreamConfig, make_stream
 
@@ -137,71 +140,57 @@ class RunTrace:
         return "\n".join(lines) + "\n"
 
 
-def baseline_trace(stream: Stream, detector: DriftMonitor, mode: str = "continual",
-                   threshold_fn: Callable[[int], float] | None = None,
-                   seed: int = 0) -> RunTrace:
-    """Fixed-threshold run: alarm means adapt on the chunk and reset history.
+def run_policies(stream: Stream, policies: Sequence[tuple[Callable, DtdState]],
+                 seed: int = 0) -> list[RunTrace]:
+    """Run every (step, state) policy over one pass of the stream.
 
-    ``threshold_fn``, when given, sets the monitor threshold before each
-    chunk (including warm-up), which turns this runner into a scheduled
-    threshold policy evaluator.
+    Each state's model trains on chunk 0, which is the warm-up row; then
+    every later chunk is built once and passed to each step in turn.
     """
-    if mode not in TRAINING_MODES:
-        raise ConfigError(f"mode must be one of {TRAINING_MODES}, got {mode!r}")
     if len(stream) < 2:
         raise ConfigError("a run needs at least two chunks: one warm-up, one evaluated")
-    trace = RunTrace(seed=seed)
-    model = GaussianNB()
-    model.train(stream.chunk(0))
-    if threshold_fn is not None:
-        detector.threshold = threshold_fn(0)
-    trace.append(0, math.nan, math.nan, detector.threshold, False, "warmup")
+    warmup = stream.chunk(0)
+    traces = []
+    for _, state in policies:
+        state.primary_model.train(warmup)
+        traces.append(RunTrace(seed=seed))
+        traces[-1].append(0, math.nan, math.nan, state.primary_detector.threshold, False, "warmup")
     for i in range(1, len(stream)):
         chunk = stream.chunk(i)
-        if threshold_fn is not None:
-            detector.threshold = threshold_fn(i)
-        accuracy, statistic = evaluate(model, chunk, detector)
-        alarmed = statistic > detector.threshold
-        if alarmed:
-            model = adapt(model, chunk)
-            detector.reset()
-        elif mode == "continual":
-            model.train(chunk)
-        trace.append(i, accuracy, statistic, detector.threshold, alarmed, "normal")
-    return trace
+        for (step, state), trace in zip(policies, traces):
+            out = step(state, chunk)
+            trace.append(i, out.accuracy, out.statistic, out.threshold, out.alarm, out.phase)
+    return traces
+
+
+def baseline_trace(stream: Stream, detector: DriftMonitor, mode: str = "continual",
+                   seed: int = 0) -> RunTrace:
+    """Fixed-threshold run: alarm means adapt on the chunk and reset history."""
+    state = DtdState(GaussianNB(), detector, training_mode=mode)
+    return run_policies(stream, [(baseline_step, state)], seed)[0]
 
 
 def dtd_trace(stream: Stream, detector: DriftMonitor, mode: str = "continual",
               race_len: int = 3, eta: float = 1e-6, seed: int = 0) -> RunTrace:
     """Dynamic-threshold run: alarms open a candidate race over the next chunks."""
-    if len(stream) < 2:
-        raise ConfigError("a run needs at least two chunks: one warm-up, one evaluated")
-    trace = RunTrace(seed=seed)
-    model = GaussianNB()
-    model.train(stream.chunk(0))
-    state = make_dtd_state(model, detector, race_len=race_len, eta=eta, training_mode=mode)
-    trace.append(0, math.nan, math.nan, detector.threshold, False, "warmup")
-    for i in range(1, len(stream)):
-        out = dtd_step(state, stream.chunk(i))
-        trace.append(i, out.accuracy, out.statistic, out.threshold, out.alarm, out.phase)
-    return trace
+    state = DtdState(GaussianNB(), detector, race_len, eta, mode)
+    return run_policies(stream, [(dtd_step, state)], seed)[0]
 
 
-def run_single(config: ExperimentConfig, method: str, seed: int) -> RunTrace:
-    """One (config, method, seed) run on a freshly seeded stream and monitor."""
-    if method not in METHODS:
-        raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
+def run_single(config: ExperimentConfig, seed: int,
+               methods: Sequence[str] = METHODS) -> dict[str, RunTrace]:
+    """One pass over a freshly seeded stream that runs every method in
+    lockstep, each with its own model and monitor; returns traces by method."""
+    # looked up per call, so a step patched on the module is the one that runs
+    steps = {"baseline": baseline_step, "dtd": dtd_step}
+    for method in methods:
+        if method not in steps:
+            raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
     stream = make_stream(dataclasses.replace(config.stream, seed=seed))
-    detector = detector_for_run(config, seed)
-    if method == "baseline":
-        return baseline_trace(stream, detector, mode=config.mode, seed=seed)
-    return dtd_trace(stream, detector, mode=config.mode,
-                     race_len=config.race_len, eta=config.eta, seed=seed)
-
-
-def _run_task(task: tuple[ExperimentConfig, str, int]) -> tuple[str, str, int, RunTrace]:
-    config, method, seed = task
-    return config.name, method, seed, run_single(config, method, seed)
+    policies = [(steps[m], DtdState(GaussianNB(), detector_for_run(config, seed),
+                                    config.race_len, config.eta, config.mode))
+                for m in methods]
+    return dict(zip(methods, run_policies(stream, policies, seed)))
 
 
 @dataclass
@@ -268,16 +257,20 @@ def write_suite_summary(report: dict, out_root: str | Path) -> None:
     (out_dir / "suite_summary.txt").write_text(render_table(report))
 
 
+def _methods(config: ExperimentConfig, method: str | None) -> tuple[str, ...]:
+    """The config's own methods, unless ``method`` narrows them to one."""
+    if method in (None, "both"):
+        return config.methods
+    if method not in METHODS:
+        raise ConfigError(f"method must be baseline, dtd, or both, got {method!r}")
+    return (method,)
+
+
 def run_experiment(config: ExperimentConfig, method: str | None = None,
                    parallel: int = 1, out: str | Path | None = None,
                    write: bool = True) -> dict[str, ExperimentResult]:
     """Run one experiment cell for the requested methods; returns results by method."""
-    methods = (config.methods if method in (None, "both")
-               else (method,) if method in METHODS
-               else None)
-    if methods is None:
-        raise ConfigError(f"method must be baseline, dtd, or both, got {method!r}")
-    results = _run_all([(config, m) for m in methods], parallel)
+    results = _run_all([(config, _methods(config, method))], parallel)
     if write:
         root = config.out if out is None else out
         for result in results:
@@ -285,24 +278,22 @@ def run_experiment(config: ExperimentConfig, method: str | None = None,
     return {r.method: r for r in results}
 
 
-def _run_all(cells: Sequence[tuple[ExperimentConfig, str]], parallel: int) -> list[ExperimentResult]:
-    tasks = [(config, method, seed)
-             for config, method in cells
-             for seed in config.seeds]
+def _run_all(cells: Sequence[tuple[ExperimentConfig, tuple[str, ...]]],
+             parallel: int) -> list[ExperimentResult]:
+    """One task per (config, seed); results per (config, method) in cell order."""
+    tasks = [(config, seed, methods) for config, methods in cells for seed in config.seeds]
     if parallel > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
-            rows = list(pool.map(_run_task, tasks))
+            rows = list(pool.map(run_single, *zip(*tasks)))
     else:
-        rows = [_run_task(task) for task in tasks]
-    traces: dict[tuple[str, str], dict[int, RunTrace]] = {}
-    for name, method, seed, trace in rows:
-        traces.setdefault((name, method), {})[seed] = trace
+        rows = [run_single(*task) for task in tasks]
+    runs = iter(rows)
     results = []
-    for config, method in cells:
-        by_seed = traces[(config.name, method)]
-        results.append(ExperimentResult(
-            name=config.name, method=method, config=config,
-            traces=[by_seed[s] for s in config.seeds]))
+    for config, methods in cells:
+        by_seed = [next(runs) for _ in config.seeds]
+        results.extend(ExperimentResult(name=config.name, method=m, config=config,
+                                        traces=[traces[m] for traces in by_seed])
+                       for m in methods)
     return results
 
 
@@ -315,14 +306,7 @@ def run_suite(configs: Sequence[ExperimentConfig], out: str | Path,
     names = [c.name for c in configs]
     if len(set(names)) != len(names):
         raise ConfigError("experiment names must be unique within a suite")
-    cells = []
-    for config in configs:
-        methods = config.methods if method in (None, "both") else (method,)
-        for m in methods:
-            if m not in METHODS:
-                raise ConfigError(f"method must be one of {METHODS}, got {m!r}")
-            cells.append((config, m))
-    results = _run_all(cells, parallel)
+    results = _run_all([(config, _methods(config, method)) for config in configs], parallel)
     for result in results:
         write_result(result, out)
     report = summarize(results)

@@ -22,8 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import GaussianNB, adapt
+from .dtd import DtdState, StepOutcome, baseline_step
 from .errors import ConfigError
-from .harness import ExperimentConfig, RunTrace, baseline_trace, detector_for_run
+from .harness import ExperimentConfig, RunTrace, detector_for_run, run_policies
 from .stream import Chunk, Stream, StreamConfig, make_stream
 
 FLOAT_SLACK = 1e-12
@@ -225,9 +226,15 @@ def policy_trace(stream: Stream, strategy: ThresholdStrategy, detector: str = "d
     strategy.validate_for(len(stream))
     config = ExperimentConfig(name="policy", stream=stream.config, detector=detector,
                               detector_overrides=dict(overrides or {}), mode=mode)
-    return baseline_trace(stream, detector_for_run(config, stream.config.seed), mode=mode,
-                          threshold_fn=strategy.threshold_at,
-                          seed=stream.config.seed)
+    monitor = detector_for_run(config, stream.config.seed)
+    monitor.threshold = strategy.threshold_at(0)
+
+    def scheduled_step(state: DtdState, chunk: Chunk) -> StepOutcome:
+        state.primary_detector.threshold = strategy.threshold_at(chunk.index)
+        return baseline_step(state, chunk)
+
+    state = DtdState(GaussianNB(), monitor, training_mode=mode)
+    return run_policies(stream, [(scheduled_step, state)], stream.config.seed)[0]
 
 
 def simulate_policy(stream: Stream, strategy: ThresholdStrategy, detector: str = "ddm",

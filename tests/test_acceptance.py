@@ -18,7 +18,7 @@ import pytest
 from drifttune.classifier import GaussianNB, op_counts
 from drifttune.cli import main
 from drifttune.detectors import make_monitor
-from drifttune.dtd import make_dtd_state, dtd_step
+from drifttune.dtd import DtdState, dtd_step
 from drifttune.harness import ExperimentConfig, detector_for_run, run_experiment, run_suite
 from drifttune.stream import StreamConfig, make_stream
 
@@ -153,8 +153,8 @@ def test_criterion_06_comparison_cost_bound(warm_kernels):
     comparison_chunks = 0
     for seed in range(5):
         stream = make_stream(dataclasses.replace(config.stream, seed=seed))
-        state = make_dtd_state(GaussianNB().train(stream.chunk(0)),
-                               detector_for_run(config, seed))
+        state = DtdState(GaussianNB().train(stream.chunk(0)),
+                         detector_for_run(config, seed))
         op_counts.reset()
         quiet, racing = [], []
         before = op_counts.snapshot()

@@ -1,12 +1,16 @@
 """Command line entry points and their exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from drifttune.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 CONFIG = """\
 stream:
@@ -129,7 +133,10 @@ class TestUsage:
         assert main(["--help"]) == 0
 
     def test_console_script_help(self):
+        # the subprocess imports this checkout's package, installed or not
+        path = [str(SRC), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
         out = subprocess.run([sys.executable, "-m", "drifttune.cli", "--help"],
-                             capture_output=True, text=True)
+                             capture_output=True, text=True, env=env)
         assert out.returncode == 0
         assert "run" in out.stdout and "validate-theory" in out.stdout

@@ -25,7 +25,6 @@ from drifttune.dtd import (
     dtd_step,
     eval_candidates,
     finalize_comparison,
-    make_dtd_state,
 )
 from drifttune.errors import ConfigError, ModelError, PhaseError
 from drifttune.stream import Chunk
@@ -92,7 +91,7 @@ def labels(first, ones, total=100):
 def fresh_state(c=1, threshold=0.5, race_len=2, eta=1e-6, mode="sporadic"):
     model = FirstLabelModel().train(chunk_from_labels([c]))
     detector = IdentityMonitor(StubParams(threshold=threshold))
-    return make_dtd_state(model, detector, race_len=race_len, eta=eta, training_mode=mode)
+    return DtdState(model, detector, race_len=race_len, eta=eta, training_mode=mode)
 
 
 class TestStateConstruction:
@@ -106,11 +105,11 @@ class TestStateConstruction:
         model = FirstLabelModel().train(chunk_from_labels([0]))
         det = IdentityMonitor(StubParams())
         with pytest.raises(ConfigError, match="race_len"):
-            make_dtd_state(model, det, race_len=0)
+            DtdState(model, det, race_len=0)
         with pytest.raises(ConfigError, match="eta"):
-            make_dtd_state(model, det, eta=0.0)
+            DtdState(model, det, eta=0.0)
         with pytest.raises(ConfigError, match="training_mode"):
-            make_dtd_state(model, det, training_mode="sometimes")
+            DtdState(model, det, training_mode="sometimes")
 
 
 class TestNormalPhase:
@@ -204,8 +203,8 @@ class TestCandidateCreation:
 
     def test_early_hypothesis_is_fresh_model_trained_on_previous_chunk(self):
         model = RecordingModel().train(chunk_from_labels([1], index=-1))
-        state = make_dtd_state(model, IdentityMonitor(StubParams()), race_len=2,
-                               training_mode="sporadic")
+        state = DtdState(model, IdentityMonitor(StubParams()), race_len=2,
+                         training_mode="sporadic")
         prev = chunk_from_labels(labels(first=0, ones=99), index=0)
         dtd_step(state, prev)
         dtd_step(state, chunk_from_labels(labels(first=1, ones=1), index=1))
@@ -226,9 +225,18 @@ class TestCandidateCreation:
         assert state.candidates.models[CandidateKind.EDM].c == int(alarm.y[0])
         assert state.candidates.detectors[CandidateKind.EDM].statistic == 0.0
 
-    def test_primary_still_trains_on_alarm_chunk_in_continual(self):
-        state, _, alarm, _ = self.alarm_setup(mode="continual")
-        assert state.primary_model.c == int(alarm.y[0])
+    def test_primary_does_not_train_on_race_opening_chunk(self):
+        # the race winner replaces the primary, so training it would be waste
+        model = RecordingModel().train(chunk_from_labels([1], index=-1))
+        state = DtdState(model, IdentityMonitor(StubParams()), race_len=2,
+                         training_mode="continual")
+        prev = chunk_from_labels(labels(first=1, ones=99), index=0)  # quiet: stat 0.01
+        alarm = chunk_from_labels(labels(first=1, ones=1), index=1)  # stat 0.99 opens a race
+        dtd_step(state, prev)
+        out = dtd_step(state, alarm)
+        assert out.alarm and state.in_comparison
+        assert state.primary_model is model
+        assert model.trained_on == [-1, prev.index]
 
     def test_pm_trains_on_alarm_chunk_in_continual(self):
         state, _, alarm, _ = self.alarm_setup(mode="continual")
@@ -377,7 +385,7 @@ class TestWithRealComponents:
         stream = make_stream(StreamConfig(kind="sea", seed=1, n_chunks=30,
                                           chunk_size=400, drift_period=10))
         detector = make_monitor("ddm", params_from_dict("ddm", {"samples_per_update": 400}))
-        state = make_dtd_state(GaussianNB().train(stream.chunk(0)), detector, race_len=3)
+        state = DtdState(GaussianNB().train(stream.chunk(0)), detector, race_len=3)
         phases = []
         alarms = 0
         for i in range(1, 30):

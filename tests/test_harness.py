@@ -1,12 +1,19 @@
 """Prequential harness: runs, traces, result files, summaries, config files."""
 
+import dataclasses
 import json
 import math
 import statistics
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from drifttune.detectors import KswinParams, make_monitor, params_from_dict
+from drifttune.detectors import DETECTOR_KINDS, KswinParams, make_monitor, params_from_dict
+from drifttune.classifier import GaussianNB, op_counts
+from drifttune.dtd import TRAINING_MODES, DtdState, dtd_step
 from drifttune.errors import ConfigError, ReportError
 from drifttune.harness import (
     METHODS,
@@ -28,6 +35,7 @@ from drifttune.harness import (
     write_result,
 )
 from drifttune.stream import StreamConfig, make_stream
+from drifttune.theory import ThresholdStrategy, policy_trace
 
 
 def small_config(name="cell", detector="ddm", seeds=(0, 1), **kw):
@@ -127,12 +135,14 @@ class TestRunTrace:
 
 
 class TestBaselineTrace:
-    def make(self, mode="continual", n_chunks=30, detector=None, threshold_fn=None):
-        stream = make_stream(StreamConfig(kind="sea", seed=0, n_chunks=n_chunks,
-                                          chunk_size=400, drift_period=10))
+    def stream(self, n_chunks=30):
+        return make_stream(StreamConfig(kind="sea", seed=0, n_chunks=n_chunks,
+                                        chunk_size=400, drift_period=10))
+
+    def make(self, mode="continual", n_chunks=30, detector=None):
         detector = detector or make_monitor(
             "ddm", params_from_dict("ddm", {"samples_per_update": 400}))
-        return baseline_trace(stream, detector, mode=mode, threshold_fn=threshold_fn)
+        return baseline_trace(self.stream(n_chunks), detector, mode=mode)
 
     def test_shape_and_warmup_row(self):
         trace = self.make()
@@ -173,7 +183,8 @@ class TestBaselineTrace:
 
     def test_threshold_schedule_applies_per_chunk(self):
         schedule = lambda i: 2.0 if i < 15 else 5.0
-        trace = self.make(threshold_fn=schedule)
+        # the scheduled policy runs the baseline step with a per-chunk threshold
+        trace = policy_trace(self.stream(), ThresholdStrategy(((0, 2.0), (15, 5.0))), "ddm")
         assert trace.threshold == [schedule(i) for i in range(30)]
 
 
@@ -217,21 +228,112 @@ class TestRunSingle:
         manual_stream = make_stream(StreamConfig(kind="sea", seed=7, n_chunks=25,
                                                  chunk_size=300, drift_period=10))
         manual = baseline_trace(manual_stream, detector_for_run(config, 7), seed=7)
-        got = run_single(config, "baseline", 7)
+        got = run_single(config, 7, ("baseline",))["baseline"]
         assert got.accuracy == manual.accuracy
         assert got.alarm == manual.alarm
         assert got.seed == 7
 
     def test_methods_share_the_stream(self):
         config = small_config()
-        base = run_single(config, "baseline", 3)
-        dtd = run_single(config, "dtd", 3)
+        traces = run_single(config, 3)
+        base, dtd = traces["baseline"], traces["dtd"]
         # same warm-up chunk, same first evaluated chunk: identical first row
         assert base.accuracy[1] == dtd.accuracy[1]
 
     def test_unknown_method(self):
         with pytest.raises(ConfigError, match="method"):
-            run_single(small_config(), "hybrid", 0)
+            run_single(small_config(), 0, ("baseline", "hybrid"))
+
+
+# monitor settings that alarm on short streams of small chunks, so races happen
+ALARMING_OVERRIDES = {
+    "ddm": [{}, {"threshold": 1.0}],
+    "ph": [{}, {"threshold": 0.02}],
+    "kswin": [{"window": 6, "recent": 2, "threshold": 0.4}, {"window": 8, "recent": 3, "threshold": 0.3}],
+    "hddm_a": [{}, {"threshold": 0.2}],
+    "hddm_w": [{}, {"threshold": 0.2}],
+}
+
+
+@st.composite
+def small_configs(draw, detector, mode, min_seeds=1):
+    """A random small experiment cell for one monitor and training mode."""
+    kind = draw(st.sampled_from(("sea", "sine", "mixed")))
+    stream = StreamConfig(kind=kind, n_chunks=draw(st.integers(2, 14)),
+                          chunk_size=draw(st.integers(10, 60)),
+                          drift_period=draw(st.integers(2, 5)),
+                          noise=draw(st.sampled_from((0.0, 0.1))) if kind == "sea" else 0.0)
+    seeds = draw(st.lists(st.integers(0, 99), min_size=min_seeds, max_size=3, unique=True))
+    return ExperimentConfig(name="prop", stream=stream, detector=detector,
+                            detector_overrides=draw(st.sampled_from(ALARMING_OVERRIDES[detector])),
+                            mode=mode, race_len=draw(st.integers(1, 4)), seeds=tuple(seeds))
+
+
+def csv_texts(result):
+    return [t.to_csv_text() for t in result.traces]
+
+
+def tree_bytes(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(Path(root).rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("mode", TRAINING_MODES)
+@pytest.mark.parametrize("detector", DETECTOR_KINDS)
+class TestOnePassProperties:
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_both_methods_match_single_method_runs(self, detector, mode, data):
+        config = data.draw(small_configs(detector, mode))
+        both = run_experiment(config, method="both", write=False)
+        for method in METHODS:
+            single = run_experiment(config, method=method, write=False)
+            assert csv_texts(both[method]) == csv_texts(single[method])
+
+    @settings(max_examples=5, deadline=None)
+    @given(data=st.data())
+    def test_parallel_suite_matches_serial_bytes(self, detector, mode, data):
+        config = data.draw(small_configs(detector, mode, min_seeds=2))
+        other = TRAINING_MODES[1 - TRAINING_MODES.index(mode)]
+        configs = [config, dataclasses.replace(config, name="other", mode=other)]
+        with tempfile.TemporaryDirectory() as serial, tempfile.TemporaryDirectory() as parallel:
+            run_suite(configs, serial, parallel=1)
+            run_suite(configs, parallel, parallel=2)
+            assert tree_bytes(serial) == tree_bytes(parallel)
+
+
+class TestRaceCostBound:
+    """Instance work (predicted plus trained rows) of a race chunk over a
+    quiet chunk, counted around ``dtd_step`` as criterion 6 does. A race
+    chunk predicts with three candidates and trains or re-adapts each at
+    most once; a quiet chunk predicts and trains in continual mode but
+    only predicts in sporadic mode, so the bound is 3 there and 6 here."""
+
+    BOUND = {"continual": 3.0, "sporadic": 6.0}
+
+    @pytest.mark.parametrize("mode", TRAINING_MODES)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_race_chunk_costs_at_most_bound_times_quiet_chunk(self, mode, data):
+        config = data.draw(small_configs(data.draw(st.sampled_from(DETECTOR_KINDS)), mode))
+        seed = config.seeds[0]
+        stream = make_stream(dataclasses.replace(config.stream, seed=seed))
+        state = DtdState(GaussianNB().train(stream.chunk(0)), detector_for_run(config, seed),
+                         config.race_len, config.eta, mode)
+        quiet, racing = [], []
+        op_counts.reset()
+        before = op_counts.snapshot()
+        for i in range(1, len(stream)):
+            outcome = dtd_step(state, stream.chunk(i))
+            after = op_counts.snapshot()
+            cost = (after[0] - before[0]) + (after[1] - before[1])
+            before = after
+            if outcome.phase == "comparison":
+                racing.append(cost)
+            elif not outcome.alarm:
+                quiet.append(cost)
+        if racing and quiet:
+            assert max(racing) <= self.BOUND[mode] * max(quiet)
 
 
 class TestRunExperimentAndSuite:
