@@ -6,7 +6,7 @@ and on alarm either the baseline policy retrains in place or a short race
 between candidate models picks the new model and alarm threshold.
 """
 
-from .classifier import EvalOutcome, GaussianNB, adapt, evaluate, op_counts
+from .classifier import EvalOutcome, GaussianNB, adapt, evaluate, evaluate_all, op_counts
 from .detectors import (DETECTOR_KINDS, DriftMonitor, ks_distance, make_monitor,
                         params_from_dict, params_to_dict)
 from .dtd import (CandidateKind, CandidateSet, DtdState, StepOutcome, TRAINING_MODES,
@@ -36,7 +36,7 @@ __all__ = [
     "StreamConfig", "SuddenDriftParams", "TRAINING_MODES", "ThresholdStrategy",
     "adapt", "analytic_recurrent", "analytic_sudden", "baseline_step", "baseline_trace",
     "check_sudden_identity", "create_candidates", "dtd_step", "dtd_trace",
-    "eval_candidates", "evaluate", "finalize_comparison", "ks_distance",
+    "eval_candidates", "evaluate", "evaluate_all", "finalize_comparison", "ks_distance",
     "load_config", "load_config_dir", "make_monitor",
     "make_stream", "op_counts", "params_from_dict", "params_to_dict",
     "render_table", "run_experiment", "run_policies", "run_single", "run_suite", "sea_concept",

@@ -8,7 +8,7 @@ model trained on the same chunk (the primary and each race candidate) only
 pays for the merge. Prediction maximizes the log joint density with a
 per-feature variance floor; the kernel's per-model constants (log priors,
 means, doubled floored variances and log normalizers) are cached until the
-next ``train``.
+next ``train``. A race chunk scores its candidates with one kernel call.
 
 Module-level operation counters record how many instances were pushed
 through predict and train calls. The adaptation logic is bounded to a fixed
@@ -53,6 +53,15 @@ class EvalOutcome(NamedTuple):
     statistic: float
 
 
+def _relabel(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(y, return_inverse=True)``, by ``bincount`` when the labels
+    are non-negative and below the row count, which bounds its table."""
+    if y.shape[0] and y.min() >= 0 and y.max() < y.shape[0]:
+        present = np.bincount(y) > 0
+        return np.flatnonzero(present), (np.cumsum(present) - 1)[y]
+    return np.unique(y, return_inverse=True)
+
+
 def _chunk_stats(chunk: Chunk) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The chunk's sorted labels with their per-label count, mean and M2.
 
@@ -64,7 +73,7 @@ def _chunk_stats(chunk: Chunk) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
         X = np.ascontiguousarray(chunk.X, dtype=np.float64)
         if not np.isfinite(X).all():
             raise ModelError(f"chunk {chunk.index} has non-finite feature values")
-        labels, y_idx = np.unique(np.asarray(chunk.y, dtype=np.int64), return_inverse=True)
+        labels, y_idx = _relabel(np.asarray(chunk.y, dtype=np.int64))
         stats = (labels, *kernels.class_stats(X, y_idx.astype(np.int64, copy=False), labels.shape[0]))
         for array in stats:
             array.setflags(write=False)
@@ -104,14 +113,13 @@ class GaussianNB:
         if self.is_fitted and X.shape[1] != self.n_features:
             raise ModelError(f"expected {self.n_features} features, got {X.shape[1]}")
 
-    def _admit_classes(self, labels: np.ndarray) -> None:
+    def _admit_classes(self, labels: np.ndarray, n_features: int) -> None:
         if labels.shape == self._classes.shape and (labels == self._classes).all():
             return
-        new = np.setdiff1d(labels, self._classes)
-        if new.shape[0] == 0:
+        # a fresh model adopts the chunk's labels, which are sorted and unique
+        merged = np.union1d(self._classes, labels) if self.is_fitted else labels
+        if merged.shape == self._classes.shape:
             return
-        merged = np.union1d(self._classes, new)
-        n_features = self._means.shape[1]
         counts = np.zeros(merged.shape[0])
         means = np.zeros((merged.shape[0], n_features))
         m2 = np.zeros((merged.shape[0], n_features))
@@ -127,10 +135,7 @@ class GaussianNB:
             raise ModelError("cannot train on an empty chunk")
         self._require_width(chunk.X)
         labels, counts, means, m2 = _chunk_stats(chunk)
-        if not self.is_fitted:
-            self._means = np.empty((0, chunk.X.shape[1]), dtype=np.float64)
-            self._m2 = np.empty((0, chunk.X.shape[1]), dtype=np.float64)
-        self._admit_classes(labels)
+        self._admit_classes(labels, chunk.X.shape[1])
         if labels.shape[0] == self._classes.shape[0]:
             b_counts, b_means, b_m2 = counts, means, m2
         else:
@@ -156,10 +161,10 @@ class GaussianNB:
         op_counts.train_instances += chunk.X.shape[0]
         return self
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
+    def _params_for(self, X: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Check that the model can score ``X``; return its cached kernel constants."""
         if not self.is_fitted:
             raise ModelError("predict called before any training data")
-        X = np.ascontiguousarray(X, dtype=np.float64)
         self._require_width(X)
         if self._predict_params is None:
             log_priors = np.log(self._counts / self._counts.sum())
@@ -168,7 +173,11 @@ class GaussianNB:
             floor = VARIANCE_FLOOR_SCALE * np.where(top > 0.0, top, 1.0)
             self._predict_params = kernels.predict_params(
                 log_priors, self._means, np.maximum(variances, floor[None, :]))
-        idx = kernels.predict_indices(X, self._predict_params)
+        return self._predict_params
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        idx = kernels.predict_indices(X, self._params_for(X))
         op_counts.predict_instances += X.shape[0]
         return self._classes[idx]
 
@@ -188,13 +197,37 @@ def adapt(model: GaussianNB, chunk: Chunk) -> GaussianNB:
     return type(model)().train(chunk)
 
 
+def _score(predicted: np.ndarray, chunk: Chunk, detector) -> EvalOutcome:
+    # count / n is correctly rounded, as np.mean of the bool array is
+    accuracy = np.count_nonzero(predicted == chunk.y) / len(chunk)
+    detector.update(1.0 - accuracy)
+    return EvalOutcome(accuracy=accuracy, statistic=detector.statistic)
+
+
 def evaluate(model: GaussianNB, chunk: Chunk, detector) -> EvalOutcome:
     """Score a frozen model on a chunk and push the error rate to a detector.
 
     The model is not trained here. The detector sees exactly one update, the
     chunk error rate, and the outcome carries its statistic after that update.
     """
-    predicted = model.predict(chunk.X)
-    accuracy = float(np.mean(predicted == chunk.y))
-    detector.update(1.0 - accuracy)
-    return EvalOutcome(accuracy=accuracy, statistic=detector.statistic)
+    if len(chunk) == 0:
+        raise ModelError(f"cannot evaluate on an empty chunk (chunk {chunk.index})")
+    return _score(model.predict(chunk.X), chunk, detector)
+
+
+def evaluate_all(models, chunk: Chunk, detectors) -> list[EvalOutcome]:
+    """``[evaluate(m, chunk, d) for m, d in zip(models, detectors)]`` with one
+    kernel call on the models' constants stacked along the class axis (for
+    this chunk only); each model takes the argmax of its own slice. Other
+    model types and empty chunks go through ``evaluate`` one by one."""
+    if len(chunk) == 0 or any(type(model) is not GaussianNB for model in models):
+        return [evaluate(model, chunk, det) for model, det in zip(models, detectors)]
+    X = np.ascontiguousarray(chunk.X, dtype=np.float64)
+    params = [model._params_for(X) for model in models]
+    # log priors are (classes, 1), the rest (features, classes, 1)
+    stacked = [np.concatenate(parts, axis=min(i, 1)) for i, parts in enumerate(zip(*params))]
+    joint = kernels.joint_log_likelihood(X, stacked)
+    bounds = np.cumsum([0] + [model._classes.shape[0] for model in models]).tolist()
+    op_counts.predict_instances += len(models) * X.shape[0]
+    return [_score(model._classes[joint[lo:hi].argmax(axis=0)], chunk, det)
+            for model, det, lo, hi in zip(models, detectors, bounds, bounds[1:])]

@@ -16,7 +16,6 @@ scale-free in this sense and take no such parameter.
 
 from __future__ import annotations
 
-import copy as _copy
 import math
 from collections import deque
 from dataclasses import asdict, dataclass, fields
@@ -166,7 +165,11 @@ class DriftMonitor:
         self._init_state()
 
     def clone(self) -> "DriftMonitor":
-        return _copy.deepcopy(self)
+        """Independent twin with the same history. State is scalars and frozen
+        params, so a shallow copy suffices; Kswin also copies its window and PRNG."""
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__)
+        return twin
 
     def fresh(self) -> "DriftMonitor":
         """New detector of the same kind and constructor parameters."""
@@ -252,6 +255,12 @@ class Kswin(DriftMonitor):
         recent = arr[-self.params.recent :]
         sample = self._rng.choice(older, size=self.params.recent, replace=False)
         return ks_distance(sample, recent)
+
+    def clone(self) -> "Kswin":
+        twin = super().clone()
+        twin._window, twin._rng = self._window.copy(), np.random.Generator(np.random.PCG64(0))
+        twin._rng.bit_generator.state = self._rng.bit_generator.state
+        return twin
 
 
 class HddmA(DriftMonitor):

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 
-from .classifier import GaussianNB, adapt, evaluate
+from .classifier import GaussianNB, adapt, evaluate, evaluate_all
 from .detectors import DriftMonitor
 from .errors import ConfigError, PhaseError
 from .stream import Chunk
@@ -147,17 +147,18 @@ def create_candidates(model: GaussianNB, chunk_curr: Chunk, chunk_prev: Chunk | 
 
 def eval_candidates(candidates: CandidateSet | None, chunk: Chunk, *,
                     continual: bool) -> dict[CandidateKind, float]:
-    """One comparison chunk: evaluate, log, and update every candidate."""
+    """One comparison chunk: evaluate every candidate in one stacked kernel
+    call, then log and update each in EDM, RDM, PM order."""
     if candidates is None:
         raise PhaseError("no comparison phase is active")
+    models, detectors, kinds = candidates.models, candidates.detectors, list(CandidateKind)
+    outcomes = evaluate_all([models[k] for k in kinds], chunk, [detectors[k] for k in kinds])
     accuracies: dict[CandidateKind, float] = {}
-    for kind in CandidateKind:
-        model = candidates.models[kind]
-        det = candidates.detectors[kind]
-        acc, stat = evaluate(model, chunk, det)
+    for kind, (acc, stat) in zip(kinds, outcomes):
         candidates.accuracy_logs[kind].append(acc)
         accuracies[kind] = acc
-        candidates.models[kind] = respond(model, chunk, det, stat > det.threshold, continual)
+        models[kind] = respond(models[kind], chunk, detectors[kind],
+                               stat > detectors[kind].threshold, continual)
     return accuracies
 
 

@@ -5,7 +5,8 @@ per-chunk class statistics, in numpy.
 classifier caches the result on the chunk and merges it into each model
 that trains on that chunk. ``predict_params`` runs once per model state:
 the classifier caches its per-model constants until the next ``train``.
-``predict_indices`` runs once per predict call.
+``predict_indices`` runs once per predict call; a race chunk scores all
+three candidates with one ``joint_log_likelihood`` call.
 
 The kernels are feature-major: predict keeps its log-densities in a
 (features, classes, rows) block instead of a broadcast (rows, classes,
@@ -80,15 +81,14 @@ def predict_params(log_priors, means, variances):
     return params
 
 
-def predict_indices(X, params):
-    """Index of the most probable class per row; ties go to the lowest index.
+def joint_log_likelihood(X, params):
+    """The (classes, rows) joint log-likelihoods of the rows of ``X``.
 
-    ``params`` comes from ``predict_params``. The log-densities live in a
-    feature-major (features, classes, rows) block, so each feature's terms
-    are one contiguous slab, and the slabs are added in the order a
-    reduction over a trailing feature axis uses: the joint log-likelihoods
-    are bit-identical to those of the broadcast (rows, classes, features)
-    form.
+    ``params`` comes from ``predict_params``, or is several models' params
+    concatenated along the class axis: an entry depends only on its class
+    and row, so each model's slice is bit-identical to a call on it alone.
+    The feature slabs of the (features, classes, rows) log-density block are
+    added in the order a reduction over a trailing feature axis uses.
     """
     log_priors, means, two_variances, log_norms = params
     n_rows, n_features = X.shape
@@ -97,8 +97,12 @@ def predict_indices(X, params):
     log_like *= log_like
     log_like /= two_variances
     np.subtract(log_norms, log_like, out=log_like)
-    joint = log_priors + _pairwise_sum(log_like)
-    return joint.argmax(axis=0)
+    return log_priors + _pairwise_sum(log_like)
+
+
+def predict_indices(X, params):
+    """Index of the most probable class per row; ties go to the lowest index."""
+    return joint_log_likelihood(X, params).argmax(axis=0)
 
 
 def _class_stats_gathered(X, y_idx, n_classes):

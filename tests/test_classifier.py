@@ -1,12 +1,16 @@
 """Incremental Gaussian naive Bayes and the evaluate step."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drifttune import kernels
-from drifttune.classifier import GaussianNB, adapt, evaluate, op_counts
+from drifttune.classifier import GaussianNB, _relabel, adapt, evaluate, evaluate_all, op_counts
+from drifttune.detectors import DETECTOR_KINDS, make_monitor
+from drifttune.dtd import CandidateKind, CandidateSet, eval_candidates, respond
 from drifttune.errors import ModelError
 from drifttune.stream import Chunk, StreamConfig, make_stream
 
@@ -329,6 +333,145 @@ class TestEvaluate:
         counts_before = model._counts.copy()
         evaluate(model, c, RecordingDetector())
         assert np.array_equal(model._counts, counts_before)
+
+
+    def test_empty_chunk_rejected_before_predicting(self):
+        model = GaussianNB().train(chunk_of([[0.0], [10.0]], [0, 1]))
+        empty = chunk_of(np.empty((0, 1)), np.empty(0), index=4)
+        det = RecordingDetector()
+        op_counts.reset()
+        with pytest.raises(ModelError, match="empty chunk"):
+            evaluate(model, empty, det)
+        with pytest.raises(ModelError, match="empty chunk"):
+            evaluate_all([model, model.copy()], empty, [det, RecordingDetector()])
+        assert det.values == []
+        assert op_counts.snapshot() == (0, 0)
+
+
+def monitor_state(det):
+    """A monitor's full state, with its window and PRNG made comparable."""
+    def plain(value):
+        if isinstance(value, deque):
+            return list(value)
+        if isinstance(value, np.random.Generator):
+            return value.bit_generator.state
+        return value
+    return {name: plain(value) for name, value in vars(det).items()}
+
+
+@st.composite
+def races(draw):
+    """Three models trained on their own random chunks, monitors for them and
+    a few race chunks. Integral features make exact posterior ties common;
+    a model may know a single class, and a "twin" chunk gives two classes
+    identical rows, so every row ties between them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_features = draw(st.integers(1, 4))
+
+    def labelled_chunk(index, alphabet):
+        n = draw(st.integers(1, 25))
+        X = rng.integers(-3, 4, size=(n, n_features)).astype(np.float64)
+        y = rng.choice(alphabet, size=n)
+        if len(alphabet) > 1 and draw(st.booleans()):
+            X = np.vstack([X, X])
+            y = np.repeat(alphabet[:2], n)
+        return chunk_of(X, y, index)
+
+    models = []
+    for i in range(3):
+        alphabet = draw(st.lists(st.integers(-2, 5), min_size=1, max_size=4, unique=True))
+        models.append(GaussianNB().train(labelled_chunk(i, alphabet)))
+    kinds = draw(st.lists(st.sampled_from(DETECTOR_KINDS), min_size=3, max_size=3))
+    detectors = [make_monitor(kind) for kind in kinds]
+    for det in detectors:
+        det.threshold = draw(st.sampled_from([0.0, 0.5, 2.0, np.inf]))
+    race = [labelled_chunk(10 + i, list(range(-2, 6))) for i in range(draw(st.integers(1, 3)))]
+    return models, detectors, race
+
+
+class TestStackedEvaluation:
+    @settings(max_examples=150, deadline=None)
+    @given(races())
+    def test_evaluate_all_equals_separate_evaluates(self, race):
+        models, detectors, chunks = race
+        twins = [det.clone() for det in detectors]
+        for chunk in chunks:
+            op_counts.reset()
+            stacked = evaluate_all(models, chunk, detectors)
+            stacked_counts = op_counts.snapshot()
+            op_counts.reset()
+            separate = [evaluate(m, chunk, d) for m, d in zip(models, twins)]
+            assert stacked == separate
+            assert op_counts.snapshot() == stacked_counts == (3 * len(chunk), 0)
+            assert [monitor_state(d) for d in detectors] == [monitor_state(d) for d in twins]
+
+    @settings(max_examples=100, deadline=None)
+    @given(races(), st.booleans())
+    def test_eval_candidates_equals_one_by_one_race(self, race, continual):
+        models, detectors, chunks = race
+
+        def candidate_set(models, detectors):
+            return CandidateSet(models=dict(zip(CandidateKind, models)),
+                                detectors=dict(zip(CandidateKind, detectors)),
+                                accuracy_logs={kind: [] for kind in CandidateKind})
+
+        stacked = candidate_set([m.copy() for m in models], [d.clone() for d in detectors])
+        separate = candidate_set([m.copy() for m in models], [d.clone() for d in detectors])
+        for chunk in chunks:
+            op_counts.reset()
+            accuracies = eval_candidates(stacked, chunk, continual=continual)
+            stacked_counts = op_counts.snapshot()
+            op_counts.reset()
+            expected = {}
+            for kind in CandidateKind:  # the race step as three plain evaluates
+                model, det = separate.models[kind], separate.detectors[kind]
+                acc, stat = evaluate(model, chunk, det)
+                separate.accuracy_logs[kind].append(acc)
+                expected[kind] = acc
+                separate.models[kind] = respond(model, chunk, det, stat > det.threshold, continual)
+            assert accuracies == expected
+            assert op_counts.snapshot() == stacked_counts
+        assert stacked.accuracy_logs == separate.accuracy_logs
+        for kind in CandidateKind:
+            a, b = stacked.models[kind], separate.models[kind]
+            for name in ("_classes", "_counts", "_means", "_m2"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+            assert monitor_state(stacked.detectors[kind]) == monitor_state(separate.detectors[kind])
+
+    def test_one_kernel_call_per_race_chunk(self, monkeypatch):
+        calls = []
+        real = kernels.joint_log_likelihood
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(kernels, "joint_log_likelihood", counting)
+        c = chunk_of([[0.0], [1.0], [9.0], [10.0]], [0, 0, 1, 1])
+        models = [GaussianNB().train(c), GaussianNB().train(chunk_of([[3.0]], [2])),
+                  GaussianNB().train(c)]
+        outcomes = evaluate_all(models, c, [RecordingDetector() for _ in models])
+        assert len(calls) == 1
+        assert [o.accuracy for o in outcomes] == [1.0, 0.0, 1.0]
+
+
+class TestRelabel:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.lists(st.integers(0, 30), min_size=1, max_size=40),  # dense, often fast path
+        st.lists(st.integers(-5, 5), min_size=1, max_size=40),  # negative
+        st.lists(st.integers(0, 10**6), min_size=1, max_size=40),  # sparse
+        st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=10),  # huge
+        st.tuples(st.integers(-2**63, 2**63 - 1), st.integers(1, 40)).map(
+            lambda pair: [pair[0]] * pair[1]),  # single class
+    ))
+    def test_matches_unique(self, values):
+        y = np.array(values, dtype=np.int64)
+        labels, inverse = _relabel(y)
+        expected_labels, expected_inverse = np.unique(y, return_inverse=True)
+        assert labels.dtype == expected_labels.dtype
+        assert np.array_equal(labels, expected_labels)
+        assert np.array_equal(inverse, expected_inverse)
 
 
 class TestOpCounts:
