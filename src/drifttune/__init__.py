@@ -6,7 +6,7 @@ and on alarm either the baseline policy retrains in place or a short race
 between candidate models picks the new model and alarm threshold.
 """
 
-from .classifier import EvalOutcome, GaussianNB, adapt, evaluate, evaluate_all, op_counts
+from .classifier import GaussianNB, adapt, evaluate, evaluate_all, op_counts
 from .detectors import (DETECTOR_KINDS, DriftMonitor, ks_distance, make_monitor,
                         params_from_dict, params_to_dict)
 from .dtd import (CandidateKind, CandidateSet, DtdState, StepOutcome, TRAINING_MODES,
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CandidateKind", "CandidateSet", "Chunk", "ConfigError", "DETECTOR_KINDS",
-    "DetectorError", "DriftMonitor", "DriftTuneError", "DtdState", "EvalOutcome",
+    "DetectorError", "DriftMonitor", "DriftTuneError", "DtdState",
     "ExperimentConfig", "ExperimentResult", "GaussianNB", "IngestError",
     "METHODS", "ModelError", "PhaseError", "RecurrentDriftParams", "ReportError",
     "RunTrace", "SEA_THRESHOLDS", "STREAM_KINDS", "StepOutcome", "Stream",

@@ -28,7 +28,7 @@ from enum import IntEnum
 
 from .classifier import GaussianNB, adapt, evaluate, evaluate_all
 from .detectors import DriftMonitor
-from .errors import ConfigError, PhaseError
+from .errors import ConfigError, PhaseError, check_count, check_real
 from .stream import Chunk
 
 TRAINING_MODES = ("continual", "sporadic")
@@ -84,8 +84,8 @@ class DtdState:
     prev_chunk: Chunk | None = None
 
     def __post_init__(self):
-        if self.race_len < 1:
-            raise ConfigError("race_len must be at least 1")
+        check_count("race_len", self.race_len, minimum=1)
+        check_real("eta", self.eta)
         if self.eta <= 0.0:
             raise ConfigError("eta must be positive")
         if self.training_mode not in TRAINING_MODES:

@@ -1,4 +1,6 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy shared across the package, and the config type checks."""
+
+import numbers
 
 
 class DriftTuneError(Exception):
@@ -27,3 +29,15 @@ class PhaseError(DriftTuneError):
 
 class ReportError(DriftTuneError):
     """Summary over no results, or over results with mismatched shapes."""
+
+
+def check_count(name: str, value: int, minimum: int = 0) -> None:
+    """Raise ConfigError unless ``value`` is an int (not a bool) >= ``minimum``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_real(name: str, value: float) -> None:
+    """Raise ConfigError unless ``value`` is a real number and not a bool."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be a number, got {value!r}")

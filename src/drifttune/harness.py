@@ -33,7 +33,7 @@ import yaml
 from .classifier import GaussianNB
 from .detectors import DETECTOR_KINDS, PARAM_TYPES, DriftMonitor, make_monitor, params_from_dict
 from .dtd import TRAINING_MODES, DtdState, baseline_step, dtd_step
-from .errors import ConfigError, ReportError
+from .errors import ConfigError, ReportError, check_count, check_real
 from .stream import Stream, StreamConfig, make_stream
 
 METHODS = ("baseline", "dtd")
@@ -63,13 +63,13 @@ class ExperimentConfig:
             raise ConfigError(f"method must be baseline, dtd, or both, got {self.method!r}")
         if self.mode not in TRAINING_MODES:
             raise ConfigError(f"mode must be one of {TRAINING_MODES}, got {self.mode!r}")
-        if self.race_len < 1:
-            raise ConfigError("race_len must be at least 1")
+        check_count("race_len", self.race_len, minimum=1)
+        check_real("eta", self.eta)
         if not self.eta > 0.0:
             raise ConfigError("eta must be positive")
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
-        if any(not isinstance(s, int) or s < 0 for s in self.seeds):
+        if any(not isinstance(s, int) or isinstance(s, bool) or s < 0 for s in self.seeds):
             raise ConfigError("seeds must be non-negative integers")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be unique")
@@ -474,8 +474,7 @@ def config_from_mapping(mapping: dict, default_name: str = "experiment") -> Expe
 
     race_len = mapping.get("race_len", mapping.get("K", 3))
     eta = mapping.get("eta", 1e-6)
-    if isinstance(eta, str):
-        raise ConfigError(f"eta must be a number, got {eta!r}")
+    check_real("eta", eta)
     return ExperimentConfig(
         name=str(mapping.get("name", default_name)),
         stream=stream,

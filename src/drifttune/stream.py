@@ -2,9 +2,14 @@
 
 A stream is a fixed-length sequence of chunks; each chunk carries a feature
 matrix and integer labels. Synthetic chunk content depends only on
-(config, seed, chunk index) through one PCG64 substream per chunk index, so
-any chunk can be produced independently of consumption order and repeated
-runs see identical data.
+(config, seed, chunk index): chunk i draws from the PCG64 generator that
+``SeedSequence((seed, i))`` seeds, so any chunk can be produced
+independently of consumption order and repeated runs see identical data.
+
+Seeding builds no numpy objects per chunk: a stream runs SeedSequence's
+uint32 hash steps on ``SEED_BLOCK`` indices at once and sets each chunk's
+seeded PCG64 state on the one generator it owns, so do not share a stream
+across threads. Memory does not grow with ``n_chunks``.
 
 Drift layout: the active concept advances every ``drift_period`` chunks. SEA
 cycles four boundary thresholds, Sine and Mixed alternate between a labeling
@@ -20,12 +25,21 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigError, IngestError
+from .errors import ConfigError, IngestError, check_count, check_real
 
 SEA_THRESHOLDS = (8.0, 9.0, 7.0, 9.5)
 
 SYNTHETIC_KINDS = ("sea", "sine", "mixed")
 STREAM_KINDS = SYNTHETIC_KINDS + ("csv",)
+
+# Chunk indices seeded per vectorized pass (a stream keeps one block); then
+# SeedSequence's pool size and hash constants (numpy/random/bit_generator.pyx)
+# and PCG64's 128-bit LCG multiplier (pcg64.h).
+SEED_BLOCK = 1024
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 @dataclass(frozen=True)
@@ -63,14 +77,13 @@ class StreamConfig:
     def __post_init__(self):
         if self.kind not in STREAM_KINDS:
             raise ConfigError(f"unknown stream kind {self.kind!r}, expected one of {STREAM_KINDS}")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if self.n_chunks < 1:
-            raise ConfigError("n_chunks must be positive")
-        if self.chunk_size < 1:
-            raise ConfigError("chunk_size must be positive")
-        if self.drift_period < 1:
-            raise ConfigError("drift_period must be positive")
+        check_count("seed", self.seed)
+        check_count("n_chunks", self.n_chunks, minimum=1)
+        if self.n_chunks >= 2**32:
+            raise ConfigError(f"n_chunks must be below 2**32, got {self.n_chunks}")
+        check_count("chunk_size", self.chunk_size, minimum=1)
+        check_count("drift_period", self.drift_period, minimum=1)
+        check_real("noise", self.noise)
         if not 0.0 <= self.noise <= 0.5:
             raise ConfigError("noise must lie in [0, 0.5]")
         if self.noise > 0.0 and self.kind != "sea":
@@ -83,8 +96,37 @@ class StreamConfig:
         return self.n_chunks * self.chunk_size
 
 
-def _chunk_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index))))
+def _hashmix(h: int, mult: int):
+    """SeedSequence's hashmix, stepping its own running hash constant ``h``."""
+    def step(value: np.ndarray) -> np.ndarray:
+        nonlocal h
+        xor, h = np.uint32(h), h * mult & 0xFFFFFFFF
+        value = (value ^ xor) * np.uint32(h)
+        return value ^ (value >> 16)
+    return step
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    value = x * np.uint32(0xCA01F9DD) - y * np.uint32(0x4973F715)  # MIX_MULT_L, MIX_MULT_R
+    return value ^ (value >> 16)
+
+
+def _block_words(seed: int, start: int, n: int) -> np.ndarray:
+    """Rows of ``SeedSequence((seed, i)).generate_state(4, np.uint64)``, i in [start, start + n)."""
+    entropy = [np.full(n, seed >> s & 0xFFFFFFFF, np.uint32) for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy.append(np.arange(start, start + n, dtype=np.uint32))
+    hashmix = _hashmix(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in (entropy + [np.zeros(n, np.uint32)] * _POOL_SIZE)[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for extra in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(extra))
+    hashmix = _hashmix(_INIT_B, _MULT_B)
+    words = np.stack([hashmix(pool[i % _POOL_SIZE]) for i in range(2 * _POOL_SIZE)], axis=1)
+    return words.astype("<u4").view("<u8").astype(np.uint64)  # low word first, as numpy does
 
 
 def _flip_labels(y: np.ndarray, noise: float, rng: np.random.Generator) -> np.ndarray:
@@ -100,8 +142,7 @@ def sea_concept(index: int, drift_period: int) -> int:
     return (index // drift_period) % len(SEA_THRESHOLDS)
 
 
-def _sea_chunk(cfg: StreamConfig, index: int) -> Chunk:
-    rng = _chunk_rng(cfg.seed, index)
+def _sea_chunk(cfg: StreamConfig, index: int, rng: np.random.Generator) -> Chunk:
     X = rng.uniform(0.0, 10.0, size=(cfg.chunk_size, 3))
     threshold = SEA_THRESHOLDS[sea_concept(index, cfg.drift_period)]
     y = (X[:, 0] + X[:, 1] <= threshold).astype(np.int64)
@@ -109,8 +150,7 @@ def _sea_chunk(cfg: StreamConfig, index: int) -> Chunk:
     return Chunk(index, X, y)
 
 
-def _sine_chunk(cfg: StreamConfig, index: int) -> Chunk:
-    rng = _chunk_rng(cfg.seed, index)
+def _sine_chunk(cfg: StreamConfig, index: int, rng: np.random.Generator) -> Chunk:
     X = rng.uniform(0.0, 1.0, size=(cfg.chunk_size, 2))
     y = (X[:, 1] < np.sin(X[:, 0])).astype(np.int64)
     if (index // cfg.drift_period) % 2 == 1:
@@ -118,8 +158,7 @@ def _sine_chunk(cfg: StreamConfig, index: int) -> Chunk:
     return Chunk(index, X, y)
 
 
-def _mixed_chunk(cfg: StreamConfig, index: int) -> Chunk:
-    rng = _chunk_rng(cfg.seed, index)
+def _mixed_chunk(cfg: StreamConfig, index: int, rng: np.random.Generator) -> Chunk:
     booleans = rng.integers(0, 2, size=(cfg.chunk_size, 2)).astype(np.float64)
     reals = rng.uniform(0.0, 1.0, size=(cfg.chunk_size, 2))
     X = np.column_stack([booleans, reals])
@@ -181,13 +220,13 @@ def _load_csv(cfg: StreamConfig) -> list[Chunk]:
 
 
 class Stream:
-    """Immutable chunk sequence. Synthetic chunks are generated lazily."""
+    """Immutable chunk sequence. Synthetic chunks are generated lazily; not thread-safe."""
 
     def __init__(self, config: StreamConfig):
         self.config = config
-        self._csv_chunks: list[Chunk] | None = None
-        if config.kind == "csv":
-            self._csv_chunks = _load_csv(config)
+        self._csv_chunks = _load_csv(config) if config.kind == "csv" else None
+        self._rng = np.random.Generator(np.random.PCG64(0))  # reseeded before every chunk
+        self._block_start = -1
 
     def __len__(self) -> int:
         if self._csv_chunks is not None:
@@ -199,7 +238,17 @@ class Stream:
             raise ConfigError(f"chunk index {index} out of range [0, {len(self)})")
         if self._csv_chunks is not None:
             return self._csv_chunks[index]
-        return _GENERATORS[self.config.kind](self.config, index)
+        # set the state that PCG64(SeedSequence((seed, index))) starts in
+        start = index - index % SEED_BLOCK
+        if start != self._block_start:
+            self._block = _block_words(self.config.seed, start, min(SEED_BLOCK, len(self) - start))
+            self._block_start = start
+        w0, w1, w2, w3 = self._block[index - start].tolist()
+        inc = ((w2 << 64 | w3) << 1 | 1) % 2**128
+        state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) % 2**128
+        self._rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                         "has_uint32": 0, "uinteger": 0}
+        return _GENERATORS[self.config.kind](self.config, index, self._rng)
 
     def __iter__(self) -> Iterator[Chunk]:
         for i in range(len(self)):

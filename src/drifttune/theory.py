@@ -23,7 +23,7 @@ import numpy as np
 
 from .classifier import GaussianNB, adapt
 from .dtd import DtdState, StepOutcome, baseline_step
-from .errors import ConfigError
+from .errors import ConfigError, check_count
 from .harness import ExperimentConfig, RunTrace, detector_for_run, run_policies
 from .stream import Chunk, Stream, StreamConfig, make_stream
 
@@ -33,11 +33,6 @@ FLOAT_SLACK = 1e-12
 def _check_unit(name: str, value: float) -> None:
     if not 0.0 <= value <= 1.0:
         raise ConfigError(f"{name} must lie in [0, 1], got {value!r}")
-
-
-def _check_count(name: str, value: int, minimum: int = 0) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -65,13 +60,13 @@ class SuddenDriftParams:
     A_g: float = 0.0
 
     def __post_init__(self):
-        _check_count("T", self.T, minimum=1)
-        _check_count("t_d", self.t_d)
+        check_count("T", self.T, minimum=1)
+        check_count("t_d", self.t_d)
         # zero wait would mean the drift was detected before it happened
-        _check_count("t_w", self.t_w, minimum=1)
-        _check_count("t_incre", self.t_incre)
-        _check_count("t_incre_prime", self.t_incre_prime)
-        _check_count("t_g", self.t_g)
+        check_count("t_w", self.t_w, minimum=1)
+        check_count("t_incre", self.t_incre)
+        check_count("t_incre_prime", self.t_incre_prime)
+        check_count("t_g", self.t_g)
         for name in ("A_C1", "A_dismatch", "A_incre", "A_incre_prime", "A_stable", "A_g"):
             _check_unit(name, getattr(self, name))
         if self.t_d + self.t_g + 1 + self.t_incre > self.T:
@@ -121,9 +116,9 @@ class RecurrentDriftParams:
     A_stable1: float
 
     def __post_init__(self):
-        _check_count("T", self.T, minimum=1)
-        _check_count("t_d", self.t_d)
-        _check_count("t_incre1", self.t_incre1)
+        check_count("T", self.T, minimum=1)
+        check_count("t_d", self.t_d)
+        check_count("t_incre1", self.t_incre1)
         for name in ("A_C1", "A_dismatch", "A_mismatch2", "A_incre1", "A_stable1"):
             _check_unit(name, getattr(self, name))
         if self.t_d + 2 + self.t_incre1 > self.T:

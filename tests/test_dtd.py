@@ -111,6 +111,18 @@ class TestStateConstruction:
         with pytest.raises(ConfigError, match="training_mode"):
             DtdState(model, det, training_mode="sometimes")
 
+    @pytest.mark.parametrize("kw,match", [
+        ({"race_len": 2.5}, "race_len"),  # its countdown would step over 0 and never close
+        ({"race_len": "3"}, "race_len"),
+        ({"race_len": True}, "race_len"),
+        ({"eta": None}, "eta"),
+        ({"eta": True}, "eta"),
+    ])
+    def test_badly_typed_settings_rejected(self, kw, match):
+        model = FirstLabelModel().train(chunk_from_labels([0]))
+        with pytest.raises(ConfigError, match=match):
+            DtdState(model, IdentityMonitor(StubParams()), **kw)
+
 
 class TestNormalPhase:
     def test_quiet_step_reports_and_records(self):

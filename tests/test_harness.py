@@ -84,6 +84,20 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match=match):
             small_config(**kw)
 
+    @pytest.mark.parametrize("kw,match", [
+        ({"race_len": 2.5}, "race_len"),
+        ({"race_len": "3"}, "race_len"),
+        ({"race_len": True}, "race_len"),
+        ({"eta": None}, "eta"),
+        ({"eta": True}, "eta"),
+        ({"eta": "1e-6"}, "eta"),
+        ({"seeds": (True, 2)}, "seeds"),
+        ({"seeds": (1.0,)}, "seeds"),
+    ])
+    def test_badly_typed_fields_rejected(self, kw, match):
+        with pytest.raises(ConfigError, match=match):
+            small_config(**kw)
+
 
 class TestDetectorForRun:
     def test_sample_count_defaults_to_chunk_size(self):
@@ -546,6 +560,26 @@ out: elsewhere
     def test_rejections(self, mapping, match):
         with pytest.raises(ConfigError, match=match):
             config_from_mapping(mapping)
+
+    @pytest.mark.parametrize("text,match", [
+        ("race_len: 2.5", "race_len"),
+        ("race_len: '3'", "race_len"),
+        ("K: 2.5", "race_len"),
+        ("eta: null", "eta"),
+        ("eta: true", "eta"),
+        ("seeds: [true, 2]", "seeds"),
+        ("stream: {kind: sea, n_chunks: '4'}", "n_chunks"),
+        ("stream: {kind: sea, chunk_size: true}", "chunk_size"),
+        ("stream: {kind: sea, noise: '0.1'}", "noise"),
+    ])
+    def test_badly_typed_yaml_values_rejected(self, tmp_path, text, match):
+        body = "stream: {kind: sea}\ndetector: {kind: ddm}\n"
+        if text.startswith("stream:"):
+            body = "detector: {kind: ddm}\n"
+        path = tmp_path / "cell.yaml"
+        path.write_text(body + text + "\n")
+        with pytest.raises(ConfigError, match=match):
+            load_config(path)
 
     def test_load_config_reports_path(self, tmp_path):
         path = tmp_path / "bad.yaml"

@@ -1,13 +1,18 @@
 """Stream generator and CSV ingestion behavior."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from drifttune import stream as stream_module
 from drifttune.errors import ConfigError, IngestError
 from drifttune.stream import (
     SEA_THRESHOLDS,
+    SEED_BLOCK,
     Chunk,
     StreamConfig,
     make_stream,
@@ -204,6 +209,94 @@ class TestConfigValidation:
     def test_csv_needs_path(self):
         with pytest.raises(ConfigError, match="csv_path"):
             StreamConfig(kind="csv")
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_chunks", "4"), ("n_chunks", 4.5), ("n_chunks", True),
+        ("chunk_size", 20.0), ("chunk_size", True),
+        ("drift_period", 2.5), ("drift_period", "10"),
+        ("seed", True), ("seed", 1.0),
+        ("noise", "0.1"), ("noise", None), ("noise", False),
+    ])
+    def test_badly_typed_fields_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            StreamConfig(kind="sea", **{field: value})
+
+    def test_index_fits_one_word(self):
+        with pytest.raises(ConfigError, match="n_chunks"):
+            StreamConfig(kind="sea", n_chunks=2**32)
+        assert StreamConfig(kind="sea", n_chunks=2**32 - 1).n_chunks == 2**32 - 1
+
+
+def reference_chunk(cfg: StreamConfig, index: int) -> Chunk:
+    """The chunk as a freshly built per-chunk generator draws it."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, index))))
+    return stream_module._GENERATORS[cfg.kind](cfg, index, rng)
+
+
+def assert_same_bytes(chunk: Chunk, expected: Chunk):
+    assert chunk.index == expected.index
+    assert chunk.X.dtype == expected.X.dtype and chunk.X.tobytes() == expected.X.tobytes()
+    assert chunk.y.dtype == expected.y.dtype and chunk.y.tobytes() == expected.y.tobytes()
+
+
+# seeds up to 130 bits, with the 32- and 96-bit word boundaries drawn often:
+# a seed of 4 or more words sends the index through SeedSequence's extra mixing
+SEEDS = st.one_of(
+    st.integers(0, 2**130 - 1),
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 - 1, 2**96, 2**128, 2**130 - 1]),
+)
+KINDS = st.sampled_from([("sea", 0.0), ("sea", 0.2), ("sine", 0.0), ("mixed", 0.0)])
+
+
+@st.composite
+def stream_configs(draw):
+    kind, noise = draw(KINDS)
+    return StreamConfig(kind=kind, seed=draw(SEEDS), n_chunks=draw(st.integers(1, 2 * SEED_BLOCK + 5)),
+                        chunk_size=draw(st.integers(1, 12)), drift_period=draw(st.integers(1, 20)),
+                        noise=noise)
+
+
+@st.composite
+def access_orders(draw, n_chunks):
+    """Chunk indices in random order with repeats, plus the ones around each block edge."""
+    edges = [i for b in range(SEED_BLOCK, n_chunks, SEED_BLOCK) for i in (b - 1, b)]
+    indices = draw(st.lists(st.integers(0, n_chunks - 1), max_size=12)) + edges
+    return draw(st.permutations(indices + indices[:3]))
+
+
+class TestBlockSeeding:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=SEEDS, start=st.integers(0, 2**32 - 1), n=st.integers(1, 40))
+    def test_block_words_equal_seed_sequence(self, seed, start, n):
+        n = min(n, 2**32 - start)
+        words = stream_module._block_words(seed, start, n)
+        assert words.dtype == np.uint64 and words.shape == (n, 4)
+        for offset in sorted({0, n // 2, n - 1}):
+            expected = np.random.SeedSequence((seed, start + offset)).generate_state(4, np.uint64)
+            assert np.array_equal(words[offset], expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), cfg=stream_configs())
+    def test_chunks_equal_per_chunk_generators(self, data, cfg):
+        stream = make_stream(cfg)
+        for index in data.draw(access_orders(cfg.n_chunks)):
+            assert_same_bytes(stream.chunk(index), reference_chunk(cfg, index))
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), first=stream_configs(), second_seed=SEEDS)
+    def test_interleaved_streams_stay_independent(self, data, first, second_seed):
+        second_cfg = dataclasses.replace(first, seed=second_seed)
+        streams = [(make_stream(first), first), (make_stream(second_cfg), second_cfg)]
+        for index in data.draw(access_orders(first.n_chunks)):
+            for stream, cfg in streams:
+                assert_same_bytes(stream.chunk(index), reference_chunk(cfg, index))
+
+    def test_last_index_and_bounded_block(self):
+        cfg = StreamConfig(kind="sine", seed=2**96 + 7, n_chunks=2**32 - 1, chunk_size=3)
+        stream = make_stream(cfg)
+        for index in (2**32 - 2, 0, 2**31, 2**32 - 2):
+            assert_same_bytes(stream.chunk(index), reference_chunk(cfg, index))
+            assert stream._block.shape[0] <= SEED_BLOCK
 
 
 class TestCsv:
