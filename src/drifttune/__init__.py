@@ -7,8 +7,7 @@ between candidate models picks the new model and alarm threshold.
 """
 
 from .classifier import GaussianNB, adapt, evaluate, evaluate_all, op_counts
-from .detectors import (DETECTOR_KINDS, DriftMonitor, ks_distance, make_monitor,
-                        params_from_dict, params_to_dict)
+from .detectors import DETECTOR_KINDS, DriftMonitor, ks_distance, make_monitor, params_from_dict
 from .dtd import (CandidateKind, CandidateSet, DtdState, StepOutcome, TRAINING_MODES,
                   baseline_step, create_candidates, dtd_step, eval_candidates,
                   finalize_comparison)
@@ -22,7 +21,7 @@ from .stream import (SEA_THRESHOLDS, STREAM_KINDS, Chunk, Stream,
                      StreamConfig, make_stream, sea_concept)
 from .theory import (RecurrentDriftParams, SuddenDriftParams, ThresholdStrategy,
                      analytic_recurrent, analytic_sudden, check_sudden_identity,
-                     simulate_policy, simulate_recurrent_drift, validate_theorem3,
+                     simulate_recurrent_drift, validate_theorem3,
                      validate_theorem3_analytic, validate_theory)
 
 __version__ = "0.1.0"
@@ -38,9 +37,9 @@ __all__ = [
     "check_sudden_identity", "create_candidates", "dtd_step", "dtd_trace",
     "eval_candidates", "evaluate", "evaluate_all", "finalize_comparison", "ks_distance",
     "load_config", "load_config_dir", "make_monitor",
-    "make_stream", "op_counts", "params_from_dict", "params_to_dict",
+    "make_stream", "op_counts", "params_from_dict",
     "render_table", "run_experiment", "run_policies", "run_single", "run_suite", "sea_concept",
-    "simulate_policy", "simulate_recurrent_drift", "summarize", "summarize_stored",
+    "simulate_recurrent_drift", "summarize", "summarize_stored",
     "validate_theorem3", "validate_theorem3_analytic", "validate_theory",
     "write_result",
 ]

@@ -12,19 +12,22 @@ update summarizes (1 for raw values, the chunk size for chunk error rates),
 which keeps the bounds on the instance scale; the statistic formulas reduce
 to the plain single-observation forms at the default of 1. PH and KSWIN are
 scale-free in this sense and take no such parameter.
+
+Each monitor class declares its ``kind`` and its ``Params`` dataclass;
+``MONITOR_TYPES`` (kind -> class) is the one table of monitor kinds. Params
+fields are checked against their annotations when built: an ``int`` takes
+an integer, a ``float`` a number, and a bool is neither.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, DetectorError
-
-DETECTOR_KINDS = ("ddm", "ph", "kswin", "hddm_a", "hddm_w")
+from .errors import ConfigError, DetectorError, check_count, check_real
 
 
 def ks_distance(a, b) -> float:
@@ -39,10 +42,16 @@ def ks_distance(a, b) -> float:
     return float(np.abs(cdf_a - cdf_b).max())
 
 
-def _require_positive(params, names) -> None:
-    for name in names:
-        if getattr(params, name) <= 0:
-            raise ConfigError(f"{type(params).__name__}.{name} must be positive")
+def _check_fields(params, positive=()) -> None:
+    """Type-check every field by its annotation; ``positive`` ones must be > 0."""
+    for f in fields(params):
+        name, value = f"{type(params).__name__}.{f.name}", getattr(params, f.name)
+        if f.type == "int":
+            check_count(name, value)
+        elif value is not None or f.type != "float | None":
+            check_real(name, value)
+        if f.name in positive and value <= 0:
+            raise ConfigError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -52,7 +61,7 @@ class DdmParams:
     samples_per_update: int = 1
 
     def __post_init__(self):
-        _require_positive(self, ("min_samples", "samples_per_update"))
+        _check_fields(self, ("min_samples", "samples_per_update"))
 
 
 @dataclass(frozen=True)
@@ -61,7 +70,7 @@ class PhParams:
     delta: float = 0.005
 
     def __post_init__(self):
-        _require_positive(self, ("delta",))
+        _check_fields(self, ("delta",))
 
 
 @dataclass(frozen=True)
@@ -74,15 +83,13 @@ class KswinParams:
     seed: int = 0
 
     def __post_init__(self):
-        _require_positive(self, ("window", "recent", "alpha"))
+        _check_fields(self, ("window", "recent", "alpha"))
         if not self.alpha < 1.0:
             raise ConfigError("KswinParams.alpha must lie in (0, 1)")
         if self.recent >= self.window:
             raise ConfigError("KswinParams.recent must be smaller than window")
         if self.recent > self.window - self.recent:
             raise ConfigError("KswinParams.recent cannot exceed the older remainder of the window")
-        if self.seed < 0:
-            raise ConfigError("KswinParams.seed must be non-negative")
         if self.threshold is None:
             object.__setattr__(self, "threshold", math.sqrt(-math.log(self.alpha) / self.recent))
 
@@ -94,7 +101,7 @@ class HddmAParams:
     samples_per_update: int = 1
 
     def __post_init__(self):
-        _require_positive(self, ("alpha", "samples_per_update"))
+        _check_fields(self, ("alpha", "samples_per_update"))
         if not self.alpha < 1.0:
             raise ConfigError("HddmAParams.alpha must lie in (0, 1)")
 
@@ -107,7 +114,7 @@ class HddmWParams:
     samples_per_update: int = 1
 
     def __post_init__(self):
-        _require_positive(self, ("ewma_weight", "alpha", "samples_per_update"))
+        _check_fields(self, ("ewma_weight", "alpha", "samples_per_update"))
         if not self.ewma_weight <= 1.0:
             raise ConfigError("HddmWParams.ewma_weight must lie in (0, 1]")
         if not self.alpha < 1.0:
@@ -119,9 +126,9 @@ class DriftMonitor:
 
     kind = "base"
 
-    def __init__(self, params):
-        self.params = params
-        self._threshold = float(params.threshold)
+    def __init__(self, params=None):
+        self.params = self.Params() if params is None else params
+        self._threshold = float(self.params.threshold)
         self._statistic = 0.0
         self._init_state()
 
@@ -184,9 +191,7 @@ class Ddm(DriftMonitor):
     """
 
     kind = "ddm"
-
-    def __init__(self, params: DdmParams | None = None):
-        super().__init__(params or DdmParams())
+    Params = DdmParams
 
     def _init_state(self):
         self._count = 0
@@ -211,9 +216,7 @@ class PageHinkley(DriftMonitor):
     """Cumulative positive deviation of the input above its running mean."""
 
     kind = "ph"
-
-    def __init__(self, params: PhParams | None = None):
-        super().__init__(params or PhParams())
+    Params = PhParams
 
     def _init_state(self):
         self._count = 0
@@ -238,9 +241,7 @@ class Kswin(DriftMonitor):
     """
 
     kind = "kswin"
-
-    def __init__(self, params: KswinParams | None = None):
-        super().__init__(params or KswinParams())
+    Params = KswinParams
 
     def _init_state(self):
         self._window = deque(maxlen=self.params.window)
@@ -272,9 +273,7 @@ class HddmA(DriftMonitor):
     """
 
     kind = "hddm_a"
-
-    def __init__(self, params: HddmAParams | None = None):
-        super().__init__(params or HddmAParams())
+    Params = HddmAParams
 
     def _init_state(self):
         self._count = 0
@@ -312,9 +311,7 @@ class HddmW(DriftMonitor):
     """
 
     kind = "hddm_w"
-
-    def __init__(self, params: HddmWParams | None = None):
-        super().__init__(params or HddmWParams())
+    Params = HddmWParams
 
     def _init_state(self):
         self._ewma = None
@@ -333,48 +330,29 @@ class HddmW(DriftMonitor):
         return max(0.0, (self._ewma - self._ewma_min) / eps)
 
 
-PARAM_TYPES = {
-    "ddm": DdmParams,
-    "ph": PhParams,
-    "kswin": KswinParams,
-    "hddm_a": HddmAParams,
-    "hddm_w": HddmWParams,
-}
+MONITOR_TYPES = {cls.kind: cls for cls in (Ddm, PageHinkley, Kswin, HddmA, HddmW)}
+DETECTOR_KINDS = tuple(MONITOR_TYPES)
 
-MONITOR_TYPES = {
-    "ddm": Ddm,
-    "ph": PageHinkley,
-    "kswin": Kswin,
-    "hddm_a": HddmA,
-    "hddm_w": HddmW,
-}
+
+def _monitor_type(kind: str) -> type[DriftMonitor]:
+    if kind not in MONITOR_TYPES:
+        raise ConfigError(f"unknown detector kind {kind!r}, expected one of {DETECTOR_KINDS}")
+    return MONITOR_TYPES[kind]
 
 
 def params_from_dict(kind: str, mapping: dict | None = None):
     """Build a params dataclass for ``kind`` from a plain mapping."""
-    if kind not in PARAM_TYPES:
-        raise ConfigError(f"unknown detector kind {kind!r}, expected one of {DETECTOR_KINDS}")
-    cls = PARAM_TYPES[kind]
+    cls = _monitor_type(kind).Params
     mapping = dict(mapping or {})
     known = {f.name for f in fields(cls)}
     unknown = set(mapping) - known
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    try:
-        return cls(**mapping)
-    except TypeError as exc:
-        raise ConfigError(f"bad {cls.__name__}: {exc}") from exc
-
-
-def params_to_dict(params) -> dict:
-    return asdict(params)
+    return cls(**mapping)
 
 
 def make_monitor(kind: str, params=None) -> DriftMonitor:
-    if kind not in MONITOR_TYPES:
-        raise ConfigError(f"unknown detector kind {kind!r}, expected one of {DETECTOR_KINDS}")
-    if params is None:
-        params = PARAM_TYPES[kind]()
-    if not isinstance(params, PARAM_TYPES[kind]):
-        raise ConfigError(f"{kind} expects {PARAM_TYPES[kind].__name__}, got {type(params).__name__}")
-    return MONITOR_TYPES[kind](params)
+    cls = _monitor_type(kind)
+    if params is not None and not isinstance(params, cls.Params):
+        raise ConfigError(f"{kind} expects {cls.Params.__name__}, got {type(params).__name__}")
+    return cls(params)

@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 import yaml
 
 from .classifier import GaussianNB
-from .detectors import DETECTOR_KINDS, PARAM_TYPES, DriftMonitor, make_monitor, params_from_dict
+from .detectors import MONITOR_TYPES, DriftMonitor, make_monitor, params_from_dict
 from .dtd import TRAINING_MODES, DtdState, baseline_step, dtd_step
 from .errors import ConfigError, ReportError, check_count, check_real
 from .stream import Stream, StreamConfig, make_stream
@@ -57,8 +57,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.name or "/" in self.name:
             raise ConfigError(f"experiment name must be a non-empty path-safe string, got {self.name!r}")
-        if self.detector not in DETECTOR_KINDS:
-            raise ConfigError(f"unknown detector kind {self.detector!r}, expected one of {DETECTOR_KINDS}")
         if self.method not in METHODS + ("both",):
             raise ConfigError(f"method must be baseline, dtd, or both, got {self.method!r}")
         if self.mode not in TRAINING_MODES:
@@ -73,7 +71,7 @@ class ExperimentConfig:
             raise ConfigError("seeds must be non-negative integers")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be unique")
-        # fail on bad override keys or values at config time, not per run
+        # fail on an unknown kind or bad overrides at config time, not per run
         params_from_dict(self.detector, self.detector_overrides)
 
     @property
@@ -88,7 +86,7 @@ def detector_for_run(config: ExperimentConfig, seed: int) -> DriftMonitor:
     chunk size and any subsample seed defaults to the run seed.
     """
     mapping = dict(config.detector_overrides)
-    names = {f.name for f in dataclasses.fields(PARAM_TYPES[config.detector])}
+    names = {f.name for f in dataclasses.fields(MONITOR_TYPES[config.detector].Params)}
     if "samples_per_update" in names:
         mapping.setdefault("samples_per_update", config.stream.chunk_size)
     if "seed" in names:
@@ -215,6 +213,10 @@ class ExperimentResult:
         return statistics.pstdev(self.per_seed_accuracy)
 
     def summary_dict(self) -> dict:
+        """The cell's stored summary, which is also its row in a report."""
+        lengths = {len(t) for t in self.traces}
+        if len(lengths) != 1:
+            raise ReportError(f"{self.name}/{self.method}: traces have mismatched chunk counts {sorted(lengths)}")
         return {
             "name": self.name,
             "method": self.method,
@@ -226,7 +228,7 @@ class ExperimentResult:
             "race_len": self.config.race_len,
             "eta": self.config.eta,
             "seeds": list(self.config.seeds),
-            "n_chunks": len(self.traces[0]) if self.traces else 0,
+            "n_chunks": lengths.pop(),
             "per_seed_accuracy": [float(a) for a in self.per_seed_accuracy],
             "per_seed_alarm_chunks": [t.alarm_chunks for t in self.traces],
             "per_seed_final_threshold": [float(t.threshold[-1]) for t in self.traces],
@@ -241,11 +243,12 @@ def _dump_json(obj: dict) -> str:
 
 def write_result(result: ExperimentResult, out_root: str | Path) -> Path:
     """Write seed<k>.csv per trace plus summary.json; returns the cell directory."""
+    summary = _dump_json(result.summary_dict())
     cell_dir = Path(out_root) / f"{result.name}__{result.method}"
     cell_dir.mkdir(parents=True, exist_ok=True)
     for trace in result.traces:
         (cell_dir / f"seed{trace.seed}.csv").write_text(trace.to_csv_text())
-    (cell_dir / "summary.json").write_text(_dump_json(result.summary_dict()))
+    (cell_dir / "summary.json").write_text(summary)
     return cell_dir
 
 
@@ -321,25 +324,12 @@ def summarize(results: Sequence[ExperimentResult]) -> dict:
     seeds and chunk counts. Win counting over pair means is strict, so
     equal means land in ``ties`` and lower the win rate.
     """
-    if not results:
-        raise ReportError("cannot summarize zero results")
-    rows = []
-    for r in results:
-        lengths = {len(t) for t in r.traces}
-        if len(lengths) != 1:
-            raise ReportError(f"{r.name}/{r.method}: traces have mismatched chunk counts {sorted(lengths)}")
-        rows.append({
-            "name": r.name, "method": r.method,
-            "seeds": list(r.config.seeds),
-            "n_chunks": lengths.pop(),
-            "per_seed_accuracy": [float(a) for a in r.per_seed_accuracy],
-            "mean_accuracy": float(r.mean_accuracy),
-            "std_accuracy": float(r.std_accuracy),
-        })
-    return _report_from_rows(rows)
+    return _report_from_rows([r.summary_dict() for r in results])
 
 
 def _report_from_rows(rows: list[dict]) -> dict:
+    if not rows:
+        raise ReportError("cannot summarize zero results")
     cells: dict[str, dict[str, dict]] = {}
     for row in rows:
         per_method = cells.setdefault(row["name"], {})
@@ -396,11 +386,18 @@ def summarize_stored(out_root: str | Path) -> dict:
         raise ReportError(f"no summary.json files under {root}")
     rows = []
     for path in paths:
-        stored = json.loads(path.read_text())
-        rows.append({key: stored[key] for key in
-                     ("name", "method", "seeds", "n_chunks",
-                      "per_seed_accuracy", "mean_accuracy", "std_accuracy")})
-    return _report_from_rows(rows)
+        try:
+            row = json.loads(path.read_text())
+        except ValueError as exc:
+            raise ReportError(f"{path}: summary is not JSON: {exc}") from exc
+        if not isinstance(row, dict):
+            raise ReportError(f"{path}: summary is not a JSON object")
+        rows.append(row)
+    try:
+        return _report_from_rows(rows)
+    except KeyError as exc:
+        path = next(p for p, row in zip(paths, rows) if exc.args[0] not in row)
+        raise ReportError(f"{path}: summary has no key {exc.args[0]!r}") from None
 
 
 def render_table(report: dict) -> str:

@@ -232,12 +232,6 @@ def policy_trace(stream: Stream, strategy: ThresholdStrategy, detector: str = "d
     return run_policies(stream, [(scheduled_step, state)], stream.config.seed)[0]
 
 
-def simulate_policy(stream: Stream, strategy: ThresholdStrategy, detector: str = "ddm",
-                    mode: str = "continual", overrides: dict | None = None) -> float:
-    """Overall mean accuracy of a threshold schedule on a stream."""
-    return policy_trace(stream, strategy, detector, mode, overrides).mean_accuracy
-
-
 def _segment_spans(boundaries: tuple[int, ...], n_chunks: int) -> list[tuple[int, int]]:
     starts = list(boundaries)
     return [(s, e) for s, e in zip(starts, starts[1:] + [n_chunks])]
@@ -291,7 +285,7 @@ def validate_theorem3(stream: Stream, theta_grid, boundaries, detector: str = "d
         winners.append(winner)
 
     dynamic = ThresholdStrategy(segments=tuple(zip(boundaries, winners)))
-    dynamic_acc = simulate_policy(stream, dynamic, detector, mode, overrides)
+    dynamic_acc = policy_trace(stream, dynamic, detector, mode, overrides).mean_accuracy
     return {
         "best_constant": {"theta": best_theta, "accuracy": constant_acc[best_theta]},
         "dynamic": {"thetas": winners, "accuracy": dynamic_acc},

@@ -64,6 +64,14 @@ class TestRun:
         assert code == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("detector", ["ddm\n  threshold: abc", "ddm\n  threshold: null",
+                                          "kswin\n  window: 100.5"])
+    def test_badly_typed_detector_value_is_a_config_error(self, tmp_path, capsys, detector):
+        text = CONFIG.replace("kind: ddm", "kind: " + detector)
+        config = write_config(tmp_path, text=text)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "results")]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+
     def test_invalid_config_content(self, tmp_path):
         config = write_config(tmp_path, text="stream: {kind: sea}\ndetector: {kind: bogus}\n")
         assert main(["run", "--config", str(config)]) == 1
@@ -107,6 +115,19 @@ class TestReport:
         code = main(["report", "--out", str(tmp_path / "results")])
         assert code == 2
         assert "no summary.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["not json", "missing key"])
+    def test_bad_summary_is_a_data_error(self, tmp_path, capsys, damage):
+        out = tmp_path / "results"
+        assert main(["run", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
+        path = out / "cell__baseline" / "summary.json"
+        stored = json.loads(path.read_text())
+        del stored["mean_accuracy"]
+        path.write_text("{" if damage == "not json" else json.dumps(stored))
+        capsys.readouterr()
+        assert main(["report", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "Traceback" not in err
 
 
 class TestValidateTheory:

@@ -1,5 +1,6 @@
 """Drift detector statistics, thresholds, and the shared monitor contract."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,12 +18,12 @@ from drifttune.detectors import (
     HddmWParams,
     Kswin,
     KswinParams,
+    MONITOR_TYPES,
     PageHinkley,
     PhParams,
     ks_distance,
     make_monitor,
     params_from_dict,
-    params_to_dict,
 )
 from drifttune.errors import ConfigError, DetectorError
 
@@ -454,7 +455,7 @@ class TestFactories:
         params = params_from_dict("kswin", {"window": 60, "recent": 20, "seed": 4})
         assert isinstance(params, KswinParams)
         assert params.window == 60 and params.recent == 20 and params.seed == 4
-        round_tripped = params_to_dict(params)
+        round_tripped = dataclasses.asdict(params)
         assert round_tripped["window"] == 60
         assert params_from_dict("kswin", round_tripped) == params
 
@@ -476,3 +477,44 @@ class TestFactories:
     def test_positivity_validation(self, kind, bad):
         with pytest.raises(ConfigError):
             params_from_dict(kind, bad)
+
+    def test_one_table_of_kinds(self):
+        assert DETECTOR_KINDS == tuple(MONITOR_TYPES)
+        for kind, cls in MONITOR_TYPES.items():
+            monitor = make_monitor(kind)
+            assert cls.kind == kind and type(monitor) is cls
+            assert monitor.params == cls.Params() == params_from_dict(kind)
+            assert cls().params == cls.Params()
+
+    @pytest.mark.parametrize("cls,bad", [
+        (DdmParams, {"threshold": "abc"}),
+        (DdmParams, {"threshold": None}),
+        (DdmParams, {"threshold": "3"}),
+        (DdmParams, {"threshold": True}),
+        (DdmParams, {"min_samples": 2.5}),
+        (DdmParams, {"samples_per_update": True}),
+        (PhParams, {"delta": "0.005"}),
+        (KswinParams, {"window": 100.5}),
+        (KswinParams, {"seed": True}),
+        (KswinParams, {"threshold": "0.3"}),
+        (HddmAParams, {"alpha": None}),
+        (HddmWParams, {"ewma_weight": [0.1]}),
+    ])
+    def test_badly_typed_params_rejected(self, cls, bad):
+        (name,) = bad
+        with pytest.raises(ConfigError, match=f"{cls.__name__}.{name}"):
+            cls(**bad)
+
+    @pytest.mark.parametrize("cls,kw", [
+        (DdmParams, {"threshold": 3}),
+        (DdmParams, {"threshold": math.inf}),
+        (PhParams, {"threshold": np.float64(0.2)}),
+        (KswinParams, {"threshold": None}),
+        (KswinParams, {"threshold": math.inf, "seed": 0}),
+        (HddmAParams, {"threshold": 0}),
+        (HddmWParams, {"samples_per_update": 1000}),
+    ])
+    def test_legal_param_types_accepted(self, cls, kw):
+        params = cls(**kw)
+        assert all(getattr(params, k) == v for k, v in kw.items() if v is not None)
+        assert params.threshold is not None

@@ -465,6 +465,12 @@ class TestSummarize:
         with pytest.raises(ReportError, match="mismatched chunk counts"):
             summarize([bad])
 
+    def test_write_result_refuses_mismatched_trace_lengths(self, tmp_path):
+        bad = fake_result("x", "baseline", [[0.5, 0.6], [0.7]])
+        with pytest.raises(ReportError, match="mismatched chunk counts"):
+            write_result(bad, tmp_path)
+        assert not any(tmp_path.iterdir())
+
     def test_pair_with_different_seeds_rejected(self):
         a = fake_result("x", "baseline", [[0.5]], small_config(name="x", seeds=(0,)))
         b = fake_result("x", "dtd", [[0.5], [0.6]], small_config(name="x", seeds=(0, 1)))
@@ -484,6 +490,27 @@ class TestSummarize:
     def test_stored_report_requires_files(self, tmp_path):
         with pytest.raises(ReportError, match="no summary.json files"):
             summarize_stored(tmp_path)
+
+    @pytest.mark.parametrize("damage,match", [
+        ("{not json", "summary is not JSON"),
+        ("[1, 2]", "summary is not a JSON object"),
+        ("name", "summary has no key 'name'"),
+        ("seeds", "summary has no key 'seeds'"),
+        ("std_accuracy", "summary has no key 'std_accuracy'"),
+    ])
+    def test_stored_report_names_a_bad_summary(self, tmp_path, damage, match):
+        cfg = small_config(name="a", seeds=(0,))
+        for method in METHODS:
+            write_result(fake_result("a", method, [[0.5, 0.6]], cfg), tmp_path)
+        path = tmp_path / "a__dtd" / "summary.json"
+        if damage.isidentifier():
+            stored = json.loads(path.read_text())
+            del stored[damage]
+            damage = json.dumps(stored)
+        path.write_text(damage)
+        with pytest.raises(ReportError, match=match) as caught:
+            summarize_stored(tmp_path)
+        assert str(caught.value).startswith(f"{path}: ")
 
     def test_render_table(self):
         cfg = small_config(name="a", seeds=(0,))
@@ -571,15 +598,35 @@ out: elsewhere
         ("stream: {kind: sea, n_chunks: '4'}", "n_chunks"),
         ("stream: {kind: sea, chunk_size: true}", "chunk_size"),
         ("stream: {kind: sea, noise: '0.1'}", "noise"),
+        ("detector: {kind: ddm, threshold: abc}", "DdmParams.threshold"),
+        ("detector: {kind: ddm, threshold: null}", "DdmParams.threshold"),
+        ("detector: {kind: ddm, threshold: '3'}", "DdmParams.threshold"),
+        ("detector: {kind: ddm, threshold: true}", "DdmParams.threshold"),
+        ("detector: {kind: ddm, min_samples: 2.5}", "DdmParams.min_samples"),
+        ("detector: {kind: ddm, samples_per_update: true}", "DdmParams.samples_per_update"),
+        ("detector: {kind: kswin, window: 100.5}", "KswinParams.window"),
+        ("detector: {kind: kswin, seed: true}", "KswinParams.seed"),
+        ("detector: {kind: hddm_w, alpha: 1e-3}", "HddmWParams.alpha"),  # YAML 1.1: a string
     ])
     def test_badly_typed_yaml_values_rejected(self, tmp_path, text, match):
-        body = "stream: {kind: sea}\ndetector: {kind: ddm}\n"
-        if text.startswith("stream:"):
-            body = "detector: {kind: ddm}\n"
+        body = "".join(f"{line}\n" for line in ("stream: {kind: sea}", "detector: {kind: ddm}")
+                       if not text.startswith(line.split(":")[0]))
         path = tmp_path / "cell.yaml"
         path.write_text(body + text + "\n")
         with pytest.raises(ConfigError, match=match):
             load_config(path)
+
+    @pytest.mark.parametrize("detector,threshold", [
+        ("{kind: ddm, threshold: 3}", 3),
+        ("{kind: ph, threshold: .inf}", math.inf),
+        ("{kind: kswin, threshold: null}", None),
+        ("{kind: hddm_a, alpha: 1.0e-3}", None),
+    ])
+    def test_legal_detector_values_accepted(self, tmp_path, detector, threshold):
+        path = tmp_path / "cell.yaml"
+        path.write_text(f"stream: {{kind: sea}}\ndetector: {detector}\n")
+        config = load_config(path)
+        assert config.detector_overrides.get("threshold") == threshold
 
     def test_load_config_reports_path(self, tmp_path):
         path = tmp_path / "bad.yaml"

@@ -21,7 +21,6 @@ from drifttune.theory import (
     check_sudden_identity,
     policy_trace,
     random_sudden_params,
-    simulate_policy,
     simulate_recurrent_drift,
     sudden_gap,
     validate_theorem1,
@@ -219,7 +218,7 @@ class TestPolicySimulation:
         from drifttune.classifier import GaussianNB, adapt  # noqa: F401
 
         stream = self.stream()
-        got = simulate_policy(stream, ThresholdStrategy.constant(math.inf), mode="continual")
+        got = policy_trace(stream, ThresholdStrategy.constant(math.inf), mode="continual").mean_accuracy
         model = GaussianNB().train(stream.chunk(0))
         accs = []
         for i in range(1, len(stream)):
@@ -230,7 +229,7 @@ class TestPolicySimulation:
 
     def test_infinite_threshold_sporadic_freezes_the_model(self):
         stream = self.stream()
-        got = simulate_policy(stream, ThresholdStrategy.constant(math.inf), mode="sporadic")
+        got = policy_trace(stream, ThresholdStrategy.constant(math.inf), mode="sporadic").mean_accuracy
         from drifttune.classifier import GaussianNB
 
         model = GaussianNB().train(stream.chunk(0))
