@@ -1,14 +1,16 @@
 """Incremental Gaussian naive Bayes and the chunk evaluation step.
 
 The model keeps per-class running counts, means, and sums of squared
-deviations, merged batch-wise with Chan's parallel update, so training on a
-chunk is equivalent to having seen every instance one at a time. A chunk's
-own class statistics are computed once per chunk and cached on it, so every
-model trained on the same chunk (the primary and each race candidate) only
-pays for the merge. Prediction maximizes the log joint density with a
+deviations, merged batch-wise with Chan's parallel update (Chan, Golub &
+LeVeque, Am. Stat. 1983), so training on a chunk is equivalent to having
+seen every instance one at a time. A chunk's own class statistics are
+computed once per chunk and cached on it, so every model trained on the
+same chunk (the primary and each race candidate) only pays for the merge.
+Prediction maximizes the log joint density with a
 per-feature variance floor; the kernel's per-model constants (log priors,
 means, doubled floored variances and log normalizers) are cached until the
-next ``train``. A race chunk scores its candidates with one kernel call.
+next ``train``. A race chunk scores its candidates with one kernel call and
+takes ``kernels.argmax_classes`` of each candidate's slice.
 
 Module-level operation counters record how many instances were pushed
 through predict and train calls. The adaptation logic is bounded to a fixed
@@ -55,9 +57,12 @@ class EvalOutcome(NamedTuple):
 
 def _relabel(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(y, return_inverse=True)``, by ``bincount`` when the labels
-    are non-negative and below the row count, which bounds its table."""
+    are non-negative and below the row count, which bounds its table. When
+    every label ``0..k-1`` is present, ``y`` is its own inverse."""
     if y.shape[0] and y.min() >= 0 and y.max() < y.shape[0]:
         present = np.bincount(y) > 0
+        if present.all():
+            return np.arange(present.shape[0]), y
         return np.flatnonzero(present), (np.cumsum(present) - 1)[y]
     return np.unique(y, return_inverse=True)
 
@@ -146,16 +151,13 @@ class GaussianNB:
             b_m2 = np.zeros(self._m2.shape)
             b_counts[pos], b_means[pos], b_m2[pos] = counts, means, m2
 
+        # Chan et al.'s pairwise update; _admit_classes only admits classes
+        # with rows, so every n_ab is positive
         n_a, n_b = self._counts, b_counts
         n_ab = n_a + n_b
-        seen = n_ab > 0
         delta = b_means - self._means
-        ratio = np.zeros_like(n_ab)
-        ratio[seen] = n_b[seen] / n_ab[seen]
-        self._means = self._means + delta * ratio[:, None]
-        cross = np.zeros_like(n_ab)
-        cross[seen] = n_a[seen] * n_b[seen] / n_ab[seen]
-        self._m2 = self._m2 + b_m2 + delta * delta * cross[:, None]
+        self._means = self._means + delta * (n_b / n_ab)[:, None]
+        self._m2 = self._m2 + b_m2 + delta * delta * (n_a * n_b / n_ab)[:, None]
         self._counts = n_ab
         self._predict_params = None
         op_counts.train_instances += chunk.X.shape[0]
@@ -229,5 +231,5 @@ def evaluate_all(models, chunk: Chunk, detectors) -> list[EvalOutcome]:
     joint = kernels.joint_log_likelihood(X, stacked)
     bounds = np.cumsum([0] + [model._classes.shape[0] for model in models]).tolist()
     op_counts.predict_instances += len(models) * X.shape[0]
-    return [_score(model._classes[joint[lo:hi].argmax(axis=0)], chunk, det)
+    return [_score(model._classes[kernels.argmax_classes(joint[lo:hi])], chunk, det)
             for model, det, lo, hi in zip(models, detectors, bounds, bounds[1:])]

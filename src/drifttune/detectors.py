@@ -128,7 +128,7 @@ class DriftMonitor:
 
     def __init__(self, params=None):
         self.params = self.Params() if params is None else params
-        self._threshold = float(self.params.threshold)
+        self.threshold = self.params.threshold
         self._statistic = 0.0
         self._init_state()
 

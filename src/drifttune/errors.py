@@ -1,5 +1,6 @@
 """Exception taxonomy shared across the package, and the config type checks."""
 
+import math
 import numbers
 
 
@@ -38,6 +39,7 @@ def check_count(name: str, value: int, minimum: int = 0) -> None:
 
 
 def check_real(name: str, value: float) -> None:
-    """Raise ConfigError unless ``value`` is a real number and not a bool."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+    """Raise ConfigError unless ``value`` is a real number, not a bool and not
+    NaN (every comparison with NaN is false, so it would pass range checks)."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool) or math.isnan(value):
         raise ConfigError(f"{name} must be a number, got {value!r}")

@@ -378,6 +378,22 @@ def _report_from_rows(rows: list[dict]) -> dict:
     }
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# the stored summary keys a report reads, each with the test its value must pass
+_STORED_KEYS = {
+    "name": lambda v: isinstance(v, str),
+    "method": lambda v: isinstance(v, str),
+    "seeds": lambda v: isinstance(v, list),
+    "n_chunks": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "mean_accuracy": _is_number,
+    "std_accuracy": _is_number,
+    "per_seed_accuracy": lambda v: isinstance(v, list) and all(map(_is_number, v)),
+}
+
+
 def summarize_stored(out_root: str | Path) -> dict:
     """Rebuild the suite report from summary.json files under ``out_root``."""
     root = Path(out_root)
@@ -392,12 +408,13 @@ def summarize_stored(out_root: str | Path) -> dict:
             raise ReportError(f"{path}: summary is not JSON: {exc}") from exc
         if not isinstance(row, dict):
             raise ReportError(f"{path}: summary is not a JSON object")
+        for key, valid in _STORED_KEYS.items():
+            if key not in row:
+                raise ReportError(f"{path}: summary has no key {key!r}")
+            if not valid(row[key]):
+                raise ReportError(f"{path}: summary key {key!r} has a wrongly typed value {row[key]!r}")
         rows.append(row)
-    try:
-        return _report_from_rows(rows)
-    except KeyError as exc:
-        path = next(p for p, row in zip(paths, rows) if exc.args[0] not in row)
-        raise ReportError(f"{path}: summary has no key {exc.args[0]!r}") from None
+    return _report_from_rows(rows)
 
 
 def render_table(report: dict) -> str:

@@ -8,14 +8,16 @@ the classifier caches its per-model constants until the next ``train``.
 ``predict_indices`` runs once per predict call; a race chunk scores all
 three candidates with one ``joint_log_likelihood`` call.
 
-The kernels are feature-major: predict keeps its log-densities in a
-(features, classes, rows) block instead of a broadcast (rows, classes,
-features) one, and ``class_stats`` works one feature column at a time.
+These run on every chunk, so they keep the number of numpy calls small:
+predict keeps its log-densities in a feature-major (features, classes,
+rows) block instead of a broadcast (rows, classes, features) one and
+takes the best class with one pass per class (``argmax_classes``), and
+``class_stats`` makes two weighted ``bincount`` calls over all features.
 Every floating-point operation, and the order of every sum, is the one
 the broadcast formulation uses, so their outputs are bit-identical to it:
 predict adds the per-feature slabs in the order of numpy's contiguous
 add-reduce (``_pairwise_sum``), and ``class_stats`` sums each class's
-rows one after another with a weighted ``bincount``.
+rows one after another.
 """
 
 from __future__ import annotations
@@ -100,9 +102,29 @@ def joint_log_likelihood(X, params):
     return log_priors + _pairwise_sum(log_like)
 
 
+def argmax_classes(joint):
+    """``joint.argmax(axis=0)`` for a (classes, rows) block, one vectorized
+    pass per class instead of a reduction along the short class axis.
+
+    A class replaces the running best only where it is strictly greater, so
+    ties go to the lowest index. Rows that are finite or ``-inf`` match
+    ``argmax``, and so do all-NaN rows (index 0); those are the only rows
+    ``joint_log_likelihood`` returns, since a NaN feature makes every class NaN.
+    """
+    n_classes, n_rows = joint.shape
+    if n_classes == 1:
+        return np.zeros(n_rows, dtype=np.intp)
+    idx = (joint[1] > joint[0]).astype(np.intp)
+    best = joint[0]
+    for c in range(2, n_classes):
+        best = np.maximum(best, joint[c - 1])
+        np.copyto(idx, c, where=joint[c] > best)
+    return idx
+
+
 def predict_indices(X, params):
     """Index of the most probable class per row; ties go to the lowest index."""
-    return joint_log_likelihood(X, params).argmax(axis=0)
+    return argmax_classes(joint_log_likelihood(X, params))
 
 
 def _class_stats_gathered(X, y_idx, n_classes):
@@ -124,23 +146,24 @@ def _class_stats_gathered(X, y_idx, n_classes):
 def class_stats(X, y_idx, n_classes):
     """Per-class count, mean, and sum of squared deviations for one chunk.
 
-    Weighted ``bincount`` adds each class's rows one after another, which is
-    how numpy reduces a gathered multi-column block over its rows, so the
-    results are bit-identical to per-class ``rows.mean(axis=0)`` and
+    Two weighted ``bincount`` calls over the row-major ``X.ravel()``, with
+    bin ``class * features + feature``, give the sums and the M2 of every
+    feature. A bin adds its rows one after another, which is how numpy
+    reduces a gathered multi-column block over its rows, so the results are
+    bit-identical to per-class ``rows.mean(axis=0)`` and
     ``((rows - mu) ** 2).sum(axis=0)``. A single contiguous column is
     summed pairwise by numpy instead, so one-feature chunks keep the
     per-class gather. Classes without rows get zeros.
     """
-    if X.shape[1] == 1:
+    n_features = X.shape[1]
+    if n_features == 1:
         return _class_stats_gathered(X, y_idx, n_classes)
     counts = np.bincount(y_idx, minlength=n_classes).astype(np.float64)
-    seen = counts > 0
-    means = np.zeros((n_classes, X.shape[1]))
-    m2 = np.zeros((n_classes, X.shape[1]))
-    for j, x in enumerate(X.T):
-        sums = np.bincount(y_idx, weights=x, minlength=n_classes)
-        mu = np.divide(sums, counts, out=np.zeros(n_classes), where=seen)
-        means[:, j] = mu
-        dev = x - mu[y_idx]
-        m2[:, j] = np.bincount(y_idx, weights=dev * dev, minlength=n_classes)
+    bins = (y_idx[:, None] * n_features + np.arange(n_features)).ravel()
+    size = n_classes * n_features
+    sums = np.bincount(bins, weights=X.ravel(), minlength=size).reshape(n_classes, n_features)
+    means = np.divide(sums, counts[:, None], out=np.zeros_like(sums), where=(counts > 0)[:, None])
+    dev = X - means.take(y_idx, axis=0)
+    dev *= dev
+    m2 = np.bincount(bins, weights=dev.ravel(), minlength=size).reshape(n_classes, n_features)
     return counts, means, m2

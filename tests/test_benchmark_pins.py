@@ -1,15 +1,26 @@
-"""The package names that the benchmark's tracer patches must exist.
+"""The package names that the benchmark's tracer patches must exist, and
+the classifier must call the kernels it counts.
 
 ``e2ebench/tracer.py`` wraps package functions and methods by name, and its
 own smoke test is not part of this suite; this test loads the tracer
-(read-only) and checks every entry point it would patch.
+(read-only) and checks every entry point it would patch. A kernel span
+counts only calls made through the ``kernels`` module attribute, so the
+classifier must keep calling ``kernels.predict_indices`` and
+``kernels.class_stats`` that way, or those spans go silently empty.
 """
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import drifttune
 import drifttune.cli  # noqa: F401  (entry_points reads drifttune.cli)
+from drifttune import kernels
+from drifttune.classifier import GaussianNB
+from drifttune.harness import ExperimentConfig, run_experiment
+from drifttune.stream import StreamConfig, make_stream
 
 TRACER = Path(__file__).resolve().parent.parent / "e2ebench" / "tracer.py"
 
@@ -23,3 +34,41 @@ def test_every_traced_entry_point_exists():
     for name, owner, attr in points:
         # the tracer reads owner.__dict__[attr], so an inherited name would not do
         assert attr in vars(owner), f"{name}: {owner.__name__} has no {attr}"
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts of the calls that reach the two counted kernels."""
+    calls = Counter()
+    for name in ("predict_indices", "class_stats"):
+        def counting(*args, _name=name, _kernel=getattr(kernels, name)):
+            calls[_name] += 1
+            return _kernel(*args)
+        monkeypatch.setattr(kernels, name, counting)
+    return calls
+
+
+def test_one_kernel_call_per_predict_and_per_trained_chunk(kernel_calls):
+    chunks = list(make_stream(StreamConfig(kind="sea", n_chunks=8, chunk_size=200)))
+    model = GaussianNB().train(chunks[0])
+    for chunk in chunks[1:]:
+        model.predict(chunk.X)
+        model.train(chunk)
+    assert kernel_calls == {"predict_indices": 7, "class_stats": 8}
+    # a second model over the same chunks reads the statistics cached on them
+    twin = GaussianNB()
+    for chunk in chunks:
+        twin.train(chunk)
+    twin.predict(chunks[0].X)
+    assert kernel_calls == {"predict_indices": 8, "class_stats": 8}
+
+
+def test_a_run_computes_each_chunks_statistics_once(kernel_calls):
+    stream = StreamConfig(kind="sea", n_chunks=30, chunk_size=200, drift_period=10)
+    config = ExperimentConfig(name="cell", stream=stream, detector="ddm", seeds=(0, 1))
+    run_experiment(config, method="baseline", write=False)
+    # the baseline predicts every chunk after the warm-up with the primary model
+    assert kernel_calls == {"predict_indices": 2 * 29, "class_stats": 2 * 30}
+    kernel_calls.clear()
+    run_experiment(config, method="dtd", write=False)
+    assert kernel_calls["class_stats"] == 2 * 30

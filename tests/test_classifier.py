@@ -209,6 +209,19 @@ class TestExactness:
         assert np.array_equal(after, GaussianNB().train(a).train(b).predict(probe))
 
 
+class TestMergeInvariant:
+    @settings(max_examples=200, deadline=None)
+    @given(chunkings())
+    def test_trained_model_never_holds_a_zero_class_count(self, chunks):
+        # the Chan merge divides by every class's merged count unmasked
+        model, seen = GaussianNB(), []
+        for chunk in chunks:
+            model.train(chunk)
+            seen.extend(chunk.y.tolist())
+            assert (model._counts > 0).all()
+            assert model._counts.tolist() == [seen.count(c) for c in model._classes.tolist()]
+
+
 class TestPrediction:
     def test_separated_clusters(self):
         rng = np.random.default_rng(0)
@@ -464,6 +477,9 @@ class TestRelabel:
         st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=10),  # huge
         st.tuples(st.integers(-2**63, 2**63 - 1), st.integers(1, 40)).map(
             lambda pair: [pair[0]] * pair[1]),  # single class
+        st.integers(1, 8).flatmap(lambda k: st.permutations(range(k)).flatmap(
+            lambda labels: st.lists(st.integers(0, k - 1), max_size=30).map(
+                lambda rest: [*labels, *rest]))),  # every label 0..k-1: fast path
     ))
     def test_matches_unique(self, values):
         y = np.array(values, dtype=np.int64)
@@ -471,6 +487,7 @@ class TestRelabel:
         expected_labels, expected_inverse = np.unique(y, return_inverse=True)
         assert labels.dtype == expected_labels.dtype
         assert np.array_equal(labels, expected_labels)
+        assert inverse.dtype == expected_inverse.dtype
         assert np.array_equal(inverse, expected_inverse)
 
 

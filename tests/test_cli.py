@@ -65,7 +65,8 @@ class TestRun:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("detector", ["ddm\n  threshold: abc", "ddm\n  threshold: null",
-                                          "kswin\n  window: 100.5"])
+                                          "kswin\n  window: 100.5", "ddm\n  threshold: .nan",
+                                          "ph\n  delta: .nan"])
     def test_badly_typed_detector_value_is_a_config_error(self, tmp_path, capsys, detector):
         text = CONFIG.replace("kind: ddm", "kind: " + detector)
         config = write_config(tmp_path, text=text)
@@ -116,13 +117,16 @@ class TestReport:
         assert code == 2
         assert "no summary.json" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("damage", ["not json", "missing key"])
+    @pytest.mark.parametrize("damage", ["not json", "missing key", "wrong type"])
     def test_bad_summary_is_a_data_error(self, tmp_path, capsys, damage):
         out = tmp_path / "results"
         assert main(["run", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
         path = out / "cell__baseline" / "summary.json"
         stored = json.loads(path.read_text())
-        del stored["mean_accuracy"]
+        if damage == "wrong type":
+            stored["mean_accuracy"] = "high"
+        else:
+            del stored["mean_accuracy"]
         path.write_text("{" if damage == "not json" else json.dumps(stored))
         capsys.readouterr()
         assert main(["report", "--out", str(out)]) == 2

@@ -318,6 +318,11 @@ class TestMonitorContract:
     def test_threshold_rejects_nan_allows_inf(self, monitor):
         with pytest.raises(DetectorError, match="NaN"):
             monitor.threshold = math.nan
+        # params that slipped past their own checks still cannot install NaN
+        params = dataclasses.replace(monitor.params)
+        object.__setattr__(params, "threshold", math.nan)
+        with pytest.raises(DetectorError, match="NaN"):
+            type(monitor)(params)
         monitor.threshold = math.inf
         run(monitor, DRIFT_INPUT)
         assert not monitor.alarm
@@ -499,6 +504,11 @@ class TestFactories:
         (KswinParams, {"threshold": "0.3"}),
         (HddmAParams, {"alpha": None}),
         (HddmWParams, {"ewma_weight": [0.1]}),
+        # NaN is a float, but no threshold or rate can be NaN
+        (DdmParams, {"threshold": math.nan}),
+        (PhParams, {"delta": math.nan}),
+        (KswinParams, {"threshold": math.nan}),
+        (HddmWParams, {"threshold": math.nan}),
     ])
     def test_badly_typed_params_rejected(self, cls, bad):
         (name,) = bad

@@ -117,6 +117,7 @@ class TestStateConstruction:
         ({"race_len": True}, "race_len"),
         ({"eta": None}, "eta"),
         ({"eta": True}, "eta"),
+        ({"eta": math.nan}, "eta"),
     ])
     def test_badly_typed_settings_rejected(self, kw, match):
         model = FirstLabelModel().train(chunk_from_labels([0]))

@@ -512,6 +512,29 @@ class TestSummarize:
             summarize_stored(tmp_path)
         assert str(caught.value).startswith(f"{path}: ")
 
+    @pytest.mark.parametrize("key,value", [
+        ("mean_accuracy", "high"),
+        ("mean_accuracy", True),
+        ("std_accuracy", None),
+        ("per_seed_accuracy", 0.5),
+        ("per_seed_accuracy", ["0.5"]),
+        ("n_chunks", "2"),
+        ("seeds", 0),
+        ("name", ["a"]),
+        ("method", None),
+    ])
+    def test_stored_report_names_a_wrongly_typed_value(self, tmp_path, key, value):
+        cfg = small_config(name="a", seeds=(0,))
+        for method in METHODS:
+            write_result(fake_result("a", method, [[0.5, 0.6]], cfg), tmp_path)
+        path = tmp_path / "a__dtd" / "summary.json"
+        stored = json.loads(path.read_text())
+        stored[key] = value
+        path.write_text(json.dumps(stored))
+        with pytest.raises(ReportError, match=f"key '{key}'") as caught:
+            summarize_stored(tmp_path)
+        assert str(caught.value).startswith(f"{path}: ")
+
     def test_render_table(self):
         cfg = small_config(name="a", seeds=(0,))
         report = summarize([

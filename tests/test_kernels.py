@@ -153,6 +153,35 @@ def test_class_stats_bit_identical_to_reference(shape, seed, scale, integral, n_
         assert np.array_equal(a, b)
 
 
+@st.composite
+def joint_blocks(draw):
+    """(classes, rows) blocks of the kinds ``joint_log_likelihood`` returns:
+    finite and ``-inf`` entries, exact twin classes, and all-NaN rows (a NaN
+    feature makes every class NaN)."""
+    k, n = draw(st.integers(1, 8)), draw(st.integers(1, 1000))
+    rng = np.random.default_rng(draw(seeds))
+    if draw(st.booleans()):
+        # a small pool of values makes exact ties common
+        joint = rng.choice([-np.inf, -7.25, -1.0, 0.0, 3.5, 1e300], size=(k, n))
+    else:
+        joint = rng.normal(size=(k, n)) * 10.0 ** rng.uniform(-3, 3, size=(k, n))
+    joint[rng.random((k, n)) < draw(st.sampled_from([0.0, 0.2, 1.0]))] = -np.inf
+    if k > 1 and draw(st.booleans()):
+        a, b = rng.choice(k, size=2, replace=False)
+        joint[b] = joint[a]
+    joint[:, rng.random(n) < draw(st.sampled_from([0.0, 0.1, 1.0]))] = np.nan
+    return joint
+
+
+@settings(max_examples=200, deadline=None)
+@given(joint_blocks())
+def test_argmax_classes_matches_numpy_argmax(joint):
+    got = kernels.argmax_classes(joint)
+    want = joint.argmax(axis=0)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
 def test_pairwise_sum_matches_numpy_reduce():
     rng = np.random.default_rng(7)
     differs_from_left_to_right = 0
