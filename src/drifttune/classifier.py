@@ -184,13 +184,9 @@ class GaussianNB:
         return self._classes[idx]
 
     def copy(self) -> "GaussianNB":
+        # sharing the arrays is safe: train and _admit_classes only rebind them
         twin = type(self).__new__(type(self))
-        twin._classes = self._classes.copy()
-        twin._counts = self._counts.copy()
-        twin._means = self._means.copy()
-        twin._m2 = self._m2.copy()
-        # read-only arrays derived from the ones above
-        twin._predict_params = self._predict_params
+        twin.__dict__.update(self.__dict__)
         return twin
 
 

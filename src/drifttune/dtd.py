@@ -76,7 +76,6 @@ class DtdState:
     race_len: int = 3
     eta: float = 1e-6
     training_mode: str = "continual"
-    in_comparison: bool = False
     countdown: int = 0
     leader: CandidateKind = CandidateKind.RDM  # RDM leads whenever a race opens
     candidates: CandidateSet | None = None
@@ -94,6 +93,10 @@ class DtdState:
     @property
     def continual(self) -> bool:
         return self.training_mode == "continual"
+
+    @property
+    def in_comparison(self) -> bool:
+        return self.candidates is not None
 
 
 def respond(model: GaussianNB, chunk: Chunk, detector: DriftMonitor, alarmed: bool,
@@ -193,7 +196,6 @@ def dtd_step(state: DtdState, chunk: Chunk) -> StepOutcome:
             winner, state.primary_model, state.primary_detector = \
                 finalize_comparison(state.candidates)
             state.candidates = None
-            state.in_comparison = False
             state.leader = CandidateKind.RDM
         return StepOutcome(accuracy=reported, statistic=state.primary_detector.statistic,
                            threshold=state.primary_detector.threshold, alarm=False,
@@ -207,7 +209,6 @@ def dtd_step(state: DtdState, chunk: Chunk) -> StepOutcome:
             state.primary_model, chunk, state.prev_chunk, accuracy, statistic,
             state.prev_statistic, state.primary_detector, continual=state.continual,
             eta=state.eta)
-        state.in_comparison = True
         state.countdown = state.race_len
     else:
         # quiet, or an alarm before any history, where no race is possible

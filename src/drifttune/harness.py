@@ -413,6 +413,9 @@ def summarize_stored(out_root: str | Path) -> dict:
                 raise ReportError(f"{path}: summary has no key {key!r}")
             if not valid(row[key]):
                 raise ReportError(f"{path}: summary key {key!r} has a wrongly typed value {row[key]!r}")
+        if len(row["seeds"]) != len(row["per_seed_accuracy"]):
+            raise ReportError(f"{path}: summary's seeds and per_seed_accuracy differ in length "
+                              f"({len(row['seeds'])} and {len(row['per_seed_accuracy'])})")
         rows.append(row)
     return _report_from_rows(rows)
 

@@ -9,6 +9,11 @@ on a segmented stream, picking the best threshold per segment can never
 do worse than the best single constant threshold, provided segment
 accuracies compose independently.
 
+Every stream check runs threshold schedules through one
+:func:`~drifttune.harness.run_policies` pass (:func:`policy_traces`),
+oracles included: a -inf threshold adapts on every chunk it covers, since
+monitor statistics are non-negative, and +inf never does.
+
 Accuracies everywhere in this module are fractions in [0, 1].
 """
 
@@ -18,12 +23,13 @@ import dataclasses
 import math
 import statistics
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .classifier import GaussianNB, adapt
+from .classifier import GaussianNB
 from .dtd import DtdState, StepOutcome, baseline_step
-from .errors import ConfigError, check_count
+from .errors import ConfigError, check_count, check_real
 from .harness import ExperimentConfig, RunTrace, detector_for_run, run_policies
 from .stream import Chunk, Stream, StreamConfig, make_stream
 
@@ -215,21 +221,31 @@ class ThresholdStrategy:
         return theta
 
 
-def policy_trace(stream: Stream, strategy: ThresholdStrategy, detector: str = "ddm",
-                 mode: str = "continual", overrides: dict | None = None) -> RunTrace:
-    """Baseline prequential run with the threshold looked up per segment."""
-    strategy.validate_for(len(stream))
+def _scheduled_step(strategy: ThresholdStrategy, state: DtdState, chunk: Chunk) -> StepOutcome:
+    state.primary_detector.threshold = strategy.threshold_at(chunk.index)
+    return baseline_step(state, chunk)
+
+
+def policy_traces(stream: Stream, strategies, detector: str = "ddm",
+                  mode: str = "continual", overrides: dict | None = None) -> list[RunTrace]:
+    """Baseline prequential runs, one per strategy, with the threshold looked
+    up per segment; all of them share one pass over the stream."""
     config = ExperimentConfig(name="policy", stream=stream.config, detector=detector,
                               detector_overrides=dict(overrides or {}), mode=mode)
-    monitor = detector_for_run(config, stream.config.seed)
-    monitor.threshold = strategy.threshold_at(0)
+    policies = []
+    for strategy in strategies:
+        strategy.validate_for(len(stream))
+        monitor = detector_for_run(config, stream.config.seed)
+        monitor.threshold = strategy.threshold_at(0)
+        policies.append((partial(_scheduled_step, strategy),
+                         DtdState(GaussianNB(), monitor, training_mode=mode)))
+    return run_policies(stream, policies, stream.config.seed)
 
-    def scheduled_step(state: DtdState, chunk: Chunk) -> StepOutcome:
-        state.primary_detector.threshold = strategy.threshold_at(chunk.index)
-        return baseline_step(state, chunk)
 
-    state = DtdState(GaussianNB(), monitor, training_mode=mode)
-    return run_policies(stream, [(scheduled_step, state)], stream.config.seed)[0]
+def policy_trace(stream: Stream, strategy: ThresholdStrategy, detector: str = "ddm",
+                 mode: str = "continual", overrides: dict | None = None) -> RunTrace:
+    """:func:`policy_traces` for one strategy."""
+    return policy_traces(stream, [strategy], detector, mode, overrides)[0]
 
 
 def _segment_spans(boundaries: tuple[int, ...], n_chunks: int) -> list[tuple[int, int]]:
@@ -249,40 +265,32 @@ def validate_theorem3(stream: Stream, theta_grid, boundaries, detector: str = "d
                       mode: str = "continual", overrides: dict | None = None) -> dict:
     """Best constant threshold versus the composed per-segment winners.
 
-    Every grid threshold runs once over the full stream; each segment
+    The whole grid runs as constant schedules in one pass; each segment
     picks its winner by segment-restricted accuracy from those runs, and
     the composed schedule is replayed. Because the model carries state
     across segments during the replay, the margin is reported here but
     only the separable analytic mode asserts on it.
     """
-    theta_grid = [float(t) for t in theta_grid]
+    theta_grid = list(theta_grid)
     if not theta_grid:
         raise ConfigError("threshold grid must be non-empty")
-    boundaries = tuple(int(b) for b in boundaries)
+    for k, theta in enumerate(theta_grid):
+        check_real(f"theta_grid[{k}]", theta)
+    theta_grid = [float(t) for t in theta_grid]
+    boundaries = tuple(boundaries)
     # reuse the schedule validation for the segment starts
     ThresholdStrategy(segments=tuple((b, 0.0) for b in boundaries)).validate_for(len(stream))
     spans = _segment_spans(boundaries, len(stream))
 
-    constant_acc: dict[float, float] = {}
-    segment_acc: dict[float, list[float]] = {}
-    for theta in theta_grid:
-        trace = policy_trace(stream, ThresholdStrategy.constant(theta),
-                             detector, mode, overrides)
-        constant_acc[theta] = trace.mean_accuracy
-        segment_acc[theta] = [_segment_accuracy(trace, s, e) for s, e in spans]
+    traces = policy_traces(stream, [ThresholdStrategy.constant(t) for t in theta_grid],
+                           detector, mode, overrides)
+    constant_acc = {theta: trace.mean_accuracy for theta, trace in zip(theta_grid, traces)}
+    segment_acc = {theta: [_segment_accuracy(trace, s, e) for s, e in spans]
+                   for theta, trace in zip(theta_grid, traces)}
 
-    best_theta = theta_grid[0]
-    for theta in theta_grid[1:]:
-        if constant_acc[theta] > constant_acc[best_theta]:
-            best_theta = theta
-
-    winners = []
-    for k in range(len(spans)):
-        winner = theta_grid[0]
-        for theta in theta_grid[1:]:
-            if segment_acc[theta][k] > segment_acc[winner][k]:
-                winner = theta
-        winners.append(winner)
+    # max keeps the first of equal scores, so ties go to the earlier grid entry
+    best_theta = max(theta_grid, key=constant_acc.__getitem__)
+    winners = [max(theta_grid, key=lambda theta: segment_acc[theta][k]) for k in range(len(spans))]
 
     dynamic = ThresholdStrategy(segments=tuple(zip(boundaries, winners)))
     dynamic_acc = policy_trace(stream, dynamic, detector, mode, overrides).mean_accuracy
@@ -331,47 +339,37 @@ def validate_theorem3_analytic(n_configs: int = 100, seed: int = 11) -> dict:
     }
 
 
-def _flip_chunk(chunk: Chunk) -> Chunk:
-    return Chunk(index=chunk.index, X=chunk.X.copy(), y=(1 - chunk.y))
+class _FlippedStream(Stream):
+    """The stream with chunk ``flip_index`` served with labels reversed."""
 
+    def __init__(self, config: StreamConfig, flip_index: int):
+        super().__init__(config)
+        self.flip_index = flip_index
 
-def _oracle_accuracies(stream: Stream, flip_index: int, adapt_at: frozenset[int]) -> list[float]:
-    """Per-chunk accuracy of a frozen model that adapts only where told.
-
-    No monitor is involved; the adaptation schedule is the policy. The
-    chunk at ``flip_index`` is served with labels reversed.
-    """
-    model = GaussianNB()
-    model.train(stream.chunk(0))
-    accuracies = []
-    for i in range(1, len(stream)):
-        chunk = stream.chunk(i)
-        if i == flip_index:
-            chunk = _flip_chunk(chunk)
-        predicted = model.predict(chunk.X)
-        accuracies.append(float(np.mean(predicted == chunk.y)))
-        if i in adapt_at:
-            model = adapt(model, chunk)
-    return accuracies
+    def chunk(self, index: int) -> Chunk:
+        chunk = super().chunk(index)
+        return Chunk(index, chunk.X, 1 - chunk.y) if index == self.flip_index else chunk
 
 
 def simulate_recurrent_drift(t_eval: int = 100, t_d: int = 50, t_incre1: int = 10,
                              chunk_size: int = 500, seed: int = 0) -> dict:
     """One label-reversed chunk inside a stationary stream, two policies.
 
-    The perfect policy adapts at the foreign chunk and again at the return
-    chunk; the missed policy never adapts. Phase accuracies measured from
-    the traces feed :func:`analytic_recurrent`, so the closed forms can be
-    compared against the simulated averages they claim to describe.
+    Both policies are sporadic schedules: the perfect one adapts (-inf) at
+    the foreign chunk and again at the return chunk, the missed one (+inf)
+    never adapts. Phase accuracies measured from the traces feed
+    :func:`analytic_recurrent`, so the closed forms can be compared against
+    the simulated averages they claim to describe.
     """
     if t_d < 1 or t_d + 2 + t_incre1 > t_eval:
         raise ConfigError("phases exceed the stream: need 1 <= t_d and t_d + 2 + t_incre1 <= t_eval")
     config = StreamConfig(kind="sea", seed=seed, n_chunks=t_eval + 1,
                           chunk_size=chunk_size, drift_period=t_eval + 1)
-    stream = make_stream(config)
     flip_index = t_d + 1
-    perfect = _oracle_accuracies(stream, flip_index, frozenset({flip_index, flip_index + 1}))
-    missed = _oracle_accuracies(stream, flip_index, frozenset())
+    oracles = [ThresholdStrategy(((0, math.inf), (flip_index, -math.inf), (flip_index + 2, math.inf))),
+               ThresholdStrategy.constant(math.inf)]
+    perfect, missed = (trace.accuracy[1:] for trace in
+                       policy_traces(_FlippedStream(config, flip_index), oracles, mode="sporadic"))
 
     # accuracies[k] scores chunk k + 1, so the foreign chunk sits at t_d
     stable_tail = perfect[t_d + 2 + t_incre1:]

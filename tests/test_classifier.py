@@ -279,11 +279,17 @@ class TestIdentity:
 
 class TestCopyAndAdapt:
     def test_copy_is_independent(self):
-        model = GaussianNB().train(chunk_of([[1.0]], [0]))
+        model = GaussianNB().train(chunk_of([[1.0], [2.5]], [0, 0]))
+        probe = np.linspace(-5.0, 110.0, 24)[:, None]
+        predicted = model.predict(probe)
+        bits = [a.tobytes() for a in (model._counts, model._means, model._m2)]
         twin = model.copy()
-        twin.train(chunk_of([[100.0]], [1]))
+        twin.train(chunk_of([[4.0], [7.0]], [0, 0]))  # known class: merged in place of the old arrays
+        twin.train(chunk_of([[100.0]], [1]))  # new class: admitted
         assert model.classes.shape == (1,)
         assert twin.classes.shape == (2,)
+        assert [a.tobytes() for a in (model._counts, model._means, model._m2)] == bits
+        assert np.array_equal(model.predict(probe), predicted)
 
     def test_adapt_equals_fresh_train(self):
         c = chunk_of([[1.0, 2.0], [3.0, 1.0]], [0, 1])

@@ -497,13 +497,16 @@ class TestSummarize:
         ("name", "summary has no key 'name'"),
         ("seeds", "summary has no key 'seeds'"),
         ("std_accuracy", "summary has no key 'std_accuracy'"),
+        ({"per_seed_accuracy": []}, "seeds and per_seed_accuracy differ in length \\(1 and 0\\)"),
     ])
     def test_stored_report_names_a_bad_summary(self, tmp_path, damage, match):
         cfg = small_config(name="a", seeds=(0,))
         for method in METHODS:
             write_result(fake_result("a", method, [[0.5, 0.6]], cfg), tmp_path)
         path = tmp_path / "a__dtd" / "summary.json"
-        if damage.isidentifier():
+        if isinstance(damage, dict):
+            damage = json.dumps({**json.loads(path.read_text()), **damage})
+        elif damage.isidentifier():
             stored = json.loads(path.read_text())
             del stored[damage]
             damage = json.dumps(stored)

@@ -5,9 +5,14 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from drifttune.classifier import GaussianNB, adapt
+from drifttune.detectors import DETECTOR_KINDS
+from drifttune.dtd import TRAINING_MODES
 from drifttune.errors import ConfigError
-from drifttune.stream import StreamConfig, make_stream
+from drifttune.stream import Chunk, StreamConfig, make_stream
 from drifttune.theory import (
     FLOAT_SLACK,
     RECURRENT_EXAMPLE,
@@ -20,6 +25,7 @@ from drifttune.theory import (
     analytic_sudden,
     check_sudden_identity,
     policy_trace,
+    policy_traces,
     random_sudden_params,
     simulate_recurrent_drift,
     sudden_gap,
@@ -215,8 +221,6 @@ class TestPolicySimulation:
         assert policy.statistic[1:] == plain.statistic[1:]
 
     def test_infinite_threshold_matches_never_adapt_oracle(self):
-        from drifttune.classifier import GaussianNB, adapt  # noqa: F401
-
         stream = self.stream()
         got = policy_trace(stream, ThresholdStrategy.constant(math.inf), mode="continual").mean_accuracy
         model = GaussianNB().train(stream.chunk(0))
@@ -230,8 +234,6 @@ class TestPolicySimulation:
     def test_infinite_threshold_sporadic_freezes_the_model(self):
         stream = self.stream()
         got = policy_trace(stream, ThresholdStrategy.constant(math.inf), mode="sporadic").mean_accuracy
-        from drifttune.classifier import GaussianNB
-
         model = GaussianNB().train(stream.chunk(0))
         accs = [float(np.mean(model.predict(stream.chunk(i).X) == stream.chunk(i).y))
                 for i in range(1, len(stream))]
@@ -242,6 +244,38 @@ class TestPolicySimulation:
         trace = policy_trace(stream, ThresholdStrategy(segments=((0, math.inf), (15, 0.0))))
         assert not any(trace.alarm[:15])
         assert any(trace.alarm[15:])  # zero threshold alarms on any positive statistic
+        # statistics are never negative, so -inf alarms on every evaluated chunk
+        trace = policy_trace(stream, ThresholdStrategy.constant(-math.inf))
+        assert all(trace.alarm[1:])
+
+
+THETAS = (-math.inf, 0.0, 0.05, 0.3, 1.0, 3.0, math.inf)
+
+
+@st.composite
+def schedules(draw, n_chunks):
+    """A random threshold schedule of 1-4 segments that fits ``n_chunks``."""
+    n_starts = draw(st.integers(0, min(3, n_chunks - 1)))
+    starts = sorted(draw(st.sets(st.integers(1, n_chunks - 1), min_size=n_starts, max_size=n_starts)))
+    thetas = draw(st.lists(st.sampled_from(THETAS), min_size=n_starts + 1, max_size=n_starts + 1))
+    return ThresholdStrategy(tuple(zip([0] + starts, thetas)))
+
+
+@pytest.mark.parametrize("mode", TRAINING_MODES)
+@pytest.mark.parametrize("detector", DETECTOR_KINDS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_policy_traces_equal_separate_policy_trace_calls(detector, mode, data):
+    stream = make_stream(StreamConfig(kind=data.draw(st.sampled_from(("sea", "sine"))),
+                                      seed=data.draw(st.integers(0, 99)),
+                                      n_chunks=data.draw(st.integers(2, 12)),
+                                      chunk_size=data.draw(st.integers(10, 60)),
+                                      drift_period=data.draw(st.integers(2, 5))))
+    overrides = {"window": 6, "recent": 2} if detector == "kswin" else {}
+    strategies = data.draw(st.lists(schedules(len(stream)), min_size=1, max_size=4))
+    together = policy_traces(stream, strategies, detector, mode, overrides)
+    apart = [policy_trace(stream, s, detector, mode, overrides) for s in strategies]
+    assert [t.to_csv_text() for t in together] == [t.to_csv_text() for t in apart]
 
 
 class TestTheorem3:
@@ -286,15 +320,62 @@ class TestTheorem3:
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError, match="grid"):
             validate_theorem3(self.stream(), theta_grid=(), boundaries=(0, 20))
+        with pytest.raises(ConfigError, match="grid"):
+            validate_theorem3(self.stream(), theta_grid=(True,), boundaries=(0, 20))
+        with pytest.raises(ConfigError, match="grid"):
+            validate_theorem3(self.stream(), theta_grid=(3.0, "4"), boundaries=(0, 20))
 
     def test_bad_boundaries_rejected(self):
         with pytest.raises(ConfigError, match="first segment"):
             validate_theorem3(self.stream(), theta_grid=(3.0,), boundaries=(5, 20))
         with pytest.raises(ConfigError, match="beyond the stream"):
             validate_theorem3(self.stream(), theta_grid=(3.0,), boundaries=(0, 60))
+        with pytest.raises(ConfigError, match="integers"):
+            validate_theorem3(self.stream(), theta_grid=(3.0,), boundaries=(0, 20.7))
+
+
+def oracle_accuracies(stream, flip_index, adapt_at):
+    """Per-chunk accuracy of a frozen model that adapts only at ``adapt_at``;
+    chunk ``flip_index`` is served with labels reversed. No monitor is involved."""
+    model = GaussianNB().train(stream.chunk(0))
+    accuracies = []
+    for i in range(1, len(stream)):
+        chunk = stream.chunk(i)
+        if i == flip_index:
+            chunk = Chunk(index=i, X=chunk.X.copy(), y=1 - chunk.y)
+        accuracies.append(float(np.mean(model.predict(chunk.X) == chunk.y)))
+        if i in adapt_at:
+            model = adapt(model, chunk)
+    return accuracies
 
 
 class TestTheorem1Simulation:
+    # the last case leaves no stable tail after the relearning phase
+    @pytest.mark.parametrize("t_eval, t_d, t_incre1, chunk_size, seed", [
+        (100, 50, 10, 300, 1),
+        (30, 8, 0, 200, 4),
+        (14, 5, 7, 150, 2),
+    ])
+    def test_oracle_schedules_equal_frozen_model_reference(self, t_eval, t_d, t_incre1,
+                                                           chunk_size, seed):
+        stream = make_stream(StreamConfig(kind="sea", seed=seed, n_chunks=t_eval + 1,
+                                          chunk_size=chunk_size, drift_period=t_eval + 1))
+        flip = t_d + 1
+        perfect = oracle_accuracies(stream, flip, {flip, flip + 1})
+        missed = oracle_accuracies(stream, flip, set())
+        tail = perfect[t_d + 2 + t_incre1:]
+        expected = dict(
+            T=t_eval, t_d=t_d, t_incre1=t_incre1,
+            A_C1=statistics.fmean(perfect[:t_d]),
+            A_dismatch=perfect[t_d],
+            A_mismatch2=perfect[t_d + 1],
+            A_incre1=statistics.fmean(perfect[t_d + 2:t_d + 2 + t_incre1]) if t_incre1 else 0.0,
+            A_stable1=statistics.fmean(tail) if tail else perfect[t_d + 1 + t_incre1],
+        )
+        report = simulate_recurrent_drift(t_eval, t_d, t_incre1, chunk_size, seed)
+        assert report["params"] == expected
+        assert report["sim"] == {"A_P": statistics.fmean(perfect), "A_M": statistics.fmean(missed)}
+
     def test_oracle_policies_order_and_agree(self):
         report = validate_theorem1(chunk_size=500, seed=0)
         assert report["pass"]
