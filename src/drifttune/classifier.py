@@ -2,15 +2,18 @@
 
 The model keeps per-class running counts, means, and sums of squared
 deviations, merged batch-wise with Chan's parallel update (Chan, Golub &
-LeVeque, Am. Stat. 1983), so training on a chunk is equivalent to having
-seen every instance one at a time. A chunk's own class statistics are
-computed once per chunk and cached on it, so every model trained on the
-same chunk (the primary and each race candidate) only pays for the merge.
-Prediction maximizes the log joint density with a
-per-feature variance floor; the kernel's per-model constants (log priors,
-means, doubled floored variances and log normalizers) are cached until the
-next ``train``. A race chunk scores its candidates with one kernel call and
-takes ``kernels.argmax_classes`` of each candidate's slice.
+LeVeque, Am. Stat. 1983), so training on a chunk is equivalent to having seen
+every instance one at a time. A chunk's own class statistics are computed once
+per chunk and cached on it, so every model trained on the same chunk (the
+primary and each race candidate) only pays for the merge; the class counts
+come from the pass that relabels the chunk's labels. The merge and the predict
+constants write in place only to arrays they made themselves, in the operation
+order of their plain formulas, since model copies share the arrays they
+replace. Prediction maximizes the log joint density with a per-feature
+variance floor; the kernel's per-model constants (log priors, means, doubled
+floored variances and log normalizers) are cached until the next ``train``. A
+race chunk scores its candidates with one kernel call and takes
+``kernels.argmax_classes`` of each candidate's slice.
 
 Module-level operation counters record how many instances were pushed
 through predict and train calls. The adaptation logic is bounded to a fixed
@@ -55,16 +58,18 @@ class EvalOutcome(NamedTuple):
     statistic: float
 
 
-def _relabel(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(y, return_inverse=True)``, by ``bincount`` when the labels
-    are non-negative and below the row count, which bounds its table. When
-    every label ``0..k-1`` is present, ``y`` is its own inverse."""
+def _relabel(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.unique(y, return_inverse=True, return_counts=True)``, by
+    ``bincount`` when the labels are non-negative and below the row count,
+    which bounds its table. When every label ``0..k-1`` is present, ``y`` is
+    its own inverse."""
     if y.shape[0] and y.min() >= 0 and y.max() < y.shape[0]:
-        present = np.bincount(y) > 0
+        counts = np.bincount(y)
+        present = counts > 0
         if present.all():
-            return np.arange(present.shape[0]), y
-        return np.flatnonzero(present), (np.cumsum(present) - 1)[y]
-    return np.unique(y, return_inverse=True)
+            return np.arange(present.shape[0]), y, counts
+        return np.flatnonzero(present), (np.cumsum(present) - 1)[y], counts[present]
+    return np.unique(y, return_inverse=True, return_counts=True)
 
 
 def _chunk_stats(chunk: Chunk) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -78,8 +83,8 @@ def _chunk_stats(chunk: Chunk) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
         X = np.ascontiguousarray(chunk.X, dtype=np.float64)
         if not np.isfinite(X).all():
             raise ModelError(f"chunk {chunk.index} has non-finite feature values")
-        labels, y_idx = _relabel(np.asarray(chunk.y, dtype=np.int64))
-        stats = (labels, *kernels.class_stats(X, y_idx.astype(np.int64, copy=False), labels.shape[0]))
+        labels, y_idx, counts = _relabel(np.asarray(chunk.y, dtype=np.int64))
+        stats = (labels, *kernels.class_stats(X, y_idx.astype(np.int64, copy=False), counts))
         for array in stats:
             array.setflags(write=False)
         chunk.cache["class_stats"] = stats
@@ -152,13 +157,20 @@ class GaussianNB:
             b_counts[pos], b_means[pos], b_m2[pos] = counts, means, m2
 
         # Chan et al.'s pairwise update; _admit_classes only admits classes
-        # with rows, so every n_ab is positive
+        # with rows, so every n_ab is positive. In place, in the order of
+        # means + delta * (n_b / n_ab) and m2 + b_m2 + delta * delta * (n_a * n_b / n_ab)
         n_a, n_b = self._counts, b_counts
         n_ab = n_a + n_b
         delta = b_means - self._means
-        self._means = self._means + delta * (n_b / n_ab)[:, None]
-        self._m2 = self._m2 + b_m2 + delta * delta * (n_a * n_b / n_ab)[:, None]
-        self._counts = n_ab
+        means = delta * (n_b / n_ab)[:, None]
+        means += self._means
+        cross = n_a * n_b
+        cross /= n_ab
+        delta *= delta
+        delta *= cross[:, None]
+        m2 = self._m2 + b_m2
+        m2 += delta
+        self._counts, self._means, self._m2 = n_ab, means, m2
         self._predict_params = None
         op_counts.train_instances += chunk.X.shape[0]
         return self
@@ -169,12 +181,14 @@ class GaussianNB:
             raise ModelError("predict called before any training data")
         self._require_width(X)
         if self._predict_params is None:
-            log_priors = np.log(self._counts / self._counts.sum())
+            log_priors = self._counts / self._counts.sum()
+            np.log(log_priors, out=log_priors)
             variances = self._m2 / self._counts[:, None]
             top = variances.max(axis=0)
-            floor = VARIANCE_FLOOR_SCALE * np.where(top > 0.0, top, 1.0)
-            self._predict_params = kernels.predict_params(
-                log_priors, self._means, np.maximum(variances, floor[None, :]))
+            floor = np.where(top > 0.0, top, 1.0)
+            floor *= VARIANCE_FLOOR_SCALE
+            np.maximum(variances, floor, out=variances)
+            self._predict_params = kernels.predict_params(log_priors, self._means, variances)
         return self._predict_params
 
     def predict(self, X: np.ndarray) -> np.ndarray:

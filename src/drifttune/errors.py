@@ -42,4 +42,4 @@ def check_real(name: str, value: float) -> None:
     """Raise ConfigError unless ``value`` is a real number, not a bool and not
     NaN (every comparison with NaN is false, so it would pass range checks)."""
     if not isinstance(value, numbers.Real) or isinstance(value, bool) or math.isnan(value):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
+        raise ConfigError(f"{name} must be a number (not a bool or NaN), got {value!r}")

@@ -11,9 +11,10 @@ three candidates with one ``joint_log_likelihood`` call.
 These run on every chunk, so they keep the number of numpy calls small:
 predict keeps its log-densities in a feature-major (features, classes,
 rows) block instead of a broadcast (rows, classes, features) one and
-takes the best class with one pass per class (``argmax_classes``), and
-``class_stats`` makes two weighted ``bincount`` calls over all features.
-Every floating-point operation, and the order of every sum, is the one
+takes the best class with one pass per class (``argmax_classes``),
+``class_stats`` takes its class counts from the caller and makes two
+weighted ``bincount`` calls over all features, and both write their
+temporaries in place. Every floating-point operation, and the order of every sum, is the one
 the broadcast formulation uses, so their outputs are bit-identical to it:
 predict adds the per-feature slabs in the order of numpy's contiguous
 add-reduce (``_pairwise_sum``), and ``class_stats`` sums each class's
@@ -70,14 +71,18 @@ def predict_params(log_priors, means, variances):
     ``variances`` must already be floored to positive values. Returns the
     log priors as a (classes, 1) column and, shaped (features, classes, 1)
     to broadcast over rows, the means, twice the variances and the log
-    normalizers ``-0.5 * (log 2pi + log var)``. They are read-only views,
-    so model copies can share them; the means view aliases ``means``,
-    which must not be written in place afterwards.
+    normalizers ``-0.5 * (log 2pi + log var)``, computed in place on an
+    array of their own. They are read-only views, so model copies can share
+    them; the means view aliases ``means``, which must not be written in
+    place afterwards. No input is written.
     """
+    log_norms = np.log(variances)
+    log_norms += _LOG_2PI
+    log_norms *= -0.5
     params = (log_priors[:, None],
               means.T[:, :, None],
               (2.0 * variances).T[:, :, None],
-              (-0.5 * (_LOG_2PI + np.log(variances))).T[:, :, None])
+              log_norms.T[:, :, None])
     for array in params:
         array.setflags(write=False)
     return params
@@ -127,43 +132,50 @@ def predict_indices(X, params):
     return argmax_classes(joint_log_likelihood(X, params))
 
 
-def _class_stats_gathered(X, y_idx, n_classes):
-    n_features = X.shape[1]
-    counts = np.zeros(n_classes)
-    means = np.zeros((n_classes, n_features))
-    m2 = np.zeros((n_classes, n_features))
-    for c in range(n_classes):
+def _class_stats_gathered(X, y_idx, counts):
+    means = np.zeros((counts.shape[0], X.shape[1]))
+    m2 = np.zeros_like(means)
+    for c in np.flatnonzero(counts):
         rows = X[y_idx == c]
-        if rows.shape[0] == 0:
-            continue
-        counts[c] = rows.shape[0]
         mu = rows.mean(axis=0)
         means[c] = mu
         m2[c] = ((rows - mu) ** 2).sum(axis=0)
-    return counts, means, m2
+    return means, m2
 
 
-def class_stats(X, y_idx, n_classes):
+def class_stats(X, y_idx, counts):
     """Per-class count, mean, and sum of squared deviations for one chunk.
 
+    ``counts`` holds each class's number of rows in ``y_idx``, as the
+    caller's relabelling pass already counted them; it comes back as floats.
     Two weighted ``bincount`` calls over the row-major ``X.ravel()``, with
     bin ``class * features + feature``, give the sums and the M2 of every
-    feature. A bin adds its rows one after another, which is how numpy
-    reduces a gathered multi-column block over its rows, so the results are
-    bit-identical to per-class ``rows.mean(axis=0)`` and
+    feature. The bin array is filled one feature column at a time, which
+    costs half of a broadcast add with a ``features``-long inner loop, and
+    stays row-major: feature-major bins were slower, as consecutive adds then
+    hit the same two bins. A bin adds its rows one after another, which is
+    how numpy reduces a gathered multi-column block over its rows, so the
+    results are bit-identical to per-class ``rows.mean(axis=0)`` and
     ``((rows - mu) ** 2).sum(axis=0)``. A single contiguous column is
     summed pairwise by numpy instead, so one-feature chunks keep the
     per-class gather. Classes without rows get zeros.
     """
-    n_features = X.shape[1]
+    counts = counts.astype(np.float64)
+    n_rows, n_features = X.shape
     if n_features == 1:
-        return _class_stats_gathered(X, y_idx, n_classes)
-    counts = np.bincount(y_idx, minlength=n_classes).astype(np.float64)
-    bins = (y_idx[:, None] * n_features + np.arange(n_features)).ravel()
+        return (counts, *_class_stats_gathered(X, y_idx, counts))
+    bins = np.empty((n_rows, n_features), dtype=np.intp)
+    base = y_idx * n_features
+    for j in range(n_features):
+        np.add(base, j, out=bins[:, j])
+    bins = bins.ravel()
+    n_classes = counts.shape[0]
     size = n_classes * n_features
-    sums = np.bincount(bins, weights=X.ravel(), minlength=size).reshape(n_classes, n_features)
-    means = np.divide(sums, counts[:, None], out=np.zeros_like(sums), where=(counts > 0)[:, None])
-    dev = X - means.take(y_idx, axis=0)
+    means = np.bincount(bins, weights=X.ravel(), minlength=size).reshape(n_classes, n_features)
+    # a class without rows has zero sums, which a divisor of 1 keeps
+    means /= np.maximum(counts, 1.0)[:, None]
+    dev = means.ravel().take(bins)  # each entry's own class mean
+    np.subtract(X.ravel(), dev, out=dev)
     dev *= dev
-    m2 = np.bincount(bins, weights=dev.ravel(), minlength=size).reshape(n_classes, n_features)
+    m2 = np.bincount(bins, weights=dev, minlength=size).reshape(n_classes, n_features)
     return counts, means, m2

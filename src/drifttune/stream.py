@@ -15,6 +15,13 @@ Drift layout: the active concept advances every ``drift_period`` chunks. SEA
 cycles four boundary thresholds, Sine and Mixed alternate between a labeling
 rule and its complement. With the 100 x 1000 defaults that is nine abrupt
 drifts per stream.
+
+Features are drawn with ``Generator.random`` and scaled in place where the
+range is not [0, 1). numpy computes ``uniform(low, high)`` as
+``low + (high - low) * next_double``, the double ``random`` returns, so the
+bits are those of ``uniform(0, high)`` at a lower cost. A complement concept
+takes the complementary comparison (``>=`` for ``<``), which on non-NaN
+values is ``1 - y`` without the extra pass.
 """
 
 from __future__ import annotations
@@ -143,7 +150,8 @@ def sea_concept(index: int, drift_period: int) -> int:
 
 
 def _sea_chunk(cfg: StreamConfig, index: int, rng: np.random.Generator) -> Chunk:
-    X = rng.uniform(0.0, 10.0, size=(cfg.chunk_size, 3))
+    X = rng.random((cfg.chunk_size, 3))
+    X *= 10.0
     threshold = SEA_THRESHOLDS[sea_concept(index, cfg.drift_period)]
     y = (X[:, 0] + X[:, 1] <= threshold).astype(np.int64)
     y = _flip_labels(y, cfg.noise, rng)
@@ -151,23 +159,18 @@ def _sea_chunk(cfg: StreamConfig, index: int, rng: np.random.Generator) -> Chunk
 
 
 def _sine_chunk(cfg: StreamConfig, index: int, rng: np.random.Generator) -> Chunk:
-    X = rng.uniform(0.0, 1.0, size=(cfg.chunk_size, 2))
-    y = (X[:, 1] < np.sin(X[:, 0])).astype(np.int64)
-    if (index // cfg.drift_period) % 2 == 1:
-        y = 1 - y
-    return Chunk(index, X, y)
+    X = rng.random((cfg.chunk_size, 2))
+    rule = np.greater_equal if (index // cfg.drift_period) % 2 == 1 else np.less
+    return Chunk(index, X, rule(X[:, 1], np.sin(X[:, 0])).astype(np.int64))
 
 
 def _mixed_chunk(cfg: StreamConfig, index: int, rng: np.random.Generator) -> Chunk:
     booleans = rng.integers(0, 2, size=(cfg.chunk_size, 2)).astype(np.float64)
-    reals = rng.uniform(0.0, 1.0, size=(cfg.chunk_size, 2))
-    X = np.column_stack([booleans, reals])
+    X = np.column_stack([booleans, rng.random((cfg.chunk_size, 2))])
     curve = 0.5 + 0.3 * np.sin(3.0 * np.pi * X[:, 2])
     votes = (X[:, 0] == 1.0).astype(np.int64) + (X[:, 1] == 1.0).astype(np.int64) + (X[:, 3] < curve)
-    y = (votes >= 2).astype(np.int64)
-    if (index // cfg.drift_period) % 2 == 1:
-        y = 1 - y
-    return Chunk(index, X, y)
+    rule = np.less if (index // cfg.drift_period) % 2 == 1 else np.greater_equal
+    return Chunk(index, X, rule(votes, 2).astype(np.int64))
 
 
 _GENERATORS = {"sea": _sea_chunk, "sine": _sine_chunk, "mixed": _mixed_chunk}

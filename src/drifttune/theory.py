@@ -200,8 +200,7 @@ class ThresholdStrategy:
         if any(b <= a for a, b in zip(starts, starts[1:])):
             raise ConfigError("segment starts must be strictly increasing")
         for _, theta in self.segments:
-            if math.isnan(theta):
-                raise ConfigError("segment thresholds must not be NaN")
+            check_real("segment thresholds", theta)
 
     @classmethod
     def constant(cls, theta: float) -> "ThresholdStrategy":

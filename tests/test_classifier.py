@@ -1,10 +1,11 @@
 """Incremental Gaussian naive Bayes and the evaluate step."""
 
+import math
 from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drifttune import kernels
@@ -116,19 +117,25 @@ class TestTraining:
 
 def reference_train(model, chunk):
     """The row-wise training path: admit the chunk's labels, index every row
-    into the model's classes, class-stat the chunk over that layout, then
-    merge. The per-chunk cache must give the same arrays bit for bit."""
+    into the model's classes, gather each class's rows for its count, mean
+    and M2, then merge by Chan's formulas as the digests were recorded with
+    them. The per-chunk cache and the merge must give the same arrays bit for
+    bit."""
     X = np.ascontiguousarray(chunk.X, dtype=np.float64)
     y = np.asarray(chunk.y, dtype=np.int64)
     classes = np.union1d(model["classes"], y)
     old_pos = np.searchsorted(classes, model["classes"])
-    n_features = X.shape[1]
-    counts, means, m2 = np.zeros(classes.shape[0]), np.zeros((classes.shape[0], n_features)), \
-        np.zeros((classes.shape[0], n_features))
+    shape = (classes.shape[0], X.shape[1])
+    counts, means, m2 = np.zeros(shape[0]), np.zeros(shape), np.zeros(shape)
     if model["classes"].shape[0]:
         counts[old_pos], means[old_pos], m2[old_pos] = model["counts"], model["means"], model["m2"]
-    y_idx = np.searchsorted(classes, y).astype(np.int64)
-    n_b, b_means, b_m2 = kernels.class_stats(X, y_idx, classes.shape[0])
+    y_idx = np.searchsorted(classes, y)
+    n_b, b_means, b_m2 = np.zeros(shape[0]), np.zeros(shape), np.zeros(shape)
+    for c in range(shape[0]):
+        rows = X[y_idx == c]
+        if rows.shape[0]:
+            n_b[c], b_means[c] = rows.shape[0], rows.mean(axis=0)
+            b_m2[c] = ((rows - b_means[c]) ** 2).sum(axis=0)
     n_ab = counts + n_b
     seen = n_ab > 0
     delta = b_means - means
@@ -138,6 +145,23 @@ def reference_train(model, chunk):
     cross[seen] = counts[seen] * n_b[seen] / n_ab[seen]
     return {"classes": classes, "counts": n_ab, "means": means + delta * ratio[:, None],
             "m2": m2 + b_m2 + delta * delta * cross[:, None]}
+
+
+def reference_predict_constants(model):
+    """``GaussianNB._params_for`` and ``kernels.predict_params`` on a
+    reference model, by the formulas the digests were recorded with."""
+    counts, means, m2 = model["counts"], model["means"], model["m2"]
+    log_priors = np.log(counts / counts.sum())
+    variances = m2 / counts[:, None]
+    top = variances.max(axis=0)
+    variances = np.maximum(variances, (1e-9 * np.where(top > 0.0, top, 1.0))[None, :])
+    return (log_priors[:, None], means.T[:, :, None], (2.0 * variances).T[:, :, None],
+            (-0.5 * (math.log(2.0 * math.pi) + np.log(variances))).T[:, :, None])
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 @st.composite
@@ -161,6 +185,13 @@ def chunkings(draw):
 class TestExactness:
     @settings(max_examples=200, deadline=None)
     @given(chunkings())
+    # one feature, a class that appears late and then goes missing, and labels
+    # (negative, or not below the row count) that take the np.unique path
+    @example([chunk_of([[1.0], [2.0], [4.0]], [0, 0, 0]),
+              chunk_of([[3.0], [5.0], [9.0], [0.5]], [1, 0, 1, 2], index=1),
+              chunk_of([[7.0], [6.5], [1.0]], [2, 2, 0], index=2)])
+    @example([chunk_of([[1.0, -2.0], [3.0, 0.25]], [-3, 5]),
+              chunk_of([[2.0, 2.0], [4.0, 1.0], [0.0, 0.0]], [5, 9, 5], index=1)])
     def test_cached_statistics_match_row_wise_path(self, chunks):
         expected = {"classes": np.empty(0, dtype=np.int64), "counts": None, "means": None, "m2": None}
         model = GaussianNB()
@@ -168,9 +199,11 @@ class TestExactness:
             expected = reference_train(expected, chunk)
             model.train(chunk)
             assert np.array_equal(model._classes, expected["classes"])
-            assert np.array_equal(model._counts, expected["counts"])
-            assert np.array_equal(model._means, expected["means"])
-            assert np.array_equal(model._m2, expected["m2"])
+            for name in ("counts", "means", "m2"):
+                assert_same_bytes(getattr(model, "_" + name), expected[name])
+            constants = model._params_for(chunk.X)
+            for got, want in zip(constants, reference_predict_constants(expected), strict=True):
+                assert_same_bytes(got, want)
         # a second model over the same chunks reads every statistic from the cache
         again = GaussianNB()
         for chunk in chunks:
@@ -489,12 +522,11 @@ class TestRelabel:
     ))
     def test_matches_unique(self, values):
         y = np.array(values, dtype=np.int64)
-        labels, inverse = _relabel(y)
-        expected_labels, expected_inverse = np.unique(y, return_inverse=True)
-        assert labels.dtype == expected_labels.dtype
-        assert np.array_equal(labels, expected_labels)
-        assert inverse.dtype == expected_inverse.dtype
-        assert np.array_equal(inverse, expected_inverse)
+        got = _relabel(y)
+        expected = np.unique(y, return_inverse=True, return_counts=True)
+        for array, want in zip(got, expected, strict=True):
+            assert array.dtype == want.dtype
+            assert np.array_equal(array, want)
 
 
 class TestOpCounts:

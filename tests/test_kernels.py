@@ -38,7 +38,7 @@ def test_numpy_class_stats_matches_two_pass():
     rng = np.random.default_rng(1)
     X = rng.normal(size=(50, 3))
     y = rng.integers(0, 4, size=50).astype(np.int64)
-    counts, means, m2 = kernels.class_stats(X, y, 4)
+    counts, means, m2 = kernels.class_stats(X, y, np.bincount(y, minlength=4))
     for c in range(4):
         rows = X[y == c]
         assert counts[c] == rows.shape[0]
@@ -55,6 +55,17 @@ def test_predict_params_are_read_only():
     _, log_priors, means, variances = random_model(rng)
     for array in kernels.predict_params(log_priors, means, variances):
         assert not array.flags.writeable
+
+
+def test_predict_params_leave_their_inputs_untouched():
+    # the classifier passes its own means, which model copies share
+    rng = np.random.default_rng(3)
+    _, log_priors, means, variances = random_model(rng)
+    inputs = (log_priors, means, variances)
+    before = [array.copy() for array in inputs]
+    kernels.predict_params(*inputs)
+    for array, copy in zip(inputs, before):
+        assert array.tobytes() == copy.tobytes()
 
 
 # ------------------------------------------------- bit-exactness vs reference
@@ -146,7 +157,7 @@ def test_class_stats_bit_identical_to_reference(shape, seed, scale, integral, n_
     # only some classes have rows; the others must come back as zeros
     present = rng.choice(k, size=min(n_present, k), replace=False)
     y_idx = rng.choice(present, size=n).astype(np.int64)
-    got = kernels.class_stats(X, y_idx, k)
+    got = kernels.class_stats(X, y_idx, np.bincount(y_idx, minlength=k))
     want = reference_class_stats(X, y_idx, k)
     for a, b in zip(got, want):
         assert a.shape == b.shape

@@ -227,10 +227,51 @@ class TestConfigValidation:
         assert StreamConfig(kind="sea", n_chunks=2**32 - 1).n_chunks == 2**32 - 1
 
 
+def frozen_chunk(cfg: StreamConfig, index: int, rng) -> Chunk:
+    """The generator formulas every recorded digest was drawn with, frozen
+    here so that the generators in ``stream`` are checked against them and
+    not against themselves: ``uniform`` draws, the flipped concept as
+    ``1 - y``, sea noise drawn after the features, and mixed drawing
+    ``integers`` before ``uniform``."""
+    n = cfg.chunk_size
+    if cfg.kind == "sea":
+        X = rng.uniform(0.0, 10.0, size=(n, 3))
+        y = (X[:, 0] + X[:, 1] <= SEA_THRESHOLDS[sea_concept(index, cfg.drift_period)]).astype(np.int64)
+        if cfg.noise > 0.0:
+            y = np.where(rng.random(n) < cfg.noise, 1 - y, y)
+        return Chunk(index, X, y)
+    if cfg.kind == "sine":
+        X = rng.uniform(0.0, 1.0, size=(n, 2))
+        y = (X[:, 1] < np.sin(X[:, 0])).astype(np.int64)
+    else:
+        booleans = rng.integers(0, 2, size=(n, 2)).astype(np.float64)
+        X = np.column_stack([booleans, rng.uniform(0.0, 1.0, size=(n, 2))])
+        curve = 0.5 + 0.3 * np.sin(3.0 * np.pi * X[:, 2])
+        votes = (X[:, 0] == 1.0).astype(np.int64) + (X[:, 1] == 1.0).astype(np.int64) + (X[:, 3] < curve)
+        y = (votes >= 2).astype(np.int64)
+    if (index // cfg.drift_period) % 2 == 1:
+        y = 1 - y
+    return Chunk(index, X, y)
+
+
 def reference_chunk(cfg: StreamConfig, index: int) -> Chunk:
-    """The chunk as a freshly built per-chunk generator draws it."""
+    """The chunk as a freshly built per-chunk generator draws it by the frozen formulas."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, index))))
-    return stream_module._GENERATORS[cfg.kind](cfg, index, rng)
+    return frozen_chunk(cfg, index, rng)
+
+
+class UnitDraws:
+    """A generator stand-in whose doubles in [0, 1) are given: ``random``
+    returns them and ``uniform`` scales them as numpy does."""
+
+    def __init__(self, unit: np.ndarray):
+        self.unit = unit
+
+    def random(self, size):
+        return self.unit.reshape(size).copy()
+
+    def uniform(self, low, high, size):
+        return low + (high - low) * self.unit.reshape(size)
 
 
 def assert_same_bytes(chunk: Chunk, expected: Chunk):
@@ -290,6 +331,15 @@ class TestBlockSeeding:
         for index in data.draw(access_orders(first.n_chunks)):
             for stream, cfg in streams:
                 assert_same_bytes(stream.chunk(index), reference_chunk(cfg, index))
+
+    def test_sine_rows_on_the_boundary_keep_the_frozen_label(self):
+        # random draws almost never give x2 == sin(x1) exactly, so place rows there
+        x1 = np.random.default_rng(3).random(8)
+        unit = np.vstack([np.column_stack([x1, np.sin(x1)]), [[0.0, 0.0], [0.5, 0.1], [0.5, 0.9]]])
+        cfg = StreamConfig(kind="sine", n_chunks=20, chunk_size=unit.shape[0])
+        for index in (0, 10):  # both concepts
+            chunk = stream_module._sine_chunk(cfg, index, UnitDraws(unit))
+            assert_same_bytes(chunk, frozen_chunk(cfg, index, UnitDraws(unit)))
 
     def test_last_index_and_bounded_block(self):
         cfg = StreamConfig(kind="sine", seed=2**96 + 7, n_chunks=2**32 - 1, chunk_size=3)

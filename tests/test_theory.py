@@ -186,6 +186,8 @@ class TestThresholdStrategy:
         (((0, 1.0), (10, 2.0), (7, 3.0)), "strictly increasing"),
         (((0, math.nan),), "NaN"),
         (((0, 1.0), (True, 2.0)), "integers"),
+        (((0, True),), "number"),
+        (((0, "3"),), "number"),
     ])
     def test_validation(self, segments, match):
         with pytest.raises(ConfigError, match=match):
