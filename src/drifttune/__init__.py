@@ -8,7 +8,7 @@ between candidate models picks the new model and alarm threshold.
 
 from .classifier import GaussianNB, adapt, evaluate, evaluate_all, op_counts
 from .detectors import DETECTOR_KINDS, DriftMonitor, ks_distance, make_monitor, params_from_dict
-from .dtd import (CandidateKind, CandidateSet, DtdState, StepOutcome, TRAINING_MODES,
+from .dtd import (Candidate, CandidateKind, DtdState, StepOutcome, TRAINING_MODES,
                   baseline_step, create_candidates, dtd_step, eval_candidates,
                   finalize_comparison)
 from .errors import (ConfigError, DetectorError, DriftTuneError, IngestError,
@@ -27,7 +27,7 @@ from .theory import (RecurrentDriftParams, SuddenDriftParams, ThresholdStrategy,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CandidateKind", "CandidateSet", "Chunk", "ConfigError", "DETECTOR_KINDS",
+    "Candidate", "CandidateKind", "Chunk", "ConfigError", "DETECTOR_KINDS",
     "DetectorError", "DriftMonitor", "DriftTuneError", "DtdState",
     "ExperimentConfig", "ExperimentResult", "GaussianNB", "IngestError",
     "METHODS", "ModelError", "PhaseError", "RecurrentDriftParams", "ReportError",

@@ -335,7 +335,7 @@ DETECTOR_KINDS = tuple(MONITOR_TYPES)
 
 
 def _monitor_type(kind: str) -> type[DriftMonitor]:
-    if kind not in MONITOR_TYPES:
+    if not isinstance(kind, str) or kind not in MONITOR_TYPES:
         raise ConfigError(f"unknown detector kind {kind!r}, expected one of {DETECTOR_KINDS}")
     return MONITOR_TYPES[kind]
 

@@ -5,7 +5,9 @@ three candidate hypotheses about what just happened:
 
 * EDM assumes the drift actually began one chunk earlier, so it retrains on
   the previous chunk and carries a fresh detector whose threshold is the
-  previous chunk's statistic (so the next drift is caught earlier).
+  previous chunk's statistic (so the next drift is caught earlier). The
+  previous chunk is the last normal-phase one: for an alarm right after a
+  race, that is the chunk which opened that race, not the chunk before.
 * RDM assumes the alarm timing was right: it retrains on the current chunk
   and keeps the old threshold.
 * PM assumes the alarm was false: it keeps the old model and raises the
@@ -23,7 +25,7 @@ races. Both, and every race candidate, react to a chunk through :func:`respond`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 
 from .classifier import GaussianNB, adapt, evaluate, evaluate_all
@@ -40,19 +42,21 @@ class CandidateKind(IntEnum):
     PM = 2
 
 
-# leader/winner ties resolve RDM first, then PM, then EDM
-_TIE_RANK = {CandidateKind.RDM: 0, CandidateKind.PM: 1, CandidateKind.EDM: 2}
+# leader/winner ties resolve RDM first, then PM, then EDM: max keeps the first
+_TIE_ORDER = (CandidateKind.RDM, CandidateKind.PM, CandidateKind.EDM)
 
 
-def _best(scores: dict[CandidateKind, float]) -> CandidateKind:
-    return max(scores, key=lambda kind: (scores[kind], -_TIE_RANK[kind]))
+def _best(scores: list[float]) -> CandidateKind:
+    return max(_TIE_ORDER, key=scores.__getitem__)
 
 
 @dataclass
-class CandidateSet:
-    models: dict[CandidateKind, GaussianNB]
-    detectors: dict[CandidateKind, DriftMonitor]
-    accuracy_logs: dict[CandidateKind, list[float]]
+class Candidate:
+    """One race hypothesis; a race holds three, in ``CandidateKind`` order."""
+
+    model: GaussianNB
+    detector: DriftMonitor
+    accuracy_log: list[float]
 
 
 @dataclass
@@ -76,11 +80,11 @@ class DtdState:
     race_len: int = 3
     eta: float = 1e-6
     training_mode: str = "continual"
-    countdown: int = 0
-    leader: CandidateKind = CandidateKind.RDM  # RDM leads whenever a race opens
-    candidates: CandidateSet | None = None
-    prev_statistic: float = 0.0
-    prev_chunk: Chunk | None = None
+    countdown: int = field(default=0, init=False)
+    leader: CandidateKind = field(default=CandidateKind.RDM, init=False)  # leads when a race opens
+    candidates: list[Candidate] | None = field(default=None, init=False)
+    prev_statistic: float = field(default=0.0, init=False)  # of the last normal-phase chunk
+    prev_chunk: Chunk | None = field(default=None, init=False)
 
     def __post_init__(self):
         check_count("race_len", self.race_len, minimum=1)
@@ -99,11 +103,11 @@ class DtdState:
         return self.candidates is not None
 
 
-def respond(model: GaussianNB, chunk: Chunk, detector: DriftMonitor, alarmed: bool,
+def respond(model: GaussianNB, chunk: Chunk, detector: DriftMonitor,
             continual: bool) -> GaussianNB:
-    """React to an evaluated chunk: on an alarm reset the monitor and return a
-    model adapted to the chunk, else train in place in continual mode."""
-    if alarmed:
+    """React to an evaluated chunk: if the detector alarms, reset it and return
+    a model adapted to the chunk, else train in place in continual mode."""
+    if detector.alarm:
         detector.reset()
         return adapt(model, chunk)
     if continual:
@@ -111,77 +115,65 @@ def respond(model: GaussianNB, chunk: Chunk, detector: DriftMonitor, alarmed: bo
     return model
 
 
-def create_candidates(model: GaussianNB, chunk_curr: Chunk, chunk_prev: Chunk | None,
-                      accuracy: float, stat_curr: float, stat_prev: float,
-                      detector: DriftMonitor, *, continual: bool, eta: float) -> CandidateSet:
-    """Build the three candidates for an alarm on ``chunk_curr``.
+def create_candidates(state: DtdState, chunk: Chunk, accuracy: float,
+                      statistic: float) -> list[Candidate]:
+    """Build the three candidates for an alarm on ``chunk`` that the primary
+    model scored ``accuracy`` on, with its detector at ``statistic``.
 
     EDM starts as a fresh model of the primary's type trained only on
-    ``chunk_prev``; ``adapt`` reads nothing of ``model`` but its type.
+    ``state.prev_chunk``; ``adapt`` reads nothing of the model but its type.
     The primary detector is only cloned, never touched, so it stays silent
     for the whole comparison phase.
     """
-    if chunk_prev is None:
+    if state.prev_chunk is None:
         raise PhaseError("cannot build candidates without a previous chunk")
+    model, detector = state.primary_model, state.primary_detector
 
-    rdm_model = adapt(model, chunk_curr)
-    rdm_det = detector.clone()
-    rdm_det.reset()
+    rdm = Candidate(adapt(model, chunk), detector.clone(), [accuracy])
+    rdm.detector.reset()
 
-    edm_model = adapt(model, chunk_prev)
-    edm_det = detector.fresh()
-    edm_det.threshold = stat_prev
-    early_acc, early_stat = evaluate(edm_model, chunk_curr, edm_det)
+    edm = Candidate(adapt(model, state.prev_chunk), detector.fresh(), [])
+    edm.detector.threshold = state.prev_statistic
+    edm.accuracy_log.append(evaluate(edm.model, chunk, edm.detector).accuracy)
     # the earlier hypothesis may alarm on the current chunk too: then re-adapt
-    edm_model = respond(edm_model, chunk_curr, edm_det, early_stat > stat_prev, continual)
+    edm.model = respond(edm.model, chunk, edm.detector, state.continual)
 
-    pm_model = model.copy()
-    pm_det = detector.fresh()
-    pm_det.threshold = stat_curr + eta
-    if continual:
-        pm_model.train(chunk_curr)
-
-    return CandidateSet(
-        models={CandidateKind.EDM: edm_model, CandidateKind.RDM: rdm_model, CandidateKind.PM: pm_model},
-        detectors={CandidateKind.EDM: edm_det, CandidateKind.RDM: rdm_det, CandidateKind.PM: pm_det},
-        accuracy_logs={CandidateKind.EDM: [early_acc], CandidateKind.RDM: [accuracy], CandidateKind.PM: [accuracy]},
-    )
+    pm = Candidate(model.copy(), detector.fresh(), [accuracy])
+    pm.detector.threshold = statistic + state.eta
+    if state.continual:
+        pm.model.train(chunk)
+    return [edm, rdm, pm]
 
 
-def eval_candidates(candidates: CandidateSet | None, chunk: Chunk, *,
-                    continual: bool) -> dict[CandidateKind, float]:
+def eval_candidates(candidates: list[Candidate] | None, chunk: Chunk, *,
+                    continual: bool) -> list[float]:
     """One comparison chunk: evaluate every candidate in one stacked kernel
     call, then log and update each in EDM, RDM, PM order."""
     if candidates is None:
         raise PhaseError("no comparison phase is active")
-    models, detectors, kinds = candidates.models, candidates.detectors, list(CandidateKind)
-    outcomes = evaluate_all([models[k] for k in kinds], chunk, [detectors[k] for k in kinds])
-    accuracies: dict[CandidateKind, float] = {}
-    for kind, (acc, stat) in zip(kinds, outcomes):
-        candidates.accuracy_logs[kind].append(acc)
-        accuracies[kind] = acc
-        models[kind] = respond(models[kind], chunk, detectors[kind],
-                               stat > detectors[kind].threshold, continual)
-    return accuracies
+    outcomes = evaluate_all([c.model for c in candidates], chunk,
+                            [c.detector for c in candidates])
+    for candidate, (accuracy, _) in zip(candidates, outcomes):
+        candidate.accuracy_log.append(accuracy)
+        candidate.model = respond(candidate.model, chunk, candidate.detector, continual)
+    return [accuracy for accuracy, _ in outcomes]
 
 
-def finalize_comparison(candidates: CandidateSet | None):
+def finalize_comparison(candidates: list[Candidate] | None) -> CandidateKind:
     """Pick the race winner by mean logged accuracy (seed entry included)."""
-    if candidates is None or any(not log for log in candidates.accuracy_logs.values()):
+    if candidates is None or not all(c.accuracy_log for c in candidates):
         raise PhaseError("finalize called without complete candidate logs")
-    means = {kind: sum(log) / len(log) for kind, log in candidates.accuracy_logs.items()}
-    winner = _best(means)
-    return winner, candidates.models[winner], candidates.detectors[winner]
+    return _best([sum(c.accuracy_log) / len(c.accuracy_log) for c in candidates])
 
 
 def baseline_step(state: DtdState, chunk: Chunk) -> StepOutcome:
     """Fixed threshold: an alarm adapts on the chunk and resets the monitor."""
     accuracy, statistic = evaluate(state.primary_model, chunk, state.primary_detector)
-    alarmed = statistic > state.primary_detector.threshold
+    alarm = state.primary_detector.alarm
     state.primary_model = respond(state.primary_model, chunk, state.primary_detector,
-                                  alarmed, state.continual)
+                                  state.continual)
     return StepOutcome(accuracy=accuracy, statistic=statistic,
-                       threshold=state.primary_detector.threshold, alarm=alarmed, phase="normal")
+                       threshold=state.primary_detector.threshold, alarm=alarm, phase="normal")
 
 
 def dtd_step(state: DtdState, chunk: Chunk) -> StepOutcome:
@@ -193,8 +185,9 @@ def dtd_step(state: DtdState, chunk: Chunk) -> StepOutcome:
         state.leader = _best(accuracies)
         winner = None
         if state.countdown == 0:
-            winner, state.primary_model, state.primary_detector = \
-                finalize_comparison(state.candidates)
+            winner = finalize_comparison(state.candidates)
+            chosen = state.candidates[winner]
+            state.primary_model, state.primary_detector = chosen.model, chosen.detector
             state.candidates = None
             state.leader = CandidateKind.RDM
         return StepOutcome(accuracy=reported, statistic=state.primary_detector.statistic,
@@ -202,19 +195,16 @@ def dtd_step(state: DtdState, chunk: Chunk) -> StepOutcome:
                            phase="comparison", winner=winner)
 
     accuracy, statistic = evaluate(state.primary_model, chunk, state.primary_detector)
-    alarmed = statistic > state.primary_detector.threshold
-    if alarmed and state.prev_chunk is not None:
+    alarm = state.primary_detector.alarm
+    if alarm and state.prev_chunk is not None:
         # the primary model is not trained: the race winner replaces it
-        state.candidates = create_candidates(
-            state.primary_model, chunk, state.prev_chunk, accuracy, statistic,
-            state.prev_statistic, state.primary_detector, continual=state.continual,
-            eta=state.eta)
+        state.candidates = create_candidates(state, chunk, accuracy, statistic)
         state.countdown = state.race_len
     else:
         # quiet, or an alarm before any history, where no race is possible
         state.primary_model = respond(state.primary_model, chunk, state.primary_detector,
-                                      alarmed, state.continual)
+                                      state.continual)
     state.prev_statistic = statistic
     state.prev_chunk = chunk
     return StepOutcome(accuracy=accuracy, statistic=statistic,
-                       threshold=state.primary_detector.threshold, alarm=alarmed, phase="normal")
+                       threshold=state.primary_detector.threshold, alarm=alarm, phase="normal")

@@ -284,6 +284,7 @@ def run_experiment(config: ExperimentConfig, method: str | None = None,
 def _run_all(cells: Sequence[tuple[ExperimentConfig, tuple[str, ...]]],
              parallel: int) -> list[ExperimentResult]:
     """One task per (config, seed); results per (config, method) in cell order."""
+    check_count("parallel", parallel, minimum=1)
     tasks = [(config, seed, methods) for config, methods in cells for seed in config.seeds]
     if parallel > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:

@@ -95,6 +95,10 @@ class StreamConfig:
             raise ConfigError("noise must lie in [0, 0.5]")
         if self.noise > 0.0 and self.kind != "sea":
             raise ConfigError("label noise is only supported for sea streams")
+        if self.csv_path is not None and not isinstance(self.csv_path, str):
+            raise ConfigError(f"csv_path must be a string, got {self.csv_path!r}")
+        if not isinstance(self.csv_has_header, bool):
+            raise ConfigError(f"csv_has_header must be true or false, got {self.csv_has_header!r}")
         if self.kind == "csv" and not self.csv_path:
             raise ConfigError("csv streams need csv_path")
 

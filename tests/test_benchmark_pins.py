@@ -1,5 +1,6 @@
-"""The package names that the benchmark's tracer patches must exist, and
-the classifier must call the kernels it counts.
+"""The package names that the benchmark's tracer patches must exist, the
+classifier must call the kernels it counts, and a race step must return
+what the benchmark's race probe reads.
 
 ``e2ebench/tracer.py`` wraps package functions and methods by name, and its
 own smoke test is not part of this suite; this test loads the tracer
@@ -7,6 +8,9 @@ own smoke test is not part of this suite; this test loads the tracer
 counts only calls made through the ``kernels`` module attribute, so the
 classifier must keep calling ``kernels.predict_indices`` and
 ``kernels.class_stats`` that way, or those spans go silently empty.
+``RaceProbe`` in ``e2ebench/run.py`` wraps ``dtd_step``: it brackets each
+call with ``classifier.op_counts.snapshot()``, sorts the step by its
+outcome's ``phase`` and ``alarm``, and counts ``winner.name``.
 """
 
 import importlib.util
@@ -17,9 +21,10 @@ import pytest
 
 import drifttune
 import drifttune.cli  # noqa: F401  (entry_points reads drifttune.cli)
-from drifttune import kernels
+from drifttune import classifier, kernels
 from drifttune.classifier import GaussianNB
-from drifttune.harness import ExperimentConfig, run_experiment
+from drifttune.dtd import DtdState, dtd_step
+from drifttune.harness import ExperimentConfig, detector_for_run, run_experiment, run_policies
 from drifttune.stream import StreamConfig, make_stream
 
 TRACER = Path(__file__).resolve().parent.parent / "e2ebench" / "tracer.py"
@@ -72,3 +77,28 @@ def test_a_run_computes_each_chunks_statistics_once(kernel_calls):
     kernel_calls.clear()
     run_experiment(config, method="dtd", write=False)
     assert kernel_calls["class_stats"] == 2 * 30
+
+
+def test_a_race_step_returns_what_the_race_probe_reads():
+    counts = classifier.op_counts
+    assert callable(counts.reset) and callable(counts.snapshot)
+    counts.reset()
+    assert counts.snapshot() == (0, 0)
+    config = ExperimentConfig(name="cell", detector="ddm", seeds=(0,),
+                              stream=StreamConfig(kind="sea", n_chunks=30, chunk_size=200,
+                                                  drift_period=10))
+    outcomes = []
+
+    def probed(state, chunk):
+        outcomes.append(dtd_step(state, chunk))
+        return outcomes[-1]
+
+    state = DtdState(GaussianNB(), detector_for_run(config, 0))
+    run_policies(make_stream(config.stream), [(probed, state)])
+    predicted, trained = counts.snapshot()
+    assert predicted > 0 and trained > 0
+    assert {o.phase for o in outcomes} == {"normal", "comparison"}
+    assert all(type(o.alarm) is bool for o in outcomes)
+    winners = [o.winner for o in outcomes if o.winner is not None]
+    assert winners
+    assert {w.name for w in winners} <= {"EDM", "RDM", "PM"}

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from drifttune import kernels
 from drifttune.classifier import GaussianNB, _relabel, adapt, evaluate, evaluate_all, op_counts
 from drifttune.detectors import DETECTOR_KINDS, make_monitor
-from drifttune.dtd import CandidateKind, CandidateSet, eval_candidates, respond
+from drifttune.dtd import Candidate, eval_candidates, respond
 from drifttune.errors import ModelError
 from drifttune.stream import Chunk, StreamConfig, make_stream
 
@@ -462,33 +462,28 @@ class TestStackedEvaluation:
     def test_eval_candidates_equals_one_by_one_race(self, race, continual):
         models, detectors, chunks = race
 
-        def candidate_set(models, detectors):
-            return CandidateSet(models=dict(zip(CandidateKind, models)),
-                                detectors=dict(zip(CandidateKind, detectors)),
-                                accuracy_logs={kind: [] for kind in CandidateKind})
+        def candidates():
+            return [Candidate(m.copy(), d.clone(), []) for m, d in zip(models, detectors)]
 
-        stacked = candidate_set([m.copy() for m in models], [d.clone() for d in detectors])
-        separate = candidate_set([m.copy() for m in models], [d.clone() for d in detectors])
+        stacked, separate = candidates(), candidates()
         for chunk in chunks:
             op_counts.reset()
             accuracies = eval_candidates(stacked, chunk, continual=continual)
             stacked_counts = op_counts.snapshot()
             op_counts.reset()
-            expected = {}
-            for kind in CandidateKind:  # the race step as three plain evaluates
-                model, det = separate.models[kind], separate.detectors[kind]
-                acc, stat = evaluate(model, chunk, det)
-                separate.accuracy_logs[kind].append(acc)
-                expected[kind] = acc
-                separate.models[kind] = respond(model, chunk, det, stat > det.threshold, continual)
+            expected = []
+            for candidate in separate:  # the race step as three plain evaluates
+                acc, _ = evaluate(candidate.model, chunk, candidate.detector)
+                candidate.accuracy_log.append(acc)
+                expected.append(acc)
+                candidate.model = respond(candidate.model, chunk, candidate.detector, continual)
             assert accuracies == expected
             assert op_counts.snapshot() == stacked_counts
-        assert stacked.accuracy_logs == separate.accuracy_logs
-        for kind in CandidateKind:
-            a, b = stacked.models[kind], separate.models[kind]
+        for a, b in zip(stacked, separate):
+            assert a.accuracy_log == b.accuracy_log
             for name in ("_classes", "_counts", "_means", "_m2"):
-                assert np.array_equal(getattr(a, name), getattr(b, name))
-            assert monitor_state(stacked.detectors[kind]) == monitor_state(separate.detectors[kind])
+                assert np.array_equal(getattr(a.model, name), getattr(b.model, name))
+            assert monitor_state(a.detector) == monitor_state(b.detector)
 
     def test_one_kernel_call_per_race_chunk(self, monkeypatch):
         calls = []

@@ -73,6 +73,22 @@ class TestRun:
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "results")]) == 1
         assert capsys.readouterr().err.startswith("config error: ")
 
+    @pytest.mark.parametrize("kind", ["[ddm]", "{a: 1}"])
+    def test_non_string_detector_kind_is_a_config_error(self, tmp_path, capsys, kind):
+        config = write_config(tmp_path, text=CONFIG.replace("kind: ddm", "kind: " + kind))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "results")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "unknown detector kind" in err
+
+    @pytest.mark.parametrize("verb", ["run", "suite"])
+    @pytest.mark.parametrize("parallel", ["0", "-3"])
+    def test_non_positive_parallel_is_a_config_error(self, tmp_path, capsys, verb, parallel):
+        config = write_config(tmp_path)
+        out = tmp_path / "results"
+        assert main([verb, "--config", str(config), "--out", str(out), "--parallel", parallel]) == 1
+        assert capsys.readouterr().err.startswith("config error: parallel")
+        assert not out.exists()
+
     def test_invalid_config_content(self, tmp_path):
         config = write_config(tmp_path, text="stream: {kind: sea}\ndetector: {kind: bogus}\n")
         assert main(["run", "--config", str(config)]) == 1

@@ -18,8 +18,8 @@ import pytest
 
 from drifttune.detectors import DriftMonitor
 from drifttune.dtd import (
+    Candidate,
     CandidateKind,
-    CandidateSet,
     DtdState,
     create_candidates,
     dtd_step,
@@ -111,6 +111,12 @@ class TestStateConstruction:
         with pytest.raises(ConfigError, match="training_mode"):
             DtdState(model, det, training_mode="sometimes")
 
+    def test_race_fields_are_not_constructor_arguments(self):
+        model = FirstLabelModel().train(chunk_from_labels([0]))
+        for name in ("countdown", "leader", "candidates", "prev_statistic", "prev_chunk"):
+            with pytest.raises(TypeError):
+                DtdState(model, IdentityMonitor(StubParams()), **{name: None})
+
     @pytest.mark.parametrize("kw,match", [
         ({"race_len": 2.5}, "race_len"),  # its countdown would step over 0 and never close
         ({"race_len": "3"}, "race_len"),
@@ -187,32 +193,29 @@ class TestCandidateCreation:
 
     def test_threshold_assignments(self):
         state, _, _, _ = self.alarm_setup(eta=0.25)
-        dets = state.candidates.detectors
-        assert math.isclose(dets[CandidateKind.EDM].threshold, 0.01)   # statistic before the alarm
-        assert dets[CandidateKind.RDM].threshold == 0.5                # primary threshold, unchanged
-        assert math.isclose(dets[CandidateKind.PM].threshold, 0.99 + 0.25)  # alarm statistic + margin
+        edm, rdm, pm = (c.detector for c in state.candidates)
+        assert math.isclose(edm.threshold, 0.01)        # statistic before the alarm
+        assert rdm.threshold == 0.5                     # primary threshold, unchanged
+        assert math.isclose(pm.threshold, 0.99 + 0.25)  # alarm statistic + margin
 
     def test_model_assignments(self):
         state, prev, alarm, _ = self.alarm_setup()
-        models = state.candidates.models
-        assert models[CandidateKind.RDM].c == int(alarm.y[0])  # re-fit on the alarming chunk
-        assert models[CandidateKind.EDM].c == int(prev.y[0])   # re-fit on the chunk before it
-        assert models[CandidateKind.PM].c == 1                 # primary carried over
+        edm, rdm, pm = (c.model for c in state.candidates)
+        assert rdm.c == int(alarm.y[0])  # re-fit on the alarming chunk
+        assert edm.c == int(prev.y[0])   # re-fit on the chunk before it
+        assert pm.c == 1                 # primary carried over
 
     def test_accuracy_logs_seeded(self):
         state, _, _, _ = self.alarm_setup()
-        logs = state.candidates.accuracy_logs
         # primary scored 0.01 on the alarm chunk; the early hypothesis (c=0)
         # scored 0.99 on it
-        assert logs[CandidateKind.RDM] == [0.01]
-        assert logs[CandidateKind.PM] == [0.01]
-        assert logs[CandidateKind.EDM] == [0.99]
+        assert [c.accuracy_log for c in state.candidates] == [[0.99], [0.01], [0.01]]
 
     def test_early_hypothesis_kept_when_it_stays_quiet(self):
         # the pre-drift model still fits the alarm chunk (statistic 0.01 is
         # not above its 0.01 threshold), so it is not re-adapted
         state, prev, _, _ = self.alarm_setup()
-        assert state.candidates.models[CandidateKind.EDM].c == int(prev.y[0])
+        assert state.candidates[CandidateKind.EDM].model.c == int(prev.y[0])
 
     def test_early_hypothesis_is_fresh_model_trained_on_previous_chunk(self):
         model = RecordingModel().train(chunk_from_labels([1], index=-1))
@@ -221,7 +224,7 @@ class TestCandidateCreation:
         prev = chunk_from_labels(labels(first=0, ones=99), index=0)
         dtd_step(state, prev)
         dtd_step(state, chunk_from_labels(labels(first=1, ones=1), index=1))
-        edm = state.candidates.models[CandidateKind.EDM]
+        edm = state.candidates[CandidateKind.EDM].model
         # the primary's type, but none of its state: only the previous chunk
         assert type(edm) is RecordingModel and edm is not state.primary_model
         assert edm.trained_on == [prev.index]
@@ -235,8 +238,8 @@ class TestCandidateCreation:
         dtd_step(state, alarm)
         # early hypothesis alarmed on the current chunk (0.98 > 0.05): re-fit
         # on the current chunk instead of the previous one
-        assert state.candidates.models[CandidateKind.EDM].c == int(alarm.y[0])
-        assert state.candidates.detectors[CandidateKind.EDM].statistic == 0.0
+        assert state.candidates[CandidateKind.EDM].model.c == int(alarm.y[0])
+        assert state.candidates[CandidateKind.EDM].detector.statistic == 0.0
 
     def test_primary_does_not_train_on_race_opening_chunk(self):
         # the race winner replaces the primary, so training it would be waste
@@ -253,13 +256,12 @@ class TestCandidateCreation:
 
     def test_pm_trains_on_alarm_chunk_in_continual(self):
         state, _, alarm, _ = self.alarm_setup(mode="continual")
-        assert state.candidates.models[CandidateKind.PM].c == int(alarm.y[0])
+        assert state.candidates[CandidateKind.PM].model.c == int(alarm.y[0])
 
     def test_create_candidates_requires_history(self):
         state = fresh_state()
         with pytest.raises(PhaseError, match="previous chunk"):
-            create_candidates(state.primary_model, chunk_from_labels([1]), None, 0.5, 0.9,
-                              0.1, state.primary_detector, continual=False, eta=1e-6)
+            create_candidates(state, chunk_from_labels([1]), 0.5, 0.9)
 
 
 class TestComparisonPhase:
@@ -283,8 +285,8 @@ class TestComparisonPhase:
         # pin the candidates so accuracies are fully scripted and none of the
         # candidate detectors fires mid-race
         for kind, c in ((CandidateKind.RDM, 1), (CandidateKind.EDM, 0), (CandidateKind.PM, 1)):
-            state.candidates.models[kind].c = c
-            state.candidates.detectors[kind].threshold = 10.0
+            state.candidates[kind].model.c = c
+            state.candidates[kind].detector.threshold = 10.0
         # chunk 2: 30 ones. RDM (c=1) scores 0.3, EDM (c=0) 0.7, PM (c=1) 0.3.
         # The report uses the leader chosen before this chunk: RDM.
         out2 = dtd_step(state, chunk_from_labels(labels(first=1, ones=30), index=2))
@@ -313,8 +315,8 @@ class TestComparisonPhase:
         dtd_step(state, chunk_from_labels(labels(first=0, ones=0), index=2))
         out = dtd_step(state, chunk_from_labels(labels(first=0, ones=0), index=3))
         assert out.winner is CandidateKind.EDM
-        assert state.primary_model is captured.models[CandidateKind.EDM]
-        assert state.primary_detector is captured.detectors[CandidateKind.EDM]
+        assert state.primary_model is captured[CandidateKind.EDM].model
+        assert state.primary_detector is captured[CandidateKind.EDM].detector
 
     def test_winner_detector_installed_without_reset(self):
         state = self.drive_to_comparison(race_len=2)
@@ -324,17 +326,17 @@ class TestComparisonPhase:
         winner = out.winner
         # the outcome row shows the winner's own statistic and threshold,
         # exactly as they stood when the race ended
-        assert state.primary_detector is captured.detectors[winner]
-        assert out.statistic == captured.detectors[winner].statistic
-        assert out.threshold == captured.detectors[winner].threshold
+        assert state.primary_detector is captured[winner].detector
+        assert out.statistic == captured[winner].detector.statistic
+        assert out.threshold == captured[winner].detector.threshold
 
     def test_candidate_self_adapts_when_its_detector_alarms(self):
         state = self.drive_to_comparison(race_len=2)
         # all-zero chunk: RDM (c=1) scores 0.0, statistic 1.0 > threshold 0.5,
         # so it re-fits on the chunk and clears its detector
         dtd_step(state, chunk_from_labels(labels(first=0, ones=0), index=2))
-        assert state.candidates.models[CandidateKind.RDM].c == 0
-        assert state.candidates.detectors[CandidateKind.RDM].statistic == 0.0
+        assert state.candidates[CandidateKind.RDM].model.c == 0
+        assert state.candidates[CandidateKind.RDM].detector.statistic == 0.0
 
     def test_race_len_one_finalizes_on_first_comparison_chunk(self):
         state = self.drive_to_comparison(race_len=1)
@@ -348,25 +350,44 @@ class TestComparisonPhase:
         out = dtd_step(state, chunk_from_labels(labels(first=0, ones=5), index=3))
         assert out.phase == "normal"
 
+    def test_alarm_right_after_a_race_reads_the_race_opening_chunk(self):
+        # EDM takes the last normal-phase chunk and its statistic. Right after
+        # a race that is the chunk which opened the race, not the chunk before
+        # the new alarm (the race chunks are not normal-phase chunks).
+        model = RecordingModel().train(chunk_from_labels([1], index=-1))
+        state = DtdState(model, IdentityMonitor(StubParams()), race_len=1,
+                         training_mode="sporadic")
+        dtd_step(state, chunk_from_labels(labels(first=1, ones=99), index=0))  # quiet, stat 0.01
+        opening = chunk_from_labels(labels(first=0, ones=1), index=1)           # stat 0.99
+        assert dtd_step(state, opening).alarm
+        # all-zero race chunk: RDM (c=0) and EDM (re-fit to c=0) tie, RDM wins
+        out = dtd_step(state, chunk_from_labels(labels(first=0, ones=0), index=2))
+        assert out.winner is CandidateKind.RDM
+        # 60 ones: the winner (c=0) scores 0.4, stat 0.6 > 0.5, and a race opens
+        out = dtd_step(state, chunk_from_labels(labels(first=1, ones=60), index=3))
+        assert out.alarm and state.in_comparison
+        assert state.prev_chunk.index == 3
+        edm = state.candidates[CandidateKind.EDM]
+        # EDM scored 0.4 too (stat 0.6, not above 0.99), so it kept its model
+        assert edm.model.trained_on == [opening.index]
+        assert math.isclose(edm.detector.threshold, 0.99)
+
     def test_rdm_wins_ties(self):
         state = self.drive_to_comparison(race_len=2)
         # 50/50 chunks: every candidate logs the same accuracies after the
         # seed entries, but RDM and EDM seeds differ; craft exact tie instead
         # by re-seeding the logs directly
-        state.candidates.accuracy_logs = {k: [0.5] for k in CandidateKind}
+        for candidate in state.candidates:
+            candidate.accuracy_log[:] = [0.5]
         dtd_step(state, chunk_from_labels(labels(first=1, ones=50), index=2))
         out = dtd_step(state, chunk_from_labels(labels(first=1, ones=50), index=3))
         assert out.winner is CandidateKind.RDM
 
     def test_pm_beats_edm_on_tie(self):
-        captured = CandidateSet(
-            models={k: FirstLabelModel().train(chunk_from_labels([0])) for k in CandidateKind},
-            detectors={k: IdentityMonitor(StubParams()) for k in CandidateKind},
-            accuracy_logs={CandidateKind.EDM: [0.8], CandidateKind.PM: [0.8],
-                           CandidateKind.RDM: [0.2]},
-        )
-        winner, _, _ = finalize_comparison(captured)
-        assert winner is CandidateKind.PM
+        captured = [Candidate(FirstLabelModel().train(chunk_from_labels([0])),
+                              IdentityMonitor(StubParams()), log)
+                    for log in ([0.8], [0.2], [0.8])]  # EDM, RDM, PM
+        assert finalize_comparison(captured) is CandidateKind.PM
 
 
 class TestPhaseErrors:
@@ -379,12 +400,8 @@ class TestPhaseErrors:
             finalize_comparison(None)
 
     def test_finalize_with_empty_log(self):
-        bad = CandidateSet(
-            models={k: FirstLabelModel() for k in CandidateKind},
-            detectors={k: IdentityMonitor(StubParams()) for k in CandidateKind},
-            accuracy_logs={CandidateKind.EDM: [], CandidateKind.RDM: [0.5],
-                           CandidateKind.PM: [0.5]},
-        )
+        bad = [Candidate(FirstLabelModel(), IdentityMonitor(StubParams()), log)
+               for log in ([], [0.5], [0.5])]  # EDM, RDM, PM
         with pytest.raises(PhaseError, match="complete candidate logs"):
             finalize_comparison(bad)
 

@@ -365,6 +365,14 @@ class TestRunExperimentAndSuite:
         assert set(results) == {"dtd"}
         assert not (tmp_path / "cell__dtd").exists()
 
+    @pytest.mark.parametrize("parallel", [0, -3, 1.5, True, "2"])
+    def test_parallel_must_be_a_positive_count(self, tmp_path, parallel):
+        with pytest.raises(ConfigError, match="parallel"):
+            run_experiment(small_config(), parallel=parallel, write=False)
+        with pytest.raises(ConfigError, match="parallel"):
+            run_suite([small_config()], tmp_path / "out", parallel=parallel)
+        assert not (tmp_path / "out").exists()
+
     def test_parallel_matches_serial(self, tmp_path):
         config = small_config(seeds=(0, 1, 2))
         serial = run_experiment(config, parallel=1, write=False)
@@ -633,6 +641,10 @@ out: elsewhere
         ("detector: {kind: kswin, window: 100.5}", "KswinParams.window"),
         ("detector: {kind: kswin, seed: true}", "KswinParams.seed"),
         ("detector: {kind: hddm_w, alpha: 1e-3}", "HddmWParams.alpha"),  # YAML 1.1: a string
+        ("detector: {kind: [ddm]}", "unknown detector kind"),
+        ("detector: {kind: {a: 1}}", "unknown detector kind"),
+        ("stream: {kind: csv, csv_path: x.csv, csv_has_header: 'no'}", "csv_has_header"),
+        ("stream: {kind: csv, csv_path: 5}", "csv_path"),
     ])
     def test_badly_typed_yaml_values_rejected(self, tmp_path, text, match):
         body = "".join(f"{line}\n" for line in ("stream: {kind: sea}", "detector: {kind: ddm}")

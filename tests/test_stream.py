@@ -216,6 +216,9 @@ class TestConfigValidation:
         ("drift_period", 2.5), ("drift_period", "10"),
         ("seed", True), ("seed", 1.0),
         ("noise", "0.1"), ("noise", None), ("noise", False),
+        # a truthy string header flag would silently drop the first data row
+        ("csv_has_header", "no"), ("csv_has_header", 1), ("csv_has_header", None),
+        ("csv_path", 5), ("csv_path", ["data.csv"]),
     ])
     def test_badly_typed_fields_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
