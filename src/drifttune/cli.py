@@ -51,11 +51,7 @@ def _add_run_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _override_seeds(config, n: int | None):
-    if n is None:
-        return config
-    if n < 1:
-        raise ConfigError("--seeds must be positive")
-    return dataclasses.replace(config, seeds=tuple(range(n)))
+    return config if n is None else dataclasses.replace(config, seeds=n)
 
 
 def _cmd_run(args) -> int:
@@ -68,8 +64,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_suite(args) -> int:
     configs = [_override_seeds(c, args.seeds) for c in load_config_dir(args.config)]
-    out = args.out if args.out is not None else "results"
-    _, report = run_suite(configs, out, parallel=args.parallel, method=args.method)
+    _, report = run_suite(configs, args.out, parallel=args.parallel, method=args.method)
     print(render_table(report), end="")
     return 0
 

@@ -347,7 +347,7 @@ def params_from_dict(kind: str, mapping: dict | None = None):
     known = {f.name for f in fields(cls)}
     unknown = set(mapping) - known
     if unknown:
-        raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown, key=str)}")
     return cls(**mapping)
 
 

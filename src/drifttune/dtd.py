@@ -50,6 +50,17 @@ def _best(scores: list[float]) -> CandidateKind:
     return max(_TIE_ORDER, key=scores.__getitem__)
 
 
+def check_policy(race_len: int, eta: float, training_mode: str) -> None:
+    """Raise ConfigError unless the race length, threshold bump and training
+    mode are valid; every policy state and experiment config checks here."""
+    check_count("race_len", race_len, minimum=1)
+    check_real("eta", eta)
+    if not eta > 0.0:
+        raise ConfigError("eta must be positive")
+    if training_mode not in TRAINING_MODES:
+        raise ConfigError(f"training_mode must be one of {TRAINING_MODES}, got {training_mode!r}")
+
+
 @dataclass
 class Candidate:
     """One race hypothesis; a race holds three, in ``CandidateKind`` order."""
@@ -87,12 +98,7 @@ class DtdState:
     prev_chunk: Chunk | None = field(default=None, init=False)
 
     def __post_init__(self):
-        check_count("race_len", self.race_len, minimum=1)
-        check_real("eta", self.eta)
-        if self.eta <= 0.0:
-            raise ConfigError("eta must be positive")
-        if self.training_mode not in TRAINING_MODES:
-            raise ConfigError(f"training_mode must be one of {TRAINING_MODES}")
+        check_policy(self.race_len, self.eta, self.training_mode)
 
     @property
     def continual(self) -> bool:

@@ -32,8 +32,8 @@ import yaml
 
 from .classifier import GaussianNB
 from .detectors import MONITOR_TYPES, DriftMonitor, make_monitor, params_from_dict
-from .dtd import TRAINING_MODES, DtdState, baseline_step, dtd_step
-from .errors import ConfigError, ReportError, check_count, check_real
+from .dtd import DtdState, baseline_step, check_policy, dtd_step
+from .errors import ConfigError, ReportError, check_count
 from .stream import Stream, StreamConfig, make_stream
 
 METHODS = ("baseline", "dtd")
@@ -41,7 +41,8 @@ METHODS = ("baseline", "dtd")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment cell: a stream, a monitor, a training mode, seeds."""
+    """One experiment cell: a stream, a monitor, a training mode, seeds. The one
+    place that defaults and checks a cell; a count N of seeds stores 0..N-1."""
 
     name: str
     stream: StreamConfig
@@ -55,16 +56,21 @@ class ExperimentConfig:
     out: str = "results"
 
     def __post_init__(self):
-        if not self.name or "/" in self.name:
+        if not isinstance(self.name, str) or not self.name or any(c in self.name for c in "/\0"):
             raise ConfigError(f"experiment name must be a non-empty path-safe string, got {self.name!r}")
+        if not isinstance(self.out, str) or "\0" in self.out:
+            raise ConfigError(f"out must be a path string, got {self.out!r}")
         if self.method not in METHODS + ("both",):
             raise ConfigError(f"method must be baseline, dtd, or both, got {self.method!r}")
-        if self.mode not in TRAINING_MODES:
-            raise ConfigError(f"mode must be one of {TRAINING_MODES}, got {self.mode!r}")
-        check_count("race_len", self.race_len, minimum=1)
-        check_real("eta", self.eta)
-        if not self.eta > 0.0:
-            raise ConfigError("eta must be positive")
+        check_policy(self.race_len, self.eta, self.mode)
+        object.__setattr__(self, "eta", float(self.eta))
+        seeds = self.seeds
+        if isinstance(seeds, int) and not isinstance(seeds, bool):
+            check_count("seed count", seeds, minimum=1)
+            seeds = range(seeds)
+        elif not isinstance(seeds, (tuple, list, range)):
+            raise ConfigError(f"seeds must be a count or a list of integers, got {seeds!r}")
+        object.__setattr__(self, "seeds", tuple(seeds))
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
         if any(not isinstance(s, int) or isinstance(s, bool) or s < 0 for s in self.seeds):
@@ -264,9 +270,7 @@ def _methods(config: ExperimentConfig, method: str | None) -> tuple[str, ...]:
     """The config's own methods, unless ``method`` narrows them to one."""
     if method in (None, "both"):
         return config.methods
-    if method not in METHODS:
-        raise ConfigError(f"method must be baseline, dtd, or both, got {method!r}")
-    return (method,)
+    return dataclasses.replace(config, method=method).methods
 
 
 def run_experiment(config: ExperimentConfig, method: str | None = None,
@@ -301,15 +305,21 @@ def _run_all(cells: Sequence[tuple[ExperimentConfig, tuple[str, ...]]],
     return results
 
 
-def run_suite(configs: Sequence[ExperimentConfig], out: str | Path,
+def run_suite(configs: Sequence[ExperimentConfig], out: str | Path | None = None,
               parallel: int = 1, method: str | None = None) -> tuple[list[ExperimentResult], dict]:
     """Run every config (all its methods unless ``method`` narrows them),
-    write per-cell results and a suite-level summary, and return both."""
+    write per-cell results and a suite-level summary, and return both.
+    Without ``out`` the suite writes to the ``out`` its configs share."""
     if not configs:
         raise ConfigError("suite needs at least one experiment config")
     names = [c.name for c in configs]
     if len(set(names)) != len(names):
         raise ConfigError("experiment names must be unique within a suite")
+    if out is None:
+        outs = sorted({c.out for c in configs})
+        if len(outs) != 1:
+            raise ConfigError(f"suite configs name different out directories {outs}; give one out")
+        out = outs[0]
     results = _run_all([(config, _methods(config, method)) for config in configs], parallel)
     for result in results:
         write_result(result, out)
@@ -452,12 +462,12 @@ _TOP_KEYS = {"name", "stream", "detector", "mode", "method", "race_len", "K", "e
 
 
 def config_from_mapping(mapping: dict, default_name: str = "experiment") -> ExperimentConfig:
-    """Validate a parsed config mapping and build an ExperimentConfig."""
+    """Map a parsed config mapping onto an ExperimentConfig, which checks the values."""
     if not isinstance(mapping, dict):
         raise ConfigError(f"config must be a mapping, got {type(mapping).__name__}")
     unknown = set(mapping) - _TOP_KEYS
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown config keys: {sorted(unknown, key=str)}")
     if "race_len" in mapping and "K" in mapping:
         raise ConfigError("give race_len or K, not both")
 
@@ -469,42 +479,20 @@ def config_from_mapping(mapping: dict, default_name: str = "experiment") -> Expe
     stream_fields = {f.name for f in dataclasses.fields(StreamConfig)} - {"seed"}
     unknown = set(stream_map) - stream_fields
     if unknown:
-        raise ConfigError(f"unknown stream keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown stream keys: {sorted(unknown, key=str)}")
     stream = StreamConfig(**stream_map)
 
     det_map = mapping.get("detector")
     if not isinstance(det_map, dict) or "kind" not in det_map:
         raise ConfigError("config needs a detector mapping with a kind")
-    det_kind = det_map["kind"]
-    overrides = {k: v for k, v in det_map.items() if k != "kind"}
-
-    seeds = mapping.get("seeds", 20)
-    if isinstance(seeds, bool):
-        raise ConfigError(f"seeds must be a count or a list of integers, got {seeds!r}")
-    if isinstance(seeds, int):
-        if seeds < 1:
-            raise ConfigError("seed count must be positive")
-        seeds = tuple(range(seeds))
-    elif isinstance(seeds, list):
-        seeds = tuple(seeds)
-    else:
-        raise ConfigError(f"seeds must be a count or a list of integers, got {seeds!r}")
-
-    race_len = mapping.get("race_len", mapping.get("K", 3))
-    eta = mapping.get("eta", 1e-6)
-    check_real("eta", eta)
-    return ExperimentConfig(
-        name=str(mapping.get("name", default_name)),
-        stream=stream,
-        detector=det_kind,
-        detector_overrides=overrides,
-        method=mapping.get("method", "both"),
-        mode=mapping.get("mode", "continual"),
-        race_len=race_len,
-        eta=float(eta),
-        seeds=seeds,
-        out=str(mapping.get("out", "results")),
-    )
+    kwargs = {k: mapping[k] for k in ("method", "mode", "race_len", "eta", "seeds", "out")
+              if k in mapping}
+    if "K" in mapping:
+        kwargs["race_len"] = mapping["K"]
+    return ExperimentConfig(name=mapping.get("name", default_name), stream=stream,
+                            detector=det_map["kind"],
+                            detector_overrides={k: v for k, v in det_map.items() if k != "kind"},
+                            **kwargs)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

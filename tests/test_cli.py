@@ -89,6 +89,14 @@ class TestRun:
         assert capsys.readouterr().err.startswith("config error: parallel")
         assert not out.exists()
 
+    @pytest.mark.parametrize("line", ["name: {x: 1}", "name:", "out: [a, b]"])
+    def test_non_string_name_or_out_is_a_config_error(self, tmp_path, monkeypatch, capsys, line):
+        monkeypatch.chdir(tmp_path)
+        config = write_config(tmp_path, text=CONFIG + line + "\n")
+        assert main(["run", "--config", str(config)]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cell.yaml"]
+
     def test_invalid_config_content(self, tmp_path):
         config = write_config(tmp_path, text="stream: {kind: sea}\ndetector: {kind: bogus}\n")
         assert main(["run", "--config", str(config)]) == 1
@@ -108,6 +116,26 @@ class TestSuite:
         report = json.loads((out / "suite_summary.json").read_text())
         assert report["n_pairs"] == 2
         assert "win_rate" in capsys.readouterr().out
+
+    def test_writes_to_the_configs_out_without_out_flag(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        conf_dir = tmp_path / "configs"
+        conf_dir.mkdir()
+        write_config(conf_dir, "alpha.yaml", CONFIG + "out: mine\n")
+        assert main(["suite", "--config", str(conf_dir), "--method", "baseline"]) == 0
+        assert (tmp_path / "mine" / "alpha__baseline" / "summary.json").exists()
+        assert (tmp_path / "mine" / "suite_summary.json").exists()
+        assert not (tmp_path / "results").exists()
+
+    def test_configs_with_different_outs_need_out_flag(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        conf_dir = tmp_path / "configs"
+        conf_dir.mkdir()
+        write_config(conf_dir, "alpha.yaml", CONFIG + "out: mine\n")
+        write_config(conf_dir, "beta.yaml")
+        assert main(["suite", "--config", str(conf_dir)]) == 1
+        assert "different out directories" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["configs"]
 
     def test_empty_directory(self, tmp_path):
         conf_dir = tmp_path / "configs"

@@ -98,6 +98,35 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match=match):
             small_config(**kw)
 
+    def test_seed_count_is_stored_as_a_tuple(self):
+        config = ExperimentConfig(name="cell", stream=StreamConfig(kind="sea"), detector="ddm",
+                                  seeds=3)
+        assert config.seeds == (0, 1, 2)
+
+    @pytest.mark.parametrize("seeds", [range(3), [0, 1, 2]])
+    def test_seed_sequences_accepted(self, seeds):
+        config = ExperimentConfig(name="cell", stream=StreamConfig(kind="sea"), detector="ddm",
+                                  seeds=seeds)
+        assert list(config.seeds) == [0, 1, 2]
+
+    @pytest.mark.parametrize("kw,match", [
+        ({"name": 5}, "path-safe"),
+        ({"name": {"x": 1}}, "path-safe"),
+        ({"name": "a\0b"}, "path-safe"),  # mkdir raises ValueError on a NUL byte
+        ({"out": 5}, "out"),
+        ({"out": ["a", "b"]}, "out"),
+        ({"out": "a\0b"}, "out"),
+    ])
+    def test_non_string_name_or_out_rejected(self, kw, match):
+        stream = StreamConfig(kind="sea")
+        kw = {"name": "cell", **kw}
+        with pytest.raises(ConfigError, match=match):
+            ExperimentConfig(stream=stream, detector="ddm", **kw)
+
+    def test_eta_is_stored_as_a_float(self):
+        eta = small_config(eta=1).eta
+        assert eta == 1.0 and type(eta) is float
+
 
 class TestDetectorForRun:
     def test_sample_count_defaults_to_chunk_size(self):
@@ -405,6 +434,20 @@ class TestRunExperimentAndSuite:
         assert stored == json.loads(json.dumps(report))
         assert stored["n_pairs"] == 2
 
+    def test_suite_without_out_writes_to_the_configs_out(self, tmp_path):
+        configs = [small_config(name=n, out=str(tmp_path / "mine"), method="baseline")
+                   for n in ("one", "two")]
+        run_suite(configs)
+        assert (tmp_path / "mine" / "suite_summary.json").exists()
+        assert (tmp_path / "mine" / "two__baseline" / "summary.json").exists()
+
+    def test_suite_without_out_rejects_configs_that_disagree(self, tmp_path):
+        configs = [small_config(name="one", out=str(tmp_path / "a")),
+                   small_config(name="two", out=str(tmp_path / "b"))]
+        with pytest.raises(ConfigError, match="different out directories"):
+            run_suite(configs)
+        assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
     def test_suite_rejects_duplicate_names(self, tmp_path):
         with pytest.raises(ConfigError, match="unique"):
             run_suite([small_config(), small_config()], out=tmp_path)
@@ -645,6 +688,9 @@ out: elsewhere
         ("detector: {kind: {a: 1}}", "unknown detector kind"),
         ("stream: {kind: csv, csv_path: x.csv, csv_has_header: 'no'}", "csv_has_header"),
         ("stream: {kind: csv, csv_path: 5}", "csv_path"),
+        ("1: 2\nfoo: 3", "unknown config keys"),  # keys that do not sort together
+        ("stream: {kind: sea, 1: 2, a: 3}", "unknown stream keys"),
+        ("detector: {kind: ddm, 1: 2, a: 3}", "unknown DdmParams keys"),
     ])
     def test_badly_typed_yaml_values_rejected(self, tmp_path, text, match):
         body = "".join(f"{line}\n" for line in ("stream: {kind: sea}", "detector: {kind: ddm}")
@@ -706,6 +752,94 @@ out: elsewhere
     def test_load_config_dir_rejects_missing(self, tmp_path):
         with pytest.raises(ConfigError, match="neither a file nor a directory"):
             load_config_dir(tmp_path / "void")
+
+
+    @pytest.mark.parametrize("text", ["name: {x: 1}", "name:", "out: [a, b]"])
+    def test_non_string_name_or_out_rejected(self, tmp_path, text):
+        path = tmp_path / "cell.yaml"
+        path.write_text(f"stream: {{kind: sea}}\ndetector: {{kind: ddm}}\n{text}\n")
+        with pytest.raises(ConfigError, match="cell.yaml"):
+            load_config(path)
+
+    def test_int_eta_writes_the_same_summary_from_yaml_and_api(self, tmp_path):
+        path = tmp_path / "cell.yaml"
+        path.write_text("stream: {kind: sea, n_chunks: 6, chunk_size: 50}\n"
+                        "detector: {kind: ddm}\nseeds: 1\neta: 1\n")
+        api = ExperimentConfig(name="cell", stream=StreamConfig(kind="sea", n_chunks=6, chunk_size=50),
+                               detector="ddm", seeds=1, eta=1)
+        run_experiment(load_config(path), method="dtd", out=tmp_path / "yaml")
+        run_experiment(api, method="dtd", out=tmp_path / "api")
+        stored = [(tmp_path / root / "cell__dtd" / "summary.json").read_bytes()
+                  for root in ("yaml", "api")]
+        assert stored[0] == stored[1]
+        assert json.loads(stored[0])["eta"] == 1.0
+
+
+# the keys and values README documents for a config file
+_SIZES = {"n_chunks": st.integers(2, 50), "chunk_size": st.integers(1, 500),
+          "drift_period": st.integers(1, 20)}
+_STREAMS = st.one_of(  # label noise is sea's alone
+    st.fixed_dictionaries({"kind": st.just("sea")},
+                          optional={**_SIZES, "noise": st.floats(0.0, 0.5)}),
+    st.fixed_dictionaries({"kind": st.sampled_from(["sine", "mixed"])}, optional=_SIZES))
+_DETECTORS = st.fixed_dictionaries({"kind": st.sampled_from(sorted(DETECTOR_KINDS))})
+_TOP_VALUES = {
+    "name": st.text("abc_-.0123456789", min_size=1, max_size=8),
+    "mode": st.sampled_from(TRAINING_MODES),
+    "method": st.sampled_from(METHODS + ("both",)),
+    "race_len": st.integers(1, 10),
+    "K": st.integers(1, 10),
+    "eta": st.one_of(st.integers(1, 5), st.floats(1e-9, 10.0)),
+    "seeds": st.one_of(st.integers(1, 30),
+                       st.lists(st.integers(0, 1000), min_size=1, max_size=5, unique=True)),
+    "out": st.text("abc/_.", min_size=1, max_size=8),
+}
+# per key, values of a type that key never takes
+_JUNK = {"none": st.none(), "bool": st.booleans(), "int": st.integers(), "float": st.floats(),
+         "str": st.text(max_size=5), "list": st.lists(st.integers(), max_size=3),
+         "dict": st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)}
+_WRONG_TYPES = {
+    "name": ("none", "bool", "int", "float", "list", "dict"),
+    "stream": ("none", "bool", "int", "float", "str", "list"),
+    "detector": ("none", "bool", "int", "float", "str", "list"),
+    "mode": ("none", "bool", "int", "float", "list", "dict"),
+    "method": ("none", "bool", "int", "float", "list", "dict"),
+    "race_len": ("none", "bool", "float", "str", "list", "dict"),
+    "K": ("none", "bool", "float", "str", "list", "dict"),
+    "eta": ("none", "bool", "str", "list", "dict"),
+    "seeds": ("none", "bool", "float", "str", "dict"),
+    "out": ("none", "bool", "int", "float", "list", "dict"),
+}
+
+
+class TestTwoWaysIn:
+    """A mapping and the ExperimentConfig built from the same values agree."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(stream=_STREAMS, detector=_DETECTORS, data=st.data())
+    def test_mapping_builds_the_direct_config(self, stream, detector, data):
+        keys = data.draw(st.sets(st.sampled_from(sorted(_TOP_VALUES))))
+        if {"K", "race_len"} <= keys:
+            keys.discard("K")
+        top = {k: data.draw(_TOP_VALUES[k], label=k) for k in sorted(keys)}
+        mapping = {"stream": stream, "detector": detector, **top}
+        if "K" in top:
+            top["race_len"] = top.pop("K")
+        top.setdefault("name", "fallback")
+        direct = ExperimentConfig(stream=StreamConfig(**stream), detector=detector["kind"], **top)
+        built = config_from_mapping(mapping, default_name="fallback")
+        assert built == direct
+        assert repr(built) == repr(direct)  # same types too: 1.0 is not 1, a tuple not a list
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_wrongly_typed_top_level_value_is_a_config_error(self, data):
+        key = data.draw(st.sampled_from(sorted(_WRONG_TYPES)))
+        junk = data.draw(st.sampled_from(_WRONG_TYPES[key]))
+        mapping = {"stream": {"kind": "sea"}, "detector": {"kind": "ddm"},
+                   key: data.draw(_JUNK[junk], label=f"{key} ({junk})")}
+        with pytest.raises(ConfigError):
+            config_from_mapping(mapping)
 
 
 class TestWriteResult:
