@@ -5,24 +5,33 @@ deviations, merged batch-wise with Chan's parallel update (Chan, Golub &
 LeVeque, Am. Stat. 1983), so training on a chunk is equivalent to having seen
 every instance one at a time. A chunk's own class statistics are computed once
 per chunk and cached on it, so every model trained on the same chunk (the
-primary and each race candidate) only pays for the merge; the class counts
-come from the pass that relabels the chunk's labels. The merge and the predict
-constants write in place only to arrays they made themselves, in the operation
-order of their plain formulas, since model copies share the arrays they
-replace. Prediction maximizes the log joint density with a per-feature
-variance floor; the kernel's per-model constants (log priors, means, doubled
-floored variances and log normalizers) are cached until the next ``train``. A
-race chunk scores its candidates with one kernel call and takes
-``kernels.argmax_classes`` of each candidate's slice.
+primary and each race candidate) only pays for the merge, and a fresh model
+adopts them as they are; the class counts come from the pass that relabels the
+chunk's labels. The merge and the predict constants write in place only to
+arrays they made themselves, in the operation order of their plain formulas,
+since model copies share the arrays they replace. Prediction maximizes the log
+joint density with a per-feature variance floor; the kernel's per-model
+constants (log priors, means, doubled floored variances and log normalizers)
+are cached until the next ``train``. A race chunk scores its candidates with
+one kernel call and takes ``kernels.argmax_classes`` of each candidate's slice.
+
+A stream pass groups its chunks into :class:`Window` runs. A model that scores
+a chunk of a window a second time since its last ``train`` has stopped
+training, so it predicts every row from that chunk to the window's end in one
+kernel call and serves the window's later chunks from those labels until it
+trains again. Each label depends only on its own row and the model's
+constants, so the labels are the ones per-chunk calls give.
 
 Module-level operation counters record how many instances were pushed
-through predict and train calls. The adaptation logic is bounded to a fixed
-small multiple of the chunk size per step, and tests read these counters to
-check that bound.
+through predict and train calls, per scored chunk, whether or not its labels
+were computed ahead. The adaptation logic is bounded to a fixed small
+multiple of the chunk size per step, and tests read these counters to check
+that bound.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -91,6 +100,31 @@ def _chunk_stats(chunk: Chunk) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     return stats
 
 
+class Window:
+    """Consecutive chunks of one stream pass, whose rows a model that has
+    stopped training scores in one kernel call.
+
+    Building a window tags each chunk: ``chunk.cache["window"]`` holds
+    ``(window, position)``. The chunks' features are concatenated the first
+    time a model asks for rows ahead. A window holds the chunks' feature
+    arrays, not the chunks, so the tags make no reference cycle and a pass's
+    chunks are freed as soon as nothing uses them.
+    """
+
+    def __init__(self, chunks):
+        self._parts = [chunk.X for chunk in chunks]
+        self.starts = list(accumulate(map(len, chunks), initial=0))
+        self._X = None
+        for position, chunk in enumerate(chunks):
+            chunk.cache["window"] = (self, position)
+
+    def rows_from(self, position: int) -> np.ndarray:
+        """The features of every row from chunk ``position`` to the window's end."""
+        if self._X is None:
+            self._X = np.concatenate(self._parts, dtype=np.float64)
+        return self._X[self.starts[position]:]
+
+
 class GaussianNB:
     """Gaussian naive Bayes with incremental chunk training.
 
@@ -104,6 +138,9 @@ class GaussianNB:
         self._means = np.empty((0, 0), dtype=np.float64)
         self._m2 = np.empty((0, 0), dtype=np.float64)
         self._predict_params: tuple[np.ndarray, ...] | None = None
+        # (window, position, labels): read-only labels of the window's rows
+        # from chunk ``position`` on, computed ahead for the current state
+        self._ahead: tuple[Window, int, np.ndarray] | None = None
 
     @property
     def is_fitted(self) -> bool:
@@ -126,18 +163,16 @@ class GaussianNB:
     def _admit_classes(self, labels: np.ndarray, n_features: int) -> None:
         if labels.shape == self._classes.shape and (labels == self._classes).all():
             return
-        # a fresh model adopts the chunk's labels, which are sorted and unique
-        merged = np.union1d(self._classes, labels) if self.is_fitted else labels
+        merged = np.union1d(self._classes, labels)
         if merged.shape == self._classes.shape:
             return
         counts = np.zeros(merged.shape[0])
         means = np.zeros((merged.shape[0], n_features))
         m2 = np.zeros((merged.shape[0], n_features))
-        if self.is_fitted:
-            old_pos = np.searchsorted(merged, self._classes)
-            counts[old_pos] = self._counts
-            means[old_pos] = self._means
-            m2[old_pos] = self._m2
+        old_pos = np.searchsorted(merged, self._classes)
+        counts[old_pos] = self._counts
+        means[old_pos] = self._means
+        m2[old_pos] = self._m2
         self._classes, self._counts, self._means, self._m2 = merged, counts, means, m2
 
     def train(self, chunk: Chunk) -> "GaussianNB":
@@ -145,7 +180,19 @@ class GaussianNB:
             raise ModelError("cannot train on an empty chunk")
         self._require_width(chunk.X)
         labels, counts, means, m2 = _chunk_stats(chunk)
-        self._admit_classes(labels, chunk.X.shape[1])
+        if self.is_fitted:
+            self._merge(labels, counts, means, m2, chunk.X.shape[1])
+        else:
+            # a fresh model adopts the chunk's read-only statistics: a merge
+            # into zeros gives the same values, but turns a -0.0 mean into +0.0
+            self._classes, self._counts, self._means, self._m2 = labels, counts, means, m2
+        self._predict_params = None
+        self._ahead = None
+        op_counts.train_instances += chunk.X.shape[0]
+        return self
+
+    def _merge(self, labels, counts, means, m2, n_features: int) -> None:
+        self._admit_classes(labels, n_features)
         if labels.shape[0] == self._classes.shape[0]:
             b_counts, b_means, b_m2 = counts, means, m2
         else:
@@ -171,9 +218,6 @@ class GaussianNB:
         m2 = self._m2 + b_m2
         m2 += delta
         self._counts, self._means, self._m2 = n_ab, means, m2
-        self._predict_params = None
-        op_counts.train_instances += chunk.X.shape[0]
-        return self
 
     def _params_for(self, X: np.ndarray) -> tuple[np.ndarray, ...]:
         """Check that the model can score ``X``; return its cached kernel constants."""
@@ -191,14 +235,38 @@ class GaussianNB:
             self._predict_params = kernels.predict_params(log_priors, self._means, variances)
         return self._predict_params
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
+    def predict(self, X: np.ndarray, window: tuple[Window, int] | None = None) -> np.ndarray:
+        """Class labels of the rows of ``X``.
+
+        ``window`` is the ``(window, position)`` tag of the chunk whose
+        features ``X`` holds. A model that has scored a chunk since its last
+        ``train`` then predicts the window's rows from that chunk on in one
+        kernel call, keeps the labels (read-only) and slices them for the
+        window's later chunks.
+        """
+        n_rows = X.shape[0]
+        if window is not None and self._ahead is not None:
+            kept, start, labels = self._ahead
+            if window[0] is kept and window[1] >= start:
+                lo = kept.starts[window[1]] - kept.starts[start]
+                op_counts.predict_instances += n_rows
+                return labels[lo:lo + n_rows]
         X = np.ascontiguousarray(X, dtype=np.float64)
-        idx = kernels.predict_indices(X, self._params_for(X))
-        op_counts.predict_instances += X.shape[0]
-        return self._classes[idx]
+        ahead = window is not None and self._predict_params is not None
+        params = self._params_for(X)
+        if ahead:
+            labels = self._classes[kernels.predict_indices(window[0].rows_from(window[1]), params)]
+            labels.setflags(write=False)
+            self._ahead = (*window, labels)
+            labels = labels[:n_rows]
+        else:
+            labels = self._classes[kernels.predict_indices(X, params)]
+        op_counts.predict_instances += n_rows
+        return labels
 
     def copy(self) -> "GaussianNB":
-        # sharing the arrays is safe: train and _admit_classes only rebind them
+        # sharing the arrays is safe: train and _admit_classes only rebind
+        # them; a copy has the same constants, so it shares the kept labels too
         twin = type(self).__new__(type(self))
         twin.__dict__.update(self.__dict__)
         return twin
@@ -224,6 +292,8 @@ def evaluate(model: GaussianNB, chunk: Chunk, detector) -> EvalOutcome:
     """
     if len(chunk) == 0:
         raise ModelError(f"cannot evaluate on an empty chunk (chunk {chunk.index})")
+    if type(model) is GaussianNB:
+        return _score(model.predict(chunk.X, chunk.cache.get("window")), chunk, detector)
     return _score(model.predict(chunk.X), chunk, detector)
 
 

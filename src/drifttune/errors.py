@@ -39,7 +39,13 @@ def check_count(name: str, value: int, minimum: int = 0) -> None:
 
 
 def check_real(name: str, value: float) -> None:
-    """Raise ConfigError unless ``value`` is a real number, not a bool and not
-    NaN (every comparison with NaN is false, so it would pass range checks)."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool) or math.isnan(value):
-        raise ConfigError(f"{name} must be a number (not a bool or NaN), got {value!r}")
+    """Raise ConfigError unless ``value`` is a real number, not a bool, not NaN
+    (every comparison with NaN is false, so it would pass range checks) and
+    not too large for a float."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            if not math.isnan(value):
+                return
+        except OverflowError:
+            raise ConfigError(f"{name} must fit in a float, got a number too large for one") from None
+    raise ConfigError(f"{name} must be a number (not a bool or NaN), got {value!r}")

@@ -11,7 +11,13 @@ chunk 1, so every trace has exactly one row per chunk.
 
 One run is one (config, seed) pass: each chunk is built once and fed to
 every method in lockstep, so the methods share the chunk and its cached
-class statistics. Run seed k replaces the stream seed and, for monitors
+class statistics. The pass walks the stream in windows of about
+``WINDOW_ROWS`` rows (at least one chunk): it builds a window's chunks
+before stepping through them, so a model that has stopped training, as a
+sporadic model does between alarms, can score the window's rows ahead in
+one kernel call (see :class:`~drifttune.classifier.Window`). Continual
+models train after every chunk and races score chunk by chunk, so neither
+scores ahead, and a pass of continual policies builds no windows. Run seed k replaces the stream seed and, for monitors
 that subsample (kswin), the subsample seed. Monitors that scale deviations
 by a per-update sample count get that count set to the chunk size unless
 a config override pins it.
@@ -30,13 +36,19 @@ from typing import Callable, Sequence
 
 import yaml
 
-from .classifier import GaussianNB
+from .classifier import GaussianNB, Window
 from .detectors import MONITOR_TYPES, DriftMonitor, make_monitor, params_from_dict
 from .dtd import DtdState, baseline_step, check_policy, dtd_step
 from .errors import ConfigError, ReportError, check_count
 from .stream import Stream, StreamConfig, make_stream
 
 METHODS = ("baseline", "dtd")
+WINDOW_ROWS = 2048  # rows per window of chunks a stopped model scores ahead
+
+
+def _check_method(method, allowed: tuple[str, ...]) -> None:
+    if method not in allowed:
+        raise ConfigError(f"method must be one of {allowed}, got {method!r}")
 
 
 @dataclass(frozen=True)
@@ -60,8 +72,7 @@ class ExperimentConfig:
             raise ConfigError(f"experiment name must be a non-empty path-safe string, got {self.name!r}")
         if not isinstance(self.out, str) or "\0" in self.out:
             raise ConfigError(f"out must be a path string, got {self.out!r}")
-        if self.method not in METHODS + ("both",):
-            raise ConfigError(f"method must be baseline, dtd, or both, got {self.method!r}")
+        _check_method(self.method, METHODS + ("both",))
         check_policy(self.race_len, self.eta, self.mode)
         object.__setattr__(self, "eta", float(self.eta))
         seeds = self.seeds
@@ -149,7 +160,9 @@ def run_policies(stream: Stream, policies: Sequence[tuple[Callable, DtdState]],
     """Run every (step, state) policy over one pass of the stream.
 
     Each state's model trains on chunk 0, which is the warm-up row; then
-    every later chunk is built once and passed to each step in turn.
+    every later chunk is built once, a window of chunks at a time, and
+    passed to each step in turn. A pass whose policies all train
+    continually builds one chunk at a time and no windows.
     """
     if len(stream) < 2:
         raise ConfigError("a run needs at least two chunks: one warm-up, one evaluated")
@@ -159,11 +172,18 @@ def run_policies(stream: Stream, policies: Sequence[tuple[Callable, DtdState]],
         state.primary_model.train(warmup)
         traces.append(RunTrace(seed=seed))
         traces[-1].append(0, math.nan, math.nan, state.primary_detector.threshold, False, "warmup")
-    for i in range(1, len(stream)):
-        chunk = stream.chunk(i)
-        for (step, state), trace in zip(policies, traces):
-            out = step(state, chunk)
-            trace.append(i, out.accuracy, out.statistic, out.threshold, out.alarm, out.phase)
+    # continual models train after every chunk, so none of them scores ahead
+    continual = all(state.continual for _, state in policies)
+    per_window = 1 if continual else max(1, WINDOW_ROWS // len(warmup))
+    for first in range(1, len(stream), per_window):
+        indices = range(first, min(first + per_window, len(stream)))
+        chunks = [stream.chunk(i) for i in indices]
+        if len(chunks) > 1:
+            Window(chunks)  # tags each chunk with the window and its position
+        for i, chunk in zip(indices, chunks):
+            for (step, state), trace in zip(policies, traces):
+                out = step(state, chunk)
+                trace.append(i, out.accuracy, out.statistic, out.threshold, out.alarm, out.phase)
     return traces
 
 
@@ -188,8 +208,7 @@ def run_single(config: ExperimentConfig, seed: int,
     # looked up per call, so a step patched on the module is the one that runs
     steps = {"baseline": baseline_step, "dtd": dtd_step}
     for method in methods:
-        if method not in steps:
-            raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
+        _check_method(method, METHODS)
     stream = make_stream(dataclasses.replace(config.stream, seed=seed))
     policies = [(steps[m], DtdState(GaussianNB(), detector_for_run(config, seed),
                                     config.race_len, config.eta, config.mode))

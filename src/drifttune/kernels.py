@@ -5,7 +5,9 @@ per-chunk class statistics, in numpy.
 classifier caches the result on the chunk and merges it into each model
 that trains on that chunk. ``predict_params`` runs once per model state:
 the classifier caches its per-model constants until the next ``train``.
-``predict_indices`` runs once per predict call; a race chunk scores all
+``predict_indices`` runs once per predict call that the classifier cannot
+serve from labels it computed ahead: a model that has stopped training
+scores the rest of a window of chunks in one call. A race chunk scores all
 three candidates with one ``joint_log_likelihood`` call.
 
 These run on every chunk, so they keep the number of numpy calls small:

@@ -7,7 +7,8 @@ own smoke test is not part of this suite; this test loads the tracer
 (read-only) and checks every entry point it would patch. A kernel span
 counts only calls made through the ``kernels`` module attribute, so the
 classifier must keep calling ``kernels.predict_indices`` and
-``kernels.class_stats`` that way, or those spans go silently empty.
+``kernels.class_stats`` that way, or those spans go silently empty; a
+sporadic model scores a window ahead through the same attribute.
 ``RaceProbe`` in ``e2ebench/run.py`` wraps ``dtd_step``: it brackets each
 call with ``classifier.op_counts.snapshot()``, sorts the step by its
 outcome's ``phase`` and ``alarm``, and counts ``winner.name``.
@@ -77,6 +78,22 @@ def test_a_run_computes_each_chunks_statistics_once(kernel_calls):
     kernel_calls.clear()
     run_experiment(config, method="dtd", write=False)
     assert kernel_calls["class_stats"] == 2 * 30
+
+
+def test_a_sporadic_run_scores_ahead_and_trains_each_chunk_once(kernel_calls):
+    stream = StreamConfig(kind="sine", n_chunks=60, chunk_size=100, drift_period=10)
+    config = ExperimentConfig(name="cell", stream=stream, detector="ddm", mode="sporadic",
+                              seeds=(0, 1))
+    traces = run_experiment(config, method="baseline", write=False)["baseline"].traces
+    scored = 2 * 59
+    # a frozen model scores a window of 20 chunks with about one kernel call
+    assert kernel_calls["predict_indices"] < scored // 4
+    # a sporadic baseline trains on the warm-up chunk and on each alarming chunk
+    assert kernel_calls["class_stats"] == sum(1 + len(t.alarm_chunks) for t in traces)
+    kernel_calls.clear()
+    run_experiment(config, method="dtd", write=False)
+    assert kernel_calls["predict_indices"] < scored // 4
+    assert kernel_calls["class_stats"] <= 2 * 60
 
 
 def test_a_race_step_returns_what_the_race_probe_reads():

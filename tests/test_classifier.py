@@ -1,6 +1,8 @@
 """Incremental Gaussian naive Bayes and the evaluate step."""
 
+import gc
 import math
+import weakref
 from collections import deque
 
 import numpy as np
@@ -9,7 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drifttune import kernels
-from drifttune.classifier import GaussianNB, _relabel, adapt, evaluate, evaluate_all, op_counts
+from drifttune.classifier import (GaussianNB, Window, _relabel, adapt, evaluate, evaluate_all,
+                                  op_counts)
 from drifttune.detectors import DETECTOR_KINDS, make_monitor
 from drifttune.dtd import Candidate, eval_candidates, respond
 from drifttune.errors import ModelError
@@ -119,8 +122,8 @@ def reference_train(model, chunk):
     """The row-wise training path: admit the chunk's labels, index every row
     into the model's classes, gather each class's rows for its count, mean
     and M2, then merge by Chan's formulas as the digests were recorded with
-    them. The per-chunk cache and the merge must give the same arrays bit for
-    bit."""
+    them; a fresh model takes the gathered statistics as they are. The
+    per-chunk cache and the merge must give the same arrays bit for bit."""
     X = np.ascontiguousarray(chunk.X, dtype=np.float64)
     y = np.asarray(chunk.y, dtype=np.int64)
     classes = np.union1d(model["classes"], y)
@@ -136,6 +139,8 @@ def reference_train(model, chunk):
         if rows.shape[0]:
             n_b[c], b_means[c] = rows.shape[0], rows.mean(axis=0)
             b_m2[c] = ((rows - b_means[c]) ** 2).sum(axis=0)
+    if not model["classes"].shape[0]:
+        return {"classes": classes, "counts": n_b, "means": b_means, "m2": b_m2}
     n_ab = counts + n_b
     seen = n_ab > 0
     delta = b_means - means
@@ -192,6 +197,9 @@ class TestExactness:
               chunk_of([[7.0], [6.5], [1.0]], [2, 2, 0], index=2)])
     @example([chunk_of([[1.0, -2.0], [3.0, 0.25]], [-3, 5]),
               chunk_of([[2.0, 2.0], [4.0, 1.0], [0.0, 0.0]], [5, 9, 5], index=1)])
+    # a -0.0 mean, which a fresh model keeps and a merge turns into +0.0
+    @example([chunk_of([[-5e-324, 1.0], [-0.0, 2.0]], [0, 0]),
+              chunk_of([[1.0, 1.0]], [0], index=1)])
     def test_cached_statistics_match_row_wise_path(self, chunks):
         expected = {"classes": np.empty(0, dtype=np.int64), "counts": None, "means": None, "m2": None}
         model = GaussianNB()
@@ -240,6 +248,56 @@ class TestExactness:
         after = model.predict(probe)
         assert not np.array_equal(before, after)
         assert np.array_equal(after, GaussianNB().train(a).train(b).predict(probe))
+
+
+def zero_state_model(labels, n_features):
+    """A model that knows ``labels`` with zero counts and statistics: training
+    it runs the Chan merge into zeros that a fresh model's first train ran
+    before it adopted the chunk's statistics."""
+    model = GaussianNB()
+    model._classes = np.asarray(labels)
+    model._counts = np.zeros(model._classes.shape[0])
+    model._means = np.zeros((model._classes.shape[0], n_features))
+    model._m2 = np.zeros_like(model._means)
+    return model
+
+
+class TestFreshModelAdoption:
+    @settings(max_examples=200, deadline=None)
+    @given(chunkings())
+    @example([chunk_of([[-5e-324], [-0.0], [3.0]], [0, 0, 1])])
+    # a tiny floored variance overflows a log-density to inf in both models alike
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_adopted_and_merged_models_agree(self, chunks):
+        first = chunks[0]
+        adopted = GaussianNB().train(first)
+        merged = zero_state_model(np.unique(first.y), first.X.shape[1]).train(first)
+        for name in ("_classes", "_counts", "_means", "_m2"):
+            # equal as numbers: the arrays may differ only in the sign of a zero
+            assert np.array_equal(getattr(adopted, name), getattr(merged, name))
+        probe = np.vstack([c.X for c in chunks])
+        assert np.array_equal(adopted.predict(probe), merged.predict(probe))
+        for chunk in chunks[1:]:
+            adopted.train(chunk)
+            merged.train(chunk)
+        assert np.array_equal(adopted.predict(probe), merged.predict(probe))
+
+    def test_adoption_keeps_a_negative_zero_mean(self):
+        chunk = chunk_of([[-5e-324], [-0.0], [3.0]], [0, 0, 1])
+        adopted = GaussianNB().train(chunk)
+        merged = zero_state_model([0, 1], 1).train(chunk)
+        assert np.signbit(adopted._means[0, 0]) and not np.signbit(merged._means[0, 0])
+        probe = np.array([[-1.0], [0.0], [1.5], [2.0]])
+        assert np.array_equal(adopted.predict(probe), merged.predict(probe))
+
+    def test_fresh_model_shares_the_chunks_read_only_statistics(self):
+        chunk = chunk_of([[1.0, 2.0], [3.0, 5.0]], [0, 1])
+        model = GaussianNB().train(chunk)
+        assert not model._means.flags.writeable
+        means = model._means.copy()
+        model.train(chunk_of([[9.0, 9.0]], [1], index=1))
+        # the merge rebinds, so the chunk's cached statistics are untouched
+        assert np.array_equal(chunk.cache["class_stats"][2], means)
 
 
 class TestMergeInvariant:
@@ -522,6 +580,126 @@ class TestRelabel:
         for array, want in zip(got, expected, strict=True):
             assert array.dtype == want.dtype
             assert np.array_equal(array, want)
+
+
+def window_of(n_chunks=4, rows=25, seed=0):
+    """A tagged window over a small sine stream, plus the chunk before it."""
+    chunks = list(make_stream(StreamConfig(kind="sine", seed=seed, n_chunks=n_chunks + 1,
+                                           chunk_size=rows, drift_period=100)))
+    Window(chunks[1:])
+    return chunks[0], chunks[1:]
+
+
+@pytest.fixture
+def predict_calls(monkeypatch):
+    calls = []
+
+    def counting(X, params, _kernel=kernels.predict_indices):
+        calls.append(X.shape[0])
+        return _kernel(X, params)
+
+    monkeypatch.setattr(kernels, "predict_indices", counting)
+    return calls
+
+
+class TestScoringAhead:
+    def test_a_stopped_model_scores_the_rest_of_the_window_in_one_call(self, predict_calls):
+        warmup, chunks = window_of()
+        model = GaussianNB().train(warmup)
+        outcomes = [evaluate(model, c, RecordingDetector()) for c in chunks]
+        # the first chunk after a train is scored alone, the second reads ahead
+        assert predict_calls == [25, 75]
+        fresh = GaussianNB().train(warmup)
+        assert [o.accuracy for o in outcomes] == [
+            float(np.mean(fresh.predict(c.X) == c.y)) for c in chunks]
+
+    def test_window_tags_each_chunk_with_its_position(self):
+        _, chunks = window_of()
+        window = chunks[0].cache["window"][0]
+        assert isinstance(window, Window)
+        assert [c.cache["window"] for c in chunks] == [(window, i) for i in range(4)]
+        assert window.starts == [0, 25, 50, 75, 100]
+        assert np.array_equal(window.rows_from(2), np.vstack([c.X for c in chunks[2:]]))
+
+    def test_tags_make_no_reference_cycle(self):
+        # chunks freed by reference counting alone, without waiting for the
+        # cyclic collector, keep a pass's memory flat
+        gc.disable()
+        try:
+            warmup, chunks = window_of()
+            model = GaussianNB().train(warmup)
+            for chunk in chunks:
+                model.predict(chunk.X, chunk.cache["window"])
+            refs = [weakref.ref(chunk) for chunk in chunks]
+            del chunk, chunks
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
+
+    def test_served_labels_equal_fresh_predictions_and_are_read_only(self, predict_calls):
+        warmup, chunks = window_of()
+        model = GaussianNB().train(warmup)
+        model.predict(chunks[0].X, chunks[0].cache["window"])
+        for chunk in chunks[1:]:
+            served = model.predict(chunk.X, chunk.cache["window"])
+            assert not served.flags.writeable
+            assert np.array_equal(served, model.predict(chunk.X))
+        assert predict_calls[:2] == [25, 75]
+
+    def test_train_drops_the_kept_labels(self, predict_calls):
+        warmup, chunks = window_of()
+        model = GaussianNB().train(warmup)
+        for chunk in chunks[:2]:
+            model.predict(chunk.X, chunk.cache["window"])
+        assert model._ahead is not None
+        model.train(chunks[1])
+        assert model._ahead is None and model._predict_params is None
+        got = model.predict(chunks[2].X, chunks[2].cache["window"])
+        # retrained: scored alone, with the new constants
+        assert predict_calls == [25, 75, 25]
+        assert np.array_equal(got, GaussianNB().train(warmup).train(chunks[1]).predict(chunks[2].X))
+
+    def test_copy_shares_the_kept_labels(self, predict_calls):
+        warmup, chunks = window_of()
+        model = GaussianNB().train(warmup)
+        for chunk in chunks[:2]:
+            model.predict(chunk.X, chunk.cache["window"])
+        twin = model.copy()
+        assert twin._ahead is model._ahead
+        twin.predict(chunks[2].X, chunks[2].cache["window"])
+        assert predict_calls == [25, 75]
+        twin.train(chunks[2])
+        assert twin._ahead is None and model._ahead is not None
+
+    def test_an_untagged_chunk_is_never_served_from_kept_labels(self, predict_calls):
+        warmup, chunks = window_of()
+        model = GaussianNB().train(warmup)
+        for chunk in chunks[:2]:
+            model.predict(chunk.X, chunk.cache["window"])
+        untagged = Chunk(chunks[2].index, chunks[2].X, chunks[2].y)
+        for _ in range(2):
+            evaluate(model, untagged, RecordingDetector())
+        assert predict_calls == [25, 75, 25, 25]
+
+    def test_another_window_scores_ahead_from_its_own_rows(self, predict_calls):
+        warmup, chunks = window_of(n_chunks=6)
+        first, second = chunks[:3], chunks[3:]
+        Window(first)
+        Window(second)
+        model = GaussianNB().train(warmup)
+        for chunk in chunks:
+            got = model.predict(chunk.X, chunk.cache["window"])
+            assert np.array_equal(got, model.predict(chunk.X))
+        ahead = [n for n in predict_calls if n != 25]
+        assert ahead == [50, 75]
+
+    def test_op_counts_count_the_rows_of_each_scored_chunk(self):
+        warmup, chunks = window_of()
+        model = GaussianNB().train(warmup)
+        op_counts.reset()
+        for chunk in chunks:
+            evaluate(model, chunk, RecordingDetector())
+        assert op_counts.snapshot() == (100, 0)
 
 
 class TestOpCounts:

@@ -509,6 +509,9 @@ class TestFactories:
         (PhParams, {"delta": math.nan}),
         (KswinParams, {"threshold": math.nan}),
         (HddmWParams, {"threshold": math.nan}),
+        # an int no float can hold
+        (DdmParams, {"threshold": 10**400}),
+        (HddmAParams, {"alpha": -(10**400)}),
     ])
     def test_badly_typed_params_rejected(self, cls, bad):
         (name,) = bad

@@ -124,6 +124,7 @@ class TestStateConstruction:
         ({"eta": None}, "eta"),
         ({"eta": True}, "eta"),
         ({"eta": math.nan}, "eta"),
+        ({"eta": 10**400}, "eta must fit in a float"),  # math.isnan raises OverflowError
     ])
     def test_badly_typed_settings_rejected(self, kw, match):
         model = FirstLabelModel().train(chunk_from_labels([0]))

@@ -8,12 +8,14 @@ import tempfile
 from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drifttune.detectors import DETECTOR_KINDS, KswinParams, make_monitor, params_from_dict
 from drifttune.classifier import GaussianNB, op_counts
-from drifttune.dtd import TRAINING_MODES, DtdState, dtd_step
+from drifttune import harness
+from drifttune.dtd import TRAINING_MODES, DtdState, baseline_step, dtd_step
 from drifttune.errors import ConfigError, ReportError
 from drifttune.harness import (
     METHODS,
@@ -28,6 +30,7 @@ from drifttune.harness import (
     load_config_dir,
     render_table,
     run_experiment,
+    run_policies,
     run_single,
     run_suite,
     summarize,
@@ -35,7 +38,7 @@ from drifttune.harness import (
     write_result,
 )
 from drifttune.stream import StreamConfig, make_stream
-from drifttune.theory import ThresholdStrategy, policy_trace
+from drifttune.theory import ThresholdStrategy, _FlippedStream, policy_trace, policy_traces
 
 
 def small_config(name="cell", detector="ddm", seeds=(0, 1), **kw):
@@ -287,6 +290,14 @@ class TestRunSingle:
         with pytest.raises(ConfigError, match="method"):
             run_single(small_config(), 0, ("baseline", "hybrid"))
 
+    def test_one_text_for_the_method_rule(self):
+        with pytest.raises(ConfigError) as run_error:
+            run_single(small_config(), 0, methods=("x",))
+        assert str(run_error.value) == "method must be one of ('baseline', 'dtd'), got 'x'"
+        with pytest.raises(ConfigError) as config_error:
+            small_config(method="x")
+        assert str(config_error.value) == "method must be one of ('baseline', 'dtd', 'both'), got 'x'"
+
 
 # monitor settings that alarm on short streams of small chunks, so races happen
 ALARMING_OVERRIDES = {
@@ -343,6 +354,44 @@ class TestOnePassProperties:
             run_suite(configs, serial, parallel=1)
             run_suite(configs, parallel, parallel=2)
             assert tree_bytes(serial) == tree_bytes(parallel)
+
+
+def window_traces(window_rows, config, seed, flip):
+    """CSV text of both methods' traces and of two threshold oracles (adapt
+    on every chunk from ``flip`` on, never adapt) in the config's mode, over
+    the stream with chunk ``flip`` label-reversed, with the runner's windows
+    set to ``window_rows`` rows."""
+    stream_config = dataclasses.replace(config.stream, seed=seed)
+    policies = [(step, DtdState(GaussianNB(), detector_for_run(config, seed),
+                                config.race_len, config.eta, config.mode))
+                for step in (baseline_step, dtd_step)]
+    oracles = [ThresholdStrategy(((0, math.inf), (flip, -math.inf))),
+               ThresholdStrategy.constant(math.inf)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "WINDOW_ROWS", window_rows)
+        traces = run_policies(_FlippedStream(stream_config, flip), policies, seed)
+        traces += policy_traces(_FlippedStream(stream_config, flip), oracles,
+                                detector=config.detector, mode=config.mode,
+                                overrides=config.detector_overrides)
+    return [trace.to_csv_text() for trace in traces]
+
+
+@pytest.mark.parametrize("mode", TRAINING_MODES)
+@pytest.mark.parametrize("detector", DETECTOR_KINDS)
+class TestWindows:
+    """Scoring a window ahead changes no byte: one-row windows (one chunk
+    each, so nothing is scored ahead), three-chunk windows and the default
+    agree."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_window_size_changes_no_trace_byte(self, detector, mode, data):
+        config = data.draw(small_configs(detector, mode))
+        seed = config.seeds[0]
+        flip = data.draw(st.integers(1, config.stream.n_chunks - 1), label="flip")
+        sizes = (1, 3 * config.stream.chunk_size, harness.WINDOW_ROWS)
+        texts = [window_traces(rows, config, seed, flip) for rows in sizes]
+        assert texts[0] == texts[1] == texts[2]
 
 
 class TestRaceCostBound:
@@ -760,6 +809,17 @@ out: elsewhere
         path.write_text(f"stream: {{kind: sea}}\ndetector: {{kind: ddm}}\n{text}\n")
         with pytest.raises(ConfigError, match="cell.yaml"):
             load_config(path)
+
+    @pytest.mark.parametrize("text,match", [
+        (f"eta: 1{'0' * 400}", "eta must fit in a float"),
+        (f"stream: {{kind: sea, noise: 1{'0' * 400}}}", "noise must fit in a float"),
+        (f"detector: {{kind: ddm, threshold: 1{'0' * 400}}}",
+         "DdmParams.threshold must fit in a float"),
+    ])
+    def test_yaml_number_too_large_for_a_float_rejected(self, text, match):
+        mapping = {"stream": {"kind": "sea"}, "detector": {"kind": "ddm"}, **yaml.safe_load(text)}
+        with pytest.raises(ConfigError, match=match):
+            config_from_mapping(mapping)
 
     def test_int_eta_writes_the_same_summary_from_yaml_and_api(self, tmp_path):
         path = tmp_path / "cell.yaml"
