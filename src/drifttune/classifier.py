@@ -32,7 +32,6 @@ that bound.
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +40,7 @@ from .errors import ModelError
 from .stream import Chunk
 
 VARIANCE_FLOOR_SCALE = 1e-9
+_FLOAT_TINY = np.finfo(np.float64).tiny  # the smallest normal float
 
 
 class OpCounts:
@@ -60,11 +60,6 @@ class OpCounts:
 
 
 op_counts = OpCounts()
-
-
-class EvalOutcome(NamedTuple):
-    accuracy: float
-    statistic: float
 
 
 def _relabel(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -231,6 +226,8 @@ class GaussianNB:
             top = variances.max(axis=0)
             floor = np.where(top > 0.0, top, 1.0)
             floor *= VARIANCE_FLOOR_SCALE
+            # a subnormal top variance would scale the floor down to zero
+            np.maximum(floor, _FLOAT_TINY, out=floor)
             np.maximum(variances, floor, out=variances)
             self._predict_params = kernels.predict_params(log_priors, self._means, variances)
         return self._predict_params
@@ -277,18 +274,19 @@ def adapt(model: GaussianNB, chunk: Chunk) -> GaussianNB:
     return type(model)().train(chunk)
 
 
-def _score(predicted: np.ndarray, chunk: Chunk, detector) -> EvalOutcome:
+def _score(predicted: np.ndarray, chunk: Chunk, detector) -> float:
     # count / n is correctly rounded, as np.mean of the bool array is
     accuracy = np.count_nonzero(predicted == chunk.y) / len(chunk)
     detector.update(1.0 - accuracy)
-    return EvalOutcome(accuracy=accuracy, statistic=detector.statistic)
+    return accuracy
 
 
-def evaluate(model: GaussianNB, chunk: Chunk, detector) -> EvalOutcome:
-    """Score a frozen model on a chunk and push the error rate to a detector.
+def evaluate(model: GaussianNB, chunk: Chunk, detector) -> float:
+    """Score a frozen model on a chunk, push the error rate to a detector and
+    return the accuracy.
 
     The model is not trained here. The detector sees exactly one update, the
-    chunk error rate, and the outcome carries its statistic after that update.
+    chunk error rate; callers read its statistic from the detector.
     """
     if len(chunk) == 0:
         raise ModelError(f"cannot evaluate on an empty chunk (chunk {chunk.index})")
@@ -297,7 +295,7 @@ def evaluate(model: GaussianNB, chunk: Chunk, detector) -> EvalOutcome:
     return _score(model.predict(chunk.X), chunk, detector)
 
 
-def evaluate_all(models, chunk: Chunk, detectors) -> list[EvalOutcome]:
+def evaluate_all(models, chunk: Chunk, detectors) -> list[float]:
     """``[evaluate(m, chunk, d) for m, d in zip(models, detectors)]`` with one
     kernel call on the models' constants stacked along the class axis (for
     this chunk only); each model takes the argmax of its own slice. Other

@@ -5,6 +5,11 @@ configs, ``report`` summarizes previously stored results, and
 ``validate-theory`` runs the closed-form checks and prints their JSON
 report. Exit codes: 0 success, 1 configuration error, 2 runtime error
 (including a failed theory validation).
+
+The flags of ``run`` and ``suite`` other than ``--parallel`` each replace
+one field of every loaded config (``--out``, ``--seeds``, ``--method``);
+a flag left out keeps the config's value. The harness then reads only
+the configs.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, DriftTuneError
-from .harness import (load_config, load_config_dir, render_table, run_experiment,
+from .harness import (METHODS, load_config, load_config_dir, render_table, run_experiment,
                       run_suite, summarize, summarize_stored, write_suite_summary)
 from .theory import validate_theory
 
@@ -44,27 +49,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _add_run_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None, help="output directory (default: the config's)")
-    sub.add_argument("--seeds", type=int, default=None, help="override seeds with 0..N-1")
+    sub.add_argument("--seeds", type=int, default=None, help="run seeds 0..N-1 (default: the config's)")
     sub.add_argument("--parallel", type=int, default=1, help="worker processes over (config, seed)")
-    sub.add_argument("--method", choices=("baseline", "dtd", "both"), default=None,
-                     help="restrict to one method (default: the config's)")
+    sub.add_argument("--method", choices=METHODS + ("both",), default=None,
+                     help="methods to run (default: the config's)")
 
 
-def _override_seeds(config, n: int | None):
-    return config if n is None else dataclasses.replace(config, seeds=n)
+def _override(config, args):
+    """The config with each run flag that was given in place of its field."""
+    given = {"out": args.out, "seeds": args.seeds, "method": args.method}
+    return dataclasses.replace(config, **{k: v for k, v in given.items() if v is not None})
 
 
 def _cmd_run(args) -> int:
-    config = _override_seeds(load_config(args.config), args.seeds)
-    results = run_experiment(config, method=args.method, parallel=args.parallel,
-                             out=args.out)
+    config = _override(load_config(args.config), args)
+    results = run_experiment(config, parallel=args.parallel)
     print(render_table(summarize(list(results.values()))), end="")
     return 0
 
 
 def _cmd_suite(args) -> int:
-    configs = [_override_seeds(c, args.seeds) for c in load_config_dir(args.config)]
-    _, report = run_suite(configs, args.out, parallel=args.parallel, method=args.method)
+    configs = [_override(c, args) for c in load_config_dir(args.config)]
+    _, report = run_suite(configs, parallel=args.parallel)
     print(render_table(report), end="")
     return 0
 

@@ -121,10 +121,10 @@ def respond(model: GaussianNB, chunk: Chunk, detector: DriftMonitor,
     return model
 
 
-def create_candidates(state: DtdState, chunk: Chunk, accuracy: float,
-                      statistic: float) -> list[Candidate]:
+def create_candidates(state: DtdState, chunk: Chunk, accuracy: float) -> list[Candidate]:
     """Build the three candidates for an alarm on ``chunk`` that the primary
-    model scored ``accuracy`` on, with its detector at ``statistic``.
+    model scored ``accuracy`` on; PM's threshold starts just above the
+    primary detector's alarming statistic.
 
     EDM starts as a fresh model of the primary's type trained only on
     ``state.prev_chunk``; ``adapt`` reads nothing of the model but its type.
@@ -140,12 +140,12 @@ def create_candidates(state: DtdState, chunk: Chunk, accuracy: float,
 
     edm = Candidate(adapt(model, state.prev_chunk), detector.fresh(), [])
     edm.detector.threshold = state.prev_statistic
-    edm.accuracy_log.append(evaluate(edm.model, chunk, edm.detector).accuracy)
+    edm.accuracy_log.append(evaluate(edm.model, chunk, edm.detector))
     # the earlier hypothesis may alarm on the current chunk too: then re-adapt
     edm.model = respond(edm.model, chunk, edm.detector, state.continual)
 
     pm = Candidate(model.copy(), detector.fresh(), [accuracy])
-    pm.detector.threshold = statistic + state.eta
+    pm.detector.threshold = detector.statistic + state.eta
     if state.continual:
         pm.model.train(chunk)
     return [edm, rdm, pm]
@@ -157,12 +157,12 @@ def eval_candidates(candidates: list[Candidate] | None, chunk: Chunk, *,
     call, then log and update each in EDM, RDM, PM order."""
     if candidates is None:
         raise PhaseError("no comparison phase is active")
-    outcomes = evaluate_all([c.model for c in candidates], chunk,
-                            [c.detector for c in candidates])
-    for candidate, (accuracy, _) in zip(candidates, outcomes):
+    accuracies = evaluate_all([c.model for c in candidates], chunk,
+                              [c.detector for c in candidates])
+    for candidate, accuracy in zip(candidates, accuracies):
         candidate.accuracy_log.append(accuracy)
         candidate.model = respond(candidate.model, chunk, candidate.detector, continual)
-    return [accuracy for accuracy, _ in outcomes]
+    return accuracies
 
 
 def finalize_comparison(candidates: list[Candidate] | None) -> CandidateKind:
@@ -174,8 +174,8 @@ def finalize_comparison(candidates: list[Candidate] | None) -> CandidateKind:
 
 def baseline_step(state: DtdState, chunk: Chunk) -> StepOutcome:
     """Fixed threshold: an alarm adapts on the chunk and resets the monitor."""
-    accuracy, statistic = evaluate(state.primary_model, chunk, state.primary_detector)
-    alarm = state.primary_detector.alarm
+    accuracy = evaluate(state.primary_model, chunk, state.primary_detector)
+    statistic, alarm = state.primary_detector.statistic, state.primary_detector.alarm
     state.primary_model = respond(state.primary_model, chunk, state.primary_detector,
                                   state.continual)
     return StepOutcome(accuracy=accuracy, statistic=statistic,
@@ -200,11 +200,11 @@ def dtd_step(state: DtdState, chunk: Chunk) -> StepOutcome:
                            threshold=state.primary_detector.threshold, alarm=False,
                            phase="comparison", winner=winner)
 
-    accuracy, statistic = evaluate(state.primary_model, chunk, state.primary_detector)
-    alarm = state.primary_detector.alarm
+    accuracy = evaluate(state.primary_model, chunk, state.primary_detector)
+    statistic, alarm = state.primary_detector.statistic, state.primary_detector.alarm
     if alarm and state.prev_chunk is not None:
         # the primary model is not trained: the race winner replaces it
-        state.candidates = create_candidates(state, chunk, accuracy, statistic)
+        state.candidates = create_candidates(state, chunk, accuracy)
         state.countdown = state.race_len
     else:
         # quiet, or an alarm before any history, where no race is possible

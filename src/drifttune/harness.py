@@ -9,18 +9,21 @@ resets the monitor with the threshold unchanged, the "dtd" method
 Chunk 0 is warm-up: every model trains on it and evaluation starts at
 chunk 1, so every trace has exactly one row per chunk.
 
-One run is one (config, seed) pass: each chunk is built once and fed to
-every method in lockstep, so the methods share the chunk and its cached
+An :class:`ExperimentConfig` is the only input to its runs: its stream,
+monitor, mode, methods, seeds and output directory. One run is one
+(config, seed) pass: each chunk is built once and fed to every method of
+the config in lockstep, so the methods share the chunk and its cached
 class statistics. The pass walks the stream in windows of about
 ``WINDOW_ROWS`` rows (at least one chunk): it builds a window's chunks
 before stepping through them, so a model that has stopped training, as a
 sporadic model does between alarms, can score the window's rows ahead in
 one kernel call (see :class:`~drifttune.classifier.Window`). Continual
 models train after every chunk and races score chunk by chunk, so neither
-scores ahead, and a pass of continual policies builds no windows. Run seed k replaces the stream seed and, for monitors
-that subsample (kswin), the subsample seed. Monitors that scale deviations
-by a per-update sample count get that count set to the chunk size unless
-a config override pins it.
+scores ahead, and a pass of continual policies builds no windows. Run
+seed k replaces the stream seed, which every trace of the pass records,
+and, for monitors that subsample (kswin), the subsample seed. Monitors
+that scale deviations by a per-update sample count get that count set to
+the chunk size unless a config override pins it.
 """
 
 from __future__ import annotations
@@ -46,11 +49,6 @@ METHODS = ("baseline", "dtd")
 WINDOW_ROWS = 2048  # rows per window of chunks a stopped model scores ahead
 
 
-def _check_method(method, allowed: tuple[str, ...]) -> None:
-    if method not in allowed:
-        raise ConfigError(f"method must be one of {allowed}, got {method!r}")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment cell: a stream, a monitor, a training mode, seeds. The one
@@ -72,7 +70,8 @@ class ExperimentConfig:
             raise ConfigError(f"experiment name must be a non-empty path-safe string, got {self.name!r}")
         if not isinstance(self.out, str) or "\0" in self.out:
             raise ConfigError(f"out must be a path string, got {self.out!r}")
-        _check_method(self.method, METHODS + ("both",))
+        if self.method not in METHODS + ("both",):
+            raise ConfigError(f"method must be one of {METHODS + ('both',)}, got {self.method!r}")
         check_policy(self.race_len, self.eta, self.mode)
         object.__setattr__(self, "eta", float(self.eta))
         seeds = self.seeds
@@ -155,9 +154,9 @@ class RunTrace:
         return "\n".join(lines) + "\n"
 
 
-def run_policies(stream: Stream, policies: Sequence[tuple[Callable, DtdState]],
-                 seed: int = 0) -> list[RunTrace]:
-    """Run every (step, state) policy over one pass of the stream.
+def run_policies(stream: Stream, policies: Sequence[tuple[Callable, DtdState]]) -> list[RunTrace]:
+    """Run every (step, state) policy over one pass of the stream; each
+    trace's seed is the stream's.
 
     Each state's model trains on chunk 0, which is the warm-up row; then
     every later chunk is built once, a window of chunks at a time, and
@@ -170,7 +169,7 @@ def run_policies(stream: Stream, policies: Sequence[tuple[Callable, DtdState]],
     traces = []
     for _, state in policies:
         state.primary_model.train(warmup)
-        traces.append(RunTrace(seed=seed))
+        traces.append(RunTrace(seed=stream.config.seed))
         traces[-1].append(0, math.nan, math.nan, state.primary_detector.threshold, False, "warmup")
     # continual models train after every chunk, so none of them scores ahead
     continual = all(state.continual for _, state in policies)
@@ -187,43 +186,43 @@ def run_policies(stream: Stream, policies: Sequence[tuple[Callable, DtdState]],
     return traces
 
 
-def baseline_trace(stream: Stream, detector: DriftMonitor, mode: str = "continual",
-                   seed: int = 0) -> RunTrace:
+def baseline_trace(stream: Stream, detector: DriftMonitor, mode: str = "continual") -> RunTrace:
     """Fixed-threshold run: alarm means adapt on the chunk and reset history."""
     state = DtdState(GaussianNB(), detector, training_mode=mode)
-    return run_policies(stream, [(baseline_step, state)], seed)[0]
+    return run_policies(stream, [(baseline_step, state)])[0]
 
 
 def dtd_trace(stream: Stream, detector: DriftMonitor, mode: str = "continual",
-              race_len: int = 3, eta: float = 1e-6, seed: int = 0) -> RunTrace:
+              race_len: int = 3, eta: float = 1e-6) -> RunTrace:
     """Dynamic-threshold run: alarms open a candidate race over the next chunks."""
     state = DtdState(GaussianNB(), detector, race_len, eta, mode)
-    return run_policies(stream, [(dtd_step, state)], seed)[0]
+    return run_policies(stream, [(dtd_step, state)])[0]
 
 
-def run_single(config: ExperimentConfig, seed: int,
-               methods: Sequence[str] = METHODS) -> dict[str, RunTrace]:
-    """One pass over a freshly seeded stream that runs every method in
-    lockstep, each with its own model and monitor; returns traces by method."""
+def run_single(config: ExperimentConfig, seed: int) -> dict[str, RunTrace]:
+    """One pass over the config's stream seeded with ``seed`` that runs the
+    config's methods in lockstep, each with its own model and monitor;
+    returns traces by method."""
     # looked up per call, so a step patched on the module is the one that runs
     steps = {"baseline": baseline_step, "dtd": dtd_step}
-    for method in methods:
-        _check_method(method, METHODS)
     stream = make_stream(dataclasses.replace(config.stream, seed=seed))
     policies = [(steps[m], DtdState(GaussianNB(), detector_for_run(config, seed),
                                     config.race_len, config.eta, config.mode))
-                for m in methods]
-    return dict(zip(methods, run_policies(stream, policies, seed)))
+                for m in config.methods]
+    return dict(zip(config.methods, run_policies(stream, policies)))
 
 
 @dataclass
 class ExperimentResult:
     """All traces for one experiment cell under one method."""
 
-    name: str
     method: str
     config: ExperimentConfig
     traces: list[RunTrace]
+
+    @property
+    def name(self) -> str:
+        return self.config.name
 
     @property
     def per_seed_accuracy(self) -> list[float]:
@@ -285,30 +284,23 @@ def write_suite_summary(report: dict, out_root: str | Path) -> None:
     (out_dir / "suite_summary.txt").write_text(render_table(report))
 
 
-def _methods(config: ExperimentConfig, method: str | None) -> tuple[str, ...]:
-    """The config's own methods, unless ``method`` narrows them to one."""
-    if method in (None, "both"):
-        return config.methods
-    return dataclasses.replace(config, method=method).methods
-
-
 def run_experiment(config: ExperimentConfig, method: str | None = None,
-                   parallel: int = 1, out: str | Path | None = None,
-                   write: bool = True) -> dict[str, ExperimentResult]:
-    """Run one experiment cell for the requested methods; returns results by method."""
-    results = _run_all([(config, _methods(config, method))], parallel)
+                   parallel: int = 1, write: bool = True) -> dict[str, ExperimentResult]:
+    """Run one experiment cell, with ``method`` in place of the config's when
+    given, and write its results under ``config.out``; returns results by method."""
+    if method is not None:
+        config = dataclasses.replace(config, method=method)
+    results = _run_all([config], parallel)
     if write:
-        root = config.out if out is None else out
         for result in results:
-            write_result(result, root)
+            write_result(result, config.out)
     return {r.method: r for r in results}
 
 
-def _run_all(cells: Sequence[tuple[ExperimentConfig, tuple[str, ...]]],
-             parallel: int) -> list[ExperimentResult]:
-    """One task per (config, seed); results per (config, method) in cell order."""
+def _run_all(configs: Sequence[ExperimentConfig], parallel: int) -> list[ExperimentResult]:
+    """One task per (config, seed); results per (config, method) in config order."""
     check_count("parallel", parallel, minimum=1)
-    tasks = [(config, seed, methods) for config, methods in cells for seed in config.seeds]
+    tasks = [(config, seed) for config in configs for seed in config.seeds]
     if parallel > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
             rows = list(pool.map(run_single, *zip(*tasks)))
@@ -316,30 +308,28 @@ def _run_all(cells: Sequence[tuple[ExperimentConfig, tuple[str, ...]]],
         rows = [run_single(*task) for task in tasks]
     runs = iter(rows)
     results = []
-    for config, methods in cells:
+    for config in configs:
         by_seed = [next(runs) for _ in config.seeds]
-        results.extend(ExperimentResult(name=config.name, method=m, config=config,
+        results.extend(ExperimentResult(method=m, config=config,
                                         traces=[traces[m] for traces in by_seed])
-                       for m in methods)
+                       for m in config.methods)
     return results
 
 
-def run_suite(configs: Sequence[ExperimentConfig], out: str | Path | None = None,
-              parallel: int = 1, method: str | None = None) -> tuple[list[ExperimentResult], dict]:
-    """Run every config (all its methods unless ``method`` narrows them),
-    write per-cell results and a suite-level summary, and return both.
-    Without ``out`` the suite writes to the ``out`` its configs share."""
+def run_suite(configs: Sequence[ExperimentConfig],
+              parallel: int = 1) -> tuple[list[ExperimentResult], dict]:
+    """Run every config, write per-cell results and a suite-level summary to
+    the ``out`` the configs share, and return both."""
     if not configs:
         raise ConfigError("suite needs at least one experiment config")
     names = [c.name for c in configs]
     if len(set(names)) != len(names):
         raise ConfigError("experiment names must be unique within a suite")
-    if out is None:
-        outs = sorted({c.out for c in configs})
-        if len(outs) != 1:
-            raise ConfigError(f"suite configs name different out directories {outs}; give one out")
-        out = outs[0]
-    results = _run_all([(config, _methods(config, method)) for config in configs], parallel)
+    outs = sorted({c.out for c in configs})
+    if len(outs) != 1:
+        raise ConfigError(f"suite configs name different out directories {outs}; give them one")
+    out = outs[0]
+    results = _run_all(configs, parallel)
     for result in results:
         write_result(result, out)
     report = summarize(results)

@@ -238,7 +238,7 @@ def policy_traces(stream: Stream, strategies, detector: str = "ddm",
         monitor.threshold = strategy.threshold_at(0)
         policies.append((partial(_scheduled_step, strategy),
                          DtdState(GaussianNB(), monitor, training_mode=mode)))
-    return run_policies(stream, policies, stream.config.seed)
+    return run_policies(stream, policies)
 
 
 def policy_trace(stream: Stream, strategy: ThresholdStrategy, detector: str = "ddm",

@@ -67,16 +67,16 @@ def synthetic_grid(warm_kernels, tmp_path_factory):
         "sine": StreamConfig(kind="sine"),
         "mixed": StreamConfig(kind="mixed"),
     }
+    out = str(tmp_path_factory.mktemp("grid"))
     configs = [
         ExperimentConfig(name=f"{stream_name}_{detector}_{mode}", stream=stream,
-                         detector=detector, mode=mode, seeds=SEEDS)
+                         detector=detector, mode=mode, seeds=SEEDS, out=out)
         for stream_name, stream in streams.items()
         for detector in DETECTORS
         for mode in ("continual", "sporadic")
     ]
-    out = tmp_path_factory.mktemp("grid")
     start = time.perf_counter()
-    _, summary = run_suite(configs, out=out, parallel=4)
+    _, summary = run_suite(configs, parallel=4)
     return summary, time.perf_counter() - start
 
 

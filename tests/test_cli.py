@@ -40,12 +40,27 @@ class TestRun:
         assert (tmp_path / "results" / "cell__dtd" / "summary.json").exists()
 
     def test_method_narrowing(self, tmp_path):
+        # --method replaces the config's method; left out, the config's stands
         config = write_config(tmp_path)
         code = main(["run", "--config", str(config), "--out", str(tmp_path / "r"),
                      "--method", "dtd"])
         assert code == 0
         assert not (tmp_path / "r" / "cell__baseline").exists()
         assert (tmp_path / "r" / "cell__dtd").exists()
+        dtd_only = write_config(tmp_path, "dtd_only.yaml", CONFIG + "method: dtd\n")
+        assert main(["run", "--config", str(dtd_only), "--out", str(tmp_path / "own")]) == 0
+        assert sorted(p.name for p in (tmp_path / "own").iterdir()) == ["dtd_only__dtd"]
+        assert main(["run", "--config", str(dtd_only), "--out", str(tmp_path / "both"),
+                     "--method", "both"]) == 0
+        assert sorted(p.name for p in (tmp_path / "both").iterdir()) == [
+            "dtd_only__baseline", "dtd_only__dtd"]
+
+    def test_out_flag_replaces_the_configs_out(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = write_config(tmp_path, text=CONFIG + "out: mine\n")
+        assert main(["run", "--config", str(config), "--out", "flagged", "--method", "baseline"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cell.yaml", "flagged"]
+        assert (tmp_path / "flagged" / "cell__baseline" / "summary.json").exists()
 
     def test_seeds_override(self, tmp_path):
         config = write_config(tmp_path)
@@ -126,6 +141,16 @@ class TestSuite:
         assert (tmp_path / "mine" / "alpha__baseline" / "summary.json").exists()
         assert (tmp_path / "mine" / "suite_summary.json").exists()
         assert not (tmp_path / "results").exists()
+
+    def test_method_both_runs_both_on_a_single_method_config(self, tmp_path):
+        conf_dir = tmp_path / "configs"
+        conf_dir.mkdir()
+        write_config(conf_dir, "alpha.yaml", CONFIG + "method: dtd\n")
+        out = tmp_path / "results"
+        assert main(["suite", "--config", str(conf_dir), "--out", str(out), "--method", "both"]) == 0
+        assert (out / "alpha__baseline" / "summary.json").exists()
+        assert (out / "alpha__dtd" / "summary.json").exists()
+        assert json.loads((out / "suite_summary.json").read_text())["n_pairs"] == 1
 
     def test_configs_with_different_outs_need_out_flag(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -262,7 +262,7 @@ class TestCandidateCreation:
     def test_create_candidates_requires_history(self):
         state = fresh_state()
         with pytest.raises(PhaseError, match="previous chunk"):
-            create_candidates(state, chunk_from_labels([1]), 0.5, 0.9)
+            create_candidates(state, chunk_from_labels([1]), 0.5)
 
 
 class TestComparisonPhase:

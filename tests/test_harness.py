@@ -60,7 +60,7 @@ def fake_trace(seed, accuracies, alarm_at=(), phase=None):
 def fake_result(name, method, per_seed_accuracies, config=None):
     config = config or small_config(name=name, seeds=tuple(range(len(per_seed_accuracies))))
     traces = [fake_trace(seed, accs) for seed, accs in enumerate(per_seed_accuracies)]
-    return ExperimentResult(name=name, method=method, config=config, traces=traces)
+    return ExperimentResult(method=method, config=config, traces=traces)
 
 
 class TestExperimentConfig:
@@ -268,16 +268,27 @@ class TestDtdTrace:
         assert all(not math.isnan(t) for t in trace.threshold)
 
 
+class TestRunPolicies:
+    def test_trace_seed_is_the_stream_seed(self):
+        config = StreamConfig(kind="sea", seed=5, n_chunks=4, chunk_size=50)
+        for stream in (make_stream(config), _FlippedStream(config, 2)):
+            policies = [(step, DtdState(GaussianNB(), make_monitor("ddm")))
+                        for step in (baseline_step, dtd_step)]
+            assert [t.seed for t in run_policies(stream, policies)] == [5, 5]
+            strategy = ThresholdStrategy.constant(3.0)
+            assert [t.seed for t in policy_traces(stream, [strategy])] == [5]
+
+
 class TestRunSingle:
     def test_seed_replaces_stream_seed(self):
-        config = small_config(seeds=(0, 7))
+        config = small_config(seeds=(0, 7), method="baseline")
         manual_stream = make_stream(StreamConfig(kind="sea", seed=7, n_chunks=25,
                                                  chunk_size=300, drift_period=10))
-        manual = baseline_trace(manual_stream, detector_for_run(config, 7), seed=7)
-        got = run_single(config, 7, ("baseline",))["baseline"]
+        manual = baseline_trace(manual_stream, detector_for_run(config, 7))
+        got = run_single(config, 7)["baseline"]
         assert got.accuracy == manual.accuracy
         assert got.alarm == manual.alarm
-        assert got.seed == 7
+        assert got.seed == manual.seed == 7
 
     def test_methods_share_the_stream(self):
         config = small_config()
@@ -286,14 +297,7 @@ class TestRunSingle:
         # same warm-up chunk, same first evaluated chunk: identical first row
         assert base.accuracy[1] == dtd.accuracy[1]
 
-    def test_unknown_method(self):
-        with pytest.raises(ConfigError, match="method"):
-            run_single(small_config(), 0, ("baseline", "hybrid"))
-
     def test_one_text_for_the_method_rule(self):
-        with pytest.raises(ConfigError) as run_error:
-            run_single(small_config(), 0, methods=("x",))
-        assert str(run_error.value) == "method must be one of ('baseline', 'dtd'), got 'x'"
         with pytest.raises(ConfigError) as config_error:
             small_config(method="x")
         assert str(config_error.value) == "method must be one of ('baseline', 'dtd', 'both'), got 'x'"
@@ -351,8 +355,8 @@ class TestOnePassProperties:
         other = TRAINING_MODES[1 - TRAINING_MODES.index(mode)]
         configs = [config, dataclasses.replace(config, name="other", mode=other)]
         with tempfile.TemporaryDirectory() as serial, tempfile.TemporaryDirectory() as parallel:
-            run_suite(configs, serial, parallel=1)
-            run_suite(configs, parallel, parallel=2)
+            run_suite([dataclasses.replace(c, out=serial) for c in configs], parallel=1)
+            run_suite([dataclasses.replace(c, out=parallel) for c in configs], parallel=2)
             assert tree_bytes(serial) == tree_bytes(parallel)
 
 
@@ -369,7 +373,7 @@ def window_traces(window_rows, config, seed, flip):
                ThresholdStrategy.constant(math.inf)]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(harness, "WINDOW_ROWS", window_rows)
-        traces = run_policies(_FlippedStream(stream_config, flip), policies, seed)
+        traces = run_policies(_FlippedStream(stream_config, flip), policies)
         traces += policy_traces(_FlippedStream(stream_config, flip), oracles,
                                 detector=config.detector, mode=config.mode,
                                 overrides=config.detector_overrides)
@@ -430,7 +434,7 @@ class TestRaceCostBound:
 
 class TestRunExperimentAndSuite:
     def test_both_methods_by_default(self, tmp_path):
-        results = run_experiment(small_config(), out=tmp_path)
+        results = run_experiment(small_config(out=str(tmp_path)))
         assert set(results) == {"baseline", "dtd"}
         for method, result in results.items():
             assert len(result.traces) == 2
@@ -439,16 +443,22 @@ class TestRunExperimentAndSuite:
             assert (tmp_path / f"cell__{method}" / "seed1.csv").exists()
 
     def test_method_narrowing(self, tmp_path):
-        results = run_experiment(small_config(method="both"), method="dtd", out=tmp_path, write=False)
+        # ``method`` replaces the config's methods; left out, the config's stand
+        results = run_experiment(small_config(method="both", out=str(tmp_path)), method="dtd",
+                                 write=False)
         assert set(results) == {"dtd"}
+        assert results["dtd"].config.method == "dtd"
         assert not (tmp_path / "cell__dtd").exists()
+        both = run_experiment(small_config(method="dtd"), method="both", write=False)
+        assert set(both) == set(METHODS)
+        assert set(run_experiment(small_config(method="dtd"), write=False)) == {"dtd"}
 
     @pytest.mark.parametrize("parallel", [0, -3, 1.5, True, "2"])
     def test_parallel_must_be_a_positive_count(self, tmp_path, parallel):
         with pytest.raises(ConfigError, match="parallel"):
             run_experiment(small_config(), parallel=parallel, write=False)
         with pytest.raises(ConfigError, match="parallel"):
-            run_suite([small_config()], tmp_path / "out", parallel=parallel)
+            run_suite([small_config(out=str(tmp_path / "out"))], parallel=parallel)
         assert not (tmp_path / "out").exists()
 
     def test_parallel_matches_serial(self, tmp_path):
@@ -461,7 +471,7 @@ class TestRunExperimentAndSuite:
             assert a == b
 
     def test_summary_json_content(self, tmp_path):
-        result = run_experiment(small_config(), method="baseline", out=tmp_path)["baseline"]
+        result = run_experiment(small_config(out=str(tmp_path)), method="baseline")["baseline"]
         stored = json.loads((tmp_path / "cell__baseline" / "summary.json").read_text())
         assert stored["name"] == "cell"
         assert stored["method"] == "baseline"
@@ -474,8 +484,9 @@ class TestRunExperimentAndSuite:
         assert len(stored["per_seed_final_threshold"]) == 2
 
     def test_suite_writes_summaries_and_report(self, tmp_path):
-        configs = [small_config(name="one"), small_config(name="two", detector="ph")]
-        results, report = run_suite(configs, out=tmp_path)
+        configs = [small_config(name="one", out=str(tmp_path)),
+                   small_config(name="two", detector="ph", out=str(tmp_path))]
+        results, report = run_suite(configs)
         assert len(results) == 4  # two cells, two methods each
         assert (tmp_path / "suite_summary.json").exists()
         assert (tmp_path / "suite_summary.txt").exists()
@@ -499,16 +510,16 @@ class TestRunExperimentAndSuite:
 
     def test_suite_rejects_duplicate_names(self, tmp_path):
         with pytest.raises(ConfigError, match="unique"):
-            run_suite([small_config(), small_config()], out=tmp_path)
+            run_suite([small_config(out=str(tmp_path)), small_config(out=str(tmp_path))])
 
     def test_suite_requires_configs(self, tmp_path):
         with pytest.raises(ConfigError, match="at least one"):
-            run_suite([], out=tmp_path)
+            run_suite([])
 
     def test_repeat_runs_are_byte_identical(self, tmp_path):
         config = small_config()
-        run_suite([config], out=tmp_path / "a")
-        run_suite([config], out=tmp_path / "b")
+        run_suite([dataclasses.replace(config, out=str(tmp_path / "a"))])
+        run_suite([dataclasses.replace(config, out=str(tmp_path / "b"))])
         for rel in ("cell__baseline/summary.json", "cell__dtd/summary.json",
                     "cell__baseline/seed0.csv", "suite_summary.json", "suite_summary.txt"):
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
@@ -584,7 +595,7 @@ class TestSummarize:
             summarize([a, b])
 
     def test_stored_report_matches_in_memory(self, tmp_path):
-        results, report = run_suite([small_config()], out=tmp_path)
+        results, report = run_suite([small_config(out=str(tmp_path))])
         assert summarize_stored(tmp_path) == json.loads(json.dumps(report))
 
     def test_stored_report_requires_files(self, tmp_path):
@@ -827,8 +838,8 @@ out: elsewhere
                         "detector: {kind: ddm}\nseeds: 1\neta: 1\n")
         api = ExperimentConfig(name="cell", stream=StreamConfig(kind="sea", n_chunks=6, chunk_size=50),
                                detector="ddm", seeds=1, eta=1)
-        run_experiment(load_config(path), method="dtd", out=tmp_path / "yaml")
-        run_experiment(api, method="dtd", out=tmp_path / "api")
+        run_experiment(dataclasses.replace(load_config(path), out=str(tmp_path / "yaml")), method="dtd")
+        run_experiment(dataclasses.replace(api, out=str(tmp_path / "api")), method="dtd")
         stored = [(tmp_path / root / "cell__dtd" / "summary.json").read_bytes()
                   for root in ("yaml", "api")]
         assert stored[0] == stored[1]

@@ -61,7 +61,7 @@ def reference_trace(stream, monitor, race_len, eta, continual):
         return model
 
     model = GaussianNB().train(stream.chunk(0))
-    trace = RunTrace(seed=0)
+    trace = RunTrace(seed=stream.config.seed)
     trace.append(0, math.nan, math.nan, monitor.threshold, False, "warmup")
     last_chunk, last_statistic = None, 0.0  # of the last normal-phase chunk
     race, left, leader = None, 0, "RDM"     # race: name -> [model, monitor, accuracies]
@@ -71,7 +71,7 @@ def reference_trace(stream, monitor, race_len, eta, continual):
             scores = {}
             for name in ("EDM", "RDM", "PM"):
                 entry = race[name]
-                scores[name] = evaluate(entry[0], chunk, entry[1]).accuracy
+                scores[name] = evaluate(entry[0], chunk, entry[1])
                 entry[2].append(scores[name])
                 entry[0] = react(entry[0], entry[1], chunk)
             reported, leader, left = scores[leader], best(scores), left - 1
@@ -82,12 +82,13 @@ def reference_trace(stream, monitor, race_len, eta, continual):
             trace.append(i, reported, monitor.statistic, monitor.threshold, False, "comparison")
             continue
 
-        accuracy, statistic = evaluate(model, chunk, monitor)
+        accuracy = evaluate(model, chunk, monitor)
+        statistic = monitor.statistic
         alarm = statistic > monitor.threshold
         if alarm and last_chunk is not None:
             edm_model, edm_monitor = adapt(model, last_chunk), monitor.fresh()
             edm_monitor.threshold = last_statistic
-            edm_accuracy = evaluate(edm_model, chunk, edm_monitor).accuracy
+            edm_accuracy = evaluate(edm_model, chunk, edm_monitor)
             edm_model = react(edm_model, edm_monitor, chunk)
             rdm_monitor = monitor.clone()
             rdm_monitor.reset()
@@ -144,3 +145,4 @@ def test_dtd_step_matches_reference_race(detector, mode, data):
     expected = reference_trace(make_stream(stream_config), detector_for_run(config, seed),
                                config.race_len, config.eta, mode == "continual")
     assert trace.to_csv_text() == expected.to_csv_text()
+    assert trace.seed == expected.seed == seed

@@ -216,7 +216,8 @@ class TestPolicySimulation:
         stream = self.stream(seed=3)
         policy = policy_trace(stream, ThresholdStrategy.constant(theta), kind, overrides=overrides)
         params = params_from_dict(kind, {**overrides, **filled, "threshold": theta})
-        plain = baseline_trace(stream, make_monitor(kind, params), mode="continual", seed=3)
+        plain = baseline_trace(stream, make_monitor(kind, params), mode="continual")
+        assert policy.seed == plain.seed == 3
         assert policy.accuracy == plain.accuracy
         assert policy.alarm == plain.alarm
         assert policy.threshold == plain.threshold
