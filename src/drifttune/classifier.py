@@ -12,8 +12,11 @@ arrays they made themselves, in the operation order of their plain formulas,
 since model copies share the arrays they replace. Prediction maximizes the log
 joint density with a per-feature variance floor; the kernel's per-model
 constants (log priors, means, doubled floored variances and log normalizers)
-are cached until the next ``train``. A race chunk scores its candidates with
-one kernel call and takes ``kernels.argmax_classes`` of each candidate's slice.
+are cached until the next ``train``. Every model, the primary or a race
+candidate, scores a chunk through :func:`evaluate` and ``predict``.
+Features are plain float64: a chunk whose class statistics overflow is
+rejected when a model trains on it, and a row that has no finite best class
+score raises instead of taking class 0.
 
 A stream pass groups its chunks into :class:`Window` runs. A model that scores
 a chunk of a window a second time since its last ``train`` has stopped
@@ -89,6 +92,10 @@ def _chunk_stats(chunk: Chunk) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
             raise ModelError(f"chunk {chunk.index} has non-finite feature values")
         labels, y_idx, counts = _relabel(np.asarray(chunk.y, dtype=np.int64))
         stats = (labels, *kernels.class_stats(X, y_idx.astype(np.int64, copy=False), counts))
+        # a mean that overflows makes its class's M2 inf or NaN as well
+        if not np.isfinite(stats[3]).all():
+            raise ModelError(f"chunk {chunk.index} has non-finite class statistics: "
+                             "its features are outside the supported range")
         for array in stats:
             array.setflags(write=False)
         chunk.cache["class_stats"] = stats
@@ -274,40 +281,18 @@ def adapt(model: GaussianNB, chunk: Chunk) -> GaussianNB:
     return type(model)().train(chunk)
 
 
-def _score(predicted: np.ndarray, chunk: Chunk, detector) -> float:
-    # count / n is correctly rounded, as np.mean of the bool array is
-    accuracy = np.count_nonzero(predicted == chunk.y) / len(chunk)
-    detector.update(1.0 - accuracy)
-    return accuracy
-
-
 def evaluate(model: GaussianNB, chunk: Chunk, detector) -> float:
     """Score a frozen model on a chunk, push the error rate to a detector and
     return the accuracy.
 
-    The model is not trained here. The detector sees exactly one update, the
-    chunk error rate; callers read its statistic from the detector.
+    The model is not trained here; it gets the chunk's window tag, if any.
+    The detector sees exactly one update, the chunk error rate; callers read
+    its statistic from the detector.
     """
     if len(chunk) == 0:
         raise ModelError(f"cannot evaluate on an empty chunk (chunk {chunk.index})")
-    if type(model) is GaussianNB:
-        return _score(model.predict(chunk.X, chunk.cache.get("window")), chunk, detector)
-    return _score(model.predict(chunk.X), chunk, detector)
-
-
-def evaluate_all(models, chunk: Chunk, detectors) -> list[float]:
-    """``[evaluate(m, chunk, d) for m, d in zip(models, detectors)]`` with one
-    kernel call on the models' constants stacked along the class axis (for
-    this chunk only); each model takes the argmax of its own slice. Other
-    model types and empty chunks go through ``evaluate`` one by one."""
-    if len(chunk) == 0 or any(type(model) is not GaussianNB for model in models):
-        return [evaluate(model, chunk, det) for model, det in zip(models, detectors)]
-    X = np.ascontiguousarray(chunk.X, dtype=np.float64)
-    params = [model._params_for(X) for model in models]
-    # log priors are (classes, 1), the rest (features, classes, 1)
-    stacked = [np.concatenate(parts, axis=min(i, 1)) for i, parts in enumerate(zip(*params))]
-    joint = kernels.joint_log_likelihood(X, stacked)
-    bounds = np.cumsum([0] + [model._classes.shape[0] for model in models]).tolist()
-    op_counts.predict_instances += len(models) * X.shape[0]
-    return [_score(model._classes[kernels.argmax_classes(joint[lo:hi])], chunk, det)
-            for model, det, lo, hi in zip(models, detectors, bounds, bounds[1:])]
+    predicted = model.predict(chunk.X, chunk.cache.get("window"))
+    # count / n is correctly rounded, as np.mean of the bool array is
+    accuracy = np.count_nonzero(predicted == chunk.y) / len(chunk)
+    detector.update(1.0 - accuracy)
+    return accuracy

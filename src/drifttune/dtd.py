@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import IntEnum
 
-from .classifier import GaussianNB, adapt, evaluate, evaluate_all
+from .classifier import GaussianNB, adapt, evaluate
 from .detectors import DriftMonitor
 from .errors import ConfigError, PhaseError, check_count, check_real
 from .stream import Chunk
@@ -153,12 +153,11 @@ def create_candidates(state: DtdState, chunk: Chunk, accuracy: float) -> list[Ca
 
 def eval_candidates(candidates: list[Candidate] | None, chunk: Chunk, *,
                     continual: bool) -> list[float]:
-    """One comparison chunk: evaluate every candidate in one stacked kernel
-    call, then log and update each in EDM, RDM, PM order."""
+    """One comparison chunk: evaluate every candidate, then log and update
+    each, in EDM, RDM, PM order."""
     if candidates is None:
         raise PhaseError("no comparison phase is active")
-    accuracies = evaluate_all([c.model for c in candidates], chunk,
-                              [c.detector for c in candidates])
+    accuracies = [evaluate(c.model, chunk, c.detector) for c in candidates]
     for candidate, accuracy in zip(candidates, accuracies):
         candidate.accuracy_log.append(accuracy)
         candidate.model = respond(candidate.model, chunk, candidate.detector, continual)

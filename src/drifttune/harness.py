@@ -13,13 +13,13 @@ An :class:`ExperimentConfig` is the only input to its runs: its stream,
 monitor, mode, methods, seeds and output directory. One run is one
 (config, seed) pass: each chunk is built once and fed to every method of
 the config in lockstep, so the methods share the chunk and its cached
-class statistics. The pass walks the stream in windows of about
+class statistics. Every pass walks the stream in windows of about
 ``WINDOW_ROWS`` rows (at least one chunk): it builds a window's chunks
 before stepping through them, so a model that has stopped training, as a
-sporadic model does between alarms, can score the window's rows ahead in
-one kernel call (see :class:`~drifttune.classifier.Window`). Continual
-models train after every chunk and races score chunk by chunk, so neither
-scores ahead, and a pass of continual policies builds no windows. Run
+sporadic model or race candidate does between alarms, can score the
+window's rows ahead in one kernel call (see
+:class:`~drifttune.classifier.Window`). The model alone decides: continual
+models train after every chunk, so they never score ahead. Run
 seed k replaces the stream seed, which every trace of the pass records,
 and, for monitors that subsample (kswin), the subsample seed. Monitors
 that scale deviations by a per-update sample count get that count set to
@@ -160,8 +160,7 @@ def run_policies(stream: Stream, policies: Sequence[tuple[Callable, DtdState]]) 
 
     Each state's model trains on chunk 0, which is the warm-up row; then
     every later chunk is built once, a window of chunks at a time, and
-    passed to each step in turn. A pass whose policies all train
-    continually builds one chunk at a time and no windows.
+    passed to each step in turn.
     """
     if len(stream) < 2:
         raise ConfigError("a run needs at least two chunks: one warm-up, one evaluated")
@@ -171,18 +170,14 @@ def run_policies(stream: Stream, policies: Sequence[tuple[Callable, DtdState]]) 
         state.primary_model.train(warmup)
         traces.append(RunTrace(seed=stream.config.seed))
         traces[-1].append(0, math.nan, math.nan, state.primary_detector.threshold, False, "warmup")
-    # continual models train after every chunk, so none of them scores ahead
-    continual = all(state.continual for _, state in policies)
-    per_window = 1 if continual else max(1, WINDOW_ROWS // len(warmup))
+    per_window = max(1, WINDOW_ROWS // len(warmup))
     for first in range(1, len(stream), per_window):
-        indices = range(first, min(first + per_window, len(stream)))
-        chunks = [stream.chunk(i) for i in indices]
-        if len(chunks) > 1:
-            Window(chunks)  # tags each chunk with the window and its position
-        for i, chunk in zip(indices, chunks):
+        chunks = [stream.chunk(i) for i in range(first, min(first + per_window, len(stream)))]
+        Window(chunks)  # tags each chunk with the window and its position
+        for chunk in chunks:
             for (step, state), trace in zip(policies, traces):
                 out = step(state, chunk)
-                trace.append(i, out.accuracy, out.statistic, out.threshold, out.alarm, out.phase)
+                trace.append(chunk.index, out.accuracy, out.statistic, out.threshold, out.alarm, out.phase)
     return traces
 
 
@@ -266,10 +261,15 @@ def _dump_json(obj: dict) -> str:
 
 
 def write_result(result: ExperimentResult, out_root: str | Path) -> Path:
-    """Write seed<k>.csv per trace plus summary.json; returns the cell directory."""
+    """Write seed<k>.csv per trace plus summary.json, and remove the cell's
+    other seed*.csv files, left by an earlier run; returns the cell directory."""
     summary = _dump_json(result.summary_dict())
     cell_dir = Path(out_root) / f"{result.name}__{result.method}"
     cell_dir.mkdir(parents=True, exist_ok=True)
+    written = {f"seed{trace.seed}.csv" for trace in result.traces}
+    for stale in cell_dir.glob("seed*.csv"):
+        if stale.name not in written:
+            stale.unlink()
     for trace in result.traces:
         (cell_dir / f"seed{trace.seed}.csv").write_text(trace.to_csv_text())
     (cell_dir / "summary.json").write_text(summary)

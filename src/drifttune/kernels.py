@@ -7,8 +7,8 @@ that trains on that chunk. ``predict_params`` runs once per model state:
 the classifier caches its per-model constants until the next ``train``.
 ``predict_indices`` runs once per predict call that the classifier cannot
 serve from labels it computed ahead: a model that has stopped training
-scores the rest of a window of chunks in one call. A race chunk scores all
-three candidates with one ``joint_log_likelihood`` call.
+scores the rest of a window of chunks in one call, and every model, race
+candidates included, scores through it.
 
 These run on every chunk, so they keep the number of numpy calls small:
 predict keeps its log-densities in a feature-major (features, classes,
@@ -28,6 +28,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .errors import ModelError
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -90,33 +92,14 @@ def predict_params(log_priors, means, variances):
     return params
 
 
-def joint_log_likelihood(X, params):
-    """The (classes, rows) joint log-likelihoods of the rows of ``X``.
-
-    ``params`` comes from ``predict_params``, or is several models' params
-    concatenated along the class axis: an entry depends only on its class
-    and row, so each model's slice is bit-identical to a call on it alone.
-    The feature slabs of the (features, classes, rows) log-density block are
-    added in the order a reduction over a trailing feature axis uses.
-    """
-    log_priors, means, two_variances, log_norms = params
-    n_rows, n_features = X.shape
-    log_like = np.subtract(X.T[:, None, :], means,
-                           out=np.empty((n_features, means.shape[1], n_rows)))
-    log_like *= log_like
-    log_like /= two_variances
-    np.subtract(log_norms, log_like, out=log_like)
-    return log_priors + _pairwise_sum(log_like)
-
-
 def argmax_classes(joint):
     """``joint.argmax(axis=0)`` for a (classes, rows) block, one vectorized
     pass per class instead of a reduction along the short class axis.
 
     A class replaces the running best only where it is strictly greater, so
-    ties go to the lowest index. Rows that are finite or ``-inf`` match
-    ``argmax``, and so do all-NaN rows (index 0); those are the only rows
-    ``joint_log_likelihood`` returns, since a NaN feature makes every class NaN.
+    ties go to the lowest index. Rows of finite and ``-inf`` scores match
+    ``argmax``, and so do all-NaN rows (index 0); ``predict_indices`` passes
+    only rows with a finite best score.
     """
     n_classes, n_rows = joint.shape
     if n_classes == 1:
@@ -130,8 +113,29 @@ def argmax_classes(joint):
 
 
 def predict_indices(X, params):
-    """Index of the most probable class per row; ties go to the lowest index."""
-    return argmax_classes(joint_log_likelihood(X, params))
+    """Index of the most probable class per row; ties go to the lowest index.
+
+    ``params`` comes from ``predict_params``. The feature slabs of the
+    (features, classes, rows) log-density block are added in the order a
+    reduction over a trailing feature axis uses. A row that scores NaN for
+    a class, or -inf for every class, raises ModelError instead of taking
+    index 0: one sum over the joint block shows whether any entry is not
+    finite, and only then are the rows checked one by one.
+    """
+    log_priors, means, two_variances, log_norms = params
+    n_rows, n_features = X.shape
+    log_like = np.subtract(X.T[:, None, :], means,
+                           out=np.empty((n_features, means.shape[1], n_rows)))
+    log_like *= log_like
+    log_like /= two_variances
+    np.subtract(log_norms, log_like, out=log_like)
+    joint = log_priors + _pairwise_sum(log_like)
+    if not math.isfinite(joint.sum()):
+        bad = np.flatnonzero(~(joint.max(axis=0) > -math.inf))
+        if bad.shape[0]:
+            raise ModelError(f"row {bad[0]} has no finite best class score: a class scores "
+                             "NaN, or every class scores -inf; see the supported feature range")
+    return argmax_classes(joint)
 
 
 def _class_stats_gathered(X, y_idx, counts):

@@ -923,3 +923,12 @@ class TestWriteResult:
         text = (cell_dir / "summary.json").read_text()
         parsed = json.loads(text)
         assert text == json.dumps(parsed, sort_keys=True, indent=2) + "\n"
+
+    def test_a_rerun_with_fewer_seeds_leaves_no_stale_trace(self, tmp_path):
+        config = small_config(seeds=(0, 1, 2), method="baseline", n_chunks=6, chunk_size=50,
+                              out=str(tmp_path))
+        run_experiment(config)
+        run_experiment(dataclasses.replace(config, seeds=1))
+        cell_dir = tmp_path / "cell__baseline"
+        assert sorted(p.name for p in cell_dir.iterdir()) == ["seed0.csv", "summary.json"]
+        assert json.loads((cell_dir / "summary.json").read_text())["seeds"] == [0]

@@ -166,9 +166,9 @@ def test_class_stats_bit_identical_to_reference(shape, seed, scale, integral, n_
 
 @st.composite
 def joint_blocks(draw):
-    """(classes, rows) blocks of the kinds ``joint_log_likelihood`` returns:
-    finite and ``-inf`` entries, exact twin classes, and all-NaN rows (a NaN
-    feature makes every class NaN)."""
+    """(classes, rows) blocks of the kinds ``argmax_classes`` handles: finite
+    and ``-inf`` entries, exact twin classes, and all-NaN rows (a NaN feature
+    makes every class NaN)."""
     k, n = draw(st.integers(1, 8)), draw(st.integers(1, 1000))
     rng = np.random.default_rng(draw(seeds))
     if draw(st.booleans()):
