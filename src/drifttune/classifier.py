@@ -22,8 +22,13 @@ A stream pass groups its chunks into :class:`Window` runs. A model that scores
 a chunk of a window a second time since its last ``train`` has stopped
 training, so it predicts every row from that chunk to the window's end in one
 kernel call and serves the window's later chunks from those labels until it
-trains again. Each label depends only on its own row and the model's
-constants, so the labels are the ones per-chunk calls give.
+trains again. A caller that knows how many more chunks it will score with
+the model as it is, as a sporadic race knows its remaining chunks, passes
+that bound to :func:`evaluate`: the model then predicts exactly those chunks,
+clipped at the window's end, in one call at its first score, and nothing
+past them. Labels are served only for chunks they cover. Each label depends
+only on its own row and the model's constants, so the labels are the ones
+per-chunk calls give.
 
 Module-level operation counters record how many instances were pushed
 through predict and train calls, per scored chunk, whether or not its labels
@@ -120,11 +125,11 @@ class Window:
         for position, chunk in enumerate(chunks):
             chunk.cache["window"] = (self, position)
 
-    def rows_from(self, position: int) -> np.ndarray:
-        """The features of every row from chunk ``position`` to the window's end."""
+    def rows_from(self, position: int, stop: int) -> np.ndarray:
+        """The features of the rows of chunks ``position`` to ``stop - 1``."""
         if self._X is None:
             self._X = np.concatenate(self._parts, dtype=np.float64)
-        return self._X[self.starts[position]:]
+        return self._X[self.starts[position]:self.starts[stop]]
 
 
 class GaussianNB:
@@ -142,6 +147,7 @@ class GaussianNB:
         self._predict_params: tuple[np.ndarray, ...] | None = None
         # (window, position, labels): read-only labels of the window's rows
         # from chunk ``position`` on, computed ahead for the current state
+        # and covering as many chunks as they have rows for
         self._ahead: tuple[Window, int, np.ndarray] | None = None
 
     @property
@@ -239,29 +245,40 @@ class GaussianNB:
             self._predict_params = kernels.predict_params(log_priors, self._means, variances)
         return self._predict_params
 
-    def predict(self, X: np.ndarray, window: tuple[Window, int] | None = None) -> np.ndarray:
+    def predict(self, X: np.ndarray,
+                window: tuple[Window, int] | tuple[Window, int, int] | None = None) -> np.ndarray:
         """Class labels of the rows of ``X``.
 
         ``window`` is the ``(window, position)`` tag of the chunk whose
-        features ``X`` holds. A model that has scored a chunk since its last
-        ``train`` then predicts the window's rows from that chunk on in one
-        kernel call, keeps the labels (read-only) and slices them for the
-        window's later chunks.
+        features ``X`` holds, or ``(window, position, stop)`` when the
+        caller will score chunks ``position`` to ``stop - 1`` with the model
+        as it is. The model then predicts those rows, clipped at the
+        window's end, in one kernel call. Without a ``stop``, a model that
+        has scored a chunk since its last ``train`` predicts the window's
+        rows from that chunk to its end. It keeps the labels (read-only)
+        and slices them for each later chunk they cover.
         """
         n_rows = X.shape[0]
         if window is not None and self._ahead is not None:
             kept, start, labels = self._ahead
             if window[0] is kept and window[1] >= start:
                 lo = kept.starts[window[1]] - kept.starts[start]
-                op_counts.predict_instances += n_rows
-                return labels[lo:lo + n_rows]
+                if lo + n_rows <= labels.shape[0]:
+                    op_counts.predict_instances += n_rows
+                    return labels[lo:lo + n_rows]
         X = np.ascontiguousarray(X, dtype=np.float64)
-        ahead = window is not None and self._predict_params is not None
+        stop = None  # the caller's bound, else the window's end once the model has scored
+        if window is not None:
+            last = len(window[0].starts) - 1
+            if len(window) > 2:
+                stop = min(window[2], last)
+            elif self._predict_params is not None:
+                stop = last
         params = self._params_for(X)
-        if ahead:
-            labels = self._classes[kernels.predict_indices(window[0].rows_from(window[1]), params)]
+        if stop is not None and stop > window[1] + 1:
+            labels = self._classes[kernels.predict_indices(window[0].rows_from(window[1], stop), params)]
             labels.setflags(write=False)
-            self._ahead = (*window, labels)
+            self._ahead = (window[0], window[1], labels)
             labels = labels[:n_rows]
         else:
             labels = self._classes[kernels.predict_indices(X, params)]
@@ -281,17 +298,23 @@ def adapt(model: GaussianNB, chunk: Chunk) -> GaussianNB:
     return type(model)().train(chunk)
 
 
-def evaluate(model: GaussianNB, chunk: Chunk, detector) -> float:
+def evaluate(model: GaussianNB, chunk: Chunk, detector, ahead: int | None = None) -> float:
     """Score a frozen model on a chunk, push the error rate to a detector and
     return the accuracy.
 
     The model is not trained here; it gets the chunk's window tag, if any.
-    The detector sees exactly one update, the chunk error rate; callers read
-    its statistic from the detector.
+    ``ahead``, when given, counts the chunks after this one that the caller
+    will score with the model as it is; the tag then bounds the rows the
+    model scores ahead to those chunks. The detector sees exactly one
+    update, the chunk error rate; callers read its statistic from the
+    detector.
     """
     if len(chunk) == 0:
         raise ModelError(f"cannot evaluate on an empty chunk (chunk {chunk.index})")
-    predicted = model.predict(chunk.X, chunk.cache.get("window"))
+    tag = chunk.cache.get("window")
+    if tag is not None and ahead is not None:
+        tag = (*tag, tag[1] + 1 + ahead)
+    predicted = model.predict(chunk.X, tag)
     # count / n is correctly rounded, as np.mean of the bool array is
     accuracy = np.count_nonzero(predicted == chunk.y) / len(chunk)
     detector.update(1.0 - accuracy)

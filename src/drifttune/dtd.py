@@ -21,6 +21,13 @@ of {previous statistic, unchanged, alarm statistic + eta}.
 A threshold policy is a step ``step(state, chunk) -> StepOutcome`` over one
 :class:`DtdState`: :func:`baseline_step` keeps its threshold, :func:`dtd_step`
 races. Both, and every race candidate, react to a chunk through :func:`respond`.
+
+In sporadic mode a candidate does not train until it alarms, so each
+evaluation tells the model how many race chunks are left after this one:
+a candidate scores them in one kernel call at its first score in a
+window (EDM's first score also covers the alarm chunk), and nothing past
+the race. Continual candidates train after every chunk and score one
+chunk at a time.
 """
 
 from __future__ import annotations
@@ -140,7 +147,8 @@ def create_candidates(state: DtdState, chunk: Chunk, accuracy: float) -> list[Ca
 
     edm = Candidate(adapt(model, state.prev_chunk), detector.fresh(), [])
     edm.detector.threshold = state.prev_statistic
-    edm.accuracy_log.append(evaluate(edm.model, chunk, edm.detector))
+    ahead = 0 if state.continual else state.race_len
+    edm.accuracy_log.append(evaluate(edm.model, chunk, edm.detector, ahead))
     # the earlier hypothesis may alarm on the current chunk too: then re-adapt
     edm.model = respond(edm.model, chunk, edm.detector, state.continual)
 
@@ -152,12 +160,14 @@ def create_candidates(state: DtdState, chunk: Chunk, accuracy: float) -> list[Ca
 
 
 def eval_candidates(candidates: list[Candidate] | None, chunk: Chunk, *,
-                    continual: bool) -> list[float]:
+                    continual: bool, ahead: int = 0) -> list[float]:
     """One comparison chunk: evaluate every candidate, then log and update
-    each, in EDM, RDM, PM order."""
+    each, in EDM, RDM, PM order. ``ahead`` counts the race's chunks after
+    this one, which a sporadic candidate scores in the same kernel call."""
     if candidates is None:
         raise PhaseError("no comparison phase is active")
-    accuracies = [evaluate(c.model, chunk, c.detector) for c in candidates]
+    ahead = 0 if continual else ahead
+    accuracies = [evaluate(c.model, chunk, c.detector, ahead) for c in candidates]
     for candidate, accuracy in zip(candidates, accuracies):
         candidate.accuracy_log.append(accuracy)
         candidate.model = respond(candidate.model, chunk, candidate.detector, continual)
@@ -184,7 +194,8 @@ def baseline_step(state: DtdState, chunk: Chunk) -> StepOutcome:
 def dtd_step(state: DtdState, chunk: Chunk) -> StepOutcome:
     """Process one chunk; returns the reported accuracy and trace fields."""
     if state.in_comparison:
-        accuracies = eval_candidates(state.candidates, chunk, continual=state.continual)
+        accuracies = eval_candidates(state.candidates, chunk, continual=state.continual,
+                                     ahead=state.countdown - 1)
         state.countdown -= 1
         reported = accuracies[state.leader]
         state.leader = _best(accuracies)

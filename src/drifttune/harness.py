@@ -18,8 +18,9 @@ class statistics. Every pass walks the stream in windows of about
 before stepping through them, so a model that has stopped training, as a
 sporadic model or race candidate does between alarms, can score the
 window's rows ahead in one kernel call (see
-:class:`~drifttune.classifier.Window`). The model alone decides: continual
-models train after every chunk, so they never score ahead. Run
+:class:`~drifttune.classifier.Window`); a race candidate scores only its
+race's chunks. Continual models train after every chunk, so they never
+score ahead. Run
 seed k replaces the stream seed, which every trace of the pass records,
 and, for monitors that subsample (kswin), the subsample seed. Monitors
 that scale deviations by a per-update sample count get that count set to
@@ -31,6 +32,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -43,7 +45,7 @@ from .classifier import GaussianNB, Window
 from .detectors import MONITOR_TYPES, DriftMonitor, make_monitor, params_from_dict
 from .dtd import DtdState, baseline_step, check_policy, dtd_step
 from .errors import ConfigError, ReportError, check_count
-from .stream import Stream, StreamConfig, make_stream
+from .stream import Stream, StreamConfig, make_stream, unread_fields
 
 METHODS = ("baseline", "dtd")
 WINDOW_ROWS = 2048  # rows per window of chunks a stopped model scores ahead
@@ -260,15 +262,18 @@ def _dump_json(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+_TRACE_NAME = re.compile(r"seed(0|[1-9][0-9]*)\.csv")  # the names write_result gives traces
+
+
 def write_result(result: ExperimentResult, out_root: str | Path) -> Path:
     """Write seed<k>.csv per trace plus summary.json, and remove the cell's
-    other seed*.csv files, left by an earlier run; returns the cell directory."""
+    other seed<k>.csv files, left by an earlier run; returns the cell directory."""
     summary = _dump_json(result.summary_dict())
     cell_dir = Path(out_root) / f"{result.name}__{result.method}"
     cell_dir.mkdir(parents=True, exist_ok=True)
     written = {f"seed{trace.seed}.csv" for trace in result.traces}
     for stale in cell_dir.glob("seed*.csv"):
-        if stale.name not in written:
+        if _TRACE_NAME.fullmatch(stale.name) and stale.name not in written:
             stale.unlink()
     for trace in result.traces:
         (cell_dir / f"seed{trace.seed}.csv").write_text(trace.to_csv_text())
@@ -490,6 +495,10 @@ def config_from_mapping(mapping: dict, default_name: str = "experiment") -> Expe
     if unknown:
         raise ConfigError(f"unknown stream keys: {sorted(unknown, key=str)}")
     stream = StreamConfig(**stream_map)
+    # StreamConfig cannot tell a key given at its default from one left out
+    unread = unread_fields(stream.kind, stream_map)
+    if unread:
+        raise ConfigError(f"{stream.kind} streams do not read {', '.join(unread)}")
 
     det_map = mapping.get("detector")
     if not isinstance(det_map, dict) or "kind" not in det_map:

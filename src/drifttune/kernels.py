@@ -7,8 +7,9 @@ that trains on that chunk. ``predict_params`` runs once per model state:
 the classifier caches its per-model constants until the next ``train``.
 ``predict_indices`` runs once per predict call that the classifier cannot
 serve from labels it computed ahead: a model that has stopped training
-scores the rest of a window of chunks in one call, and every model, race
-candidates included, scores through it.
+scores the rest of a window of chunks in one call, a sporadic race
+candidate scores its race's chunks in the window in one call, and every
+model scores through it.
 
 These run on every chunk, so they keep the number of numpy calls small:
 predict keeps its log-densities in a feature-major (features, classes,

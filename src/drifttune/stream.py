@@ -27,7 +27,7 @@ values is ``1 - y`` without the extra pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator
 
 import numpy as np
@@ -38,6 +38,10 @@ SEA_THRESHOLDS = (8.0, 9.0, 7.0, 9.5)
 
 SYNTHETIC_KINDS = ("sea", "sine", "mixed")
 STREAM_KINDS = SYNTHETIC_KINDS + ("csv",)
+# the StreamConfig fields each kind reads besides kind, seed and chunk_size
+_SYNTHETIC_FIELDS = ("n_chunks", "drift_period")
+_READ_FIELDS = {"sea": _SYNTHETIC_FIELDS + ("noise",), "sine": _SYNTHETIC_FIELDS,
+                "mixed": _SYNTHETIC_FIELDS, "csv": ("csv_path", "csv_has_header")}
 
 # Chunk indices seeded per vectorized pass (a stream keeps one block); then
 # SeedSequence's pool size and hash constants (numpy/random/bit_generator.pyx)
@@ -93,18 +97,26 @@ class StreamConfig:
         check_real("noise", self.noise)
         if not 0.0 <= self.noise <= 0.5:
             raise ConfigError("noise must lie in [0, 0.5]")
-        if self.noise > 0.0 and self.kind != "sea":
-            raise ConfigError("label noise is only supported for sea streams")
         if self.csv_path is not None and not isinstance(self.csv_path, str):
             raise ConfigError(f"csv_path must be a string, got {self.csv_path!r}")
         if not isinstance(self.csv_has_header, bool):
             raise ConfigError(f"csv_has_header must be true or false, got {self.csv_has_header!r}")
         if self.kind == "csv" and not self.csv_path:
             raise ConfigError("csv streams need csv_path")
+        unread = unread_fields(self.kind, [f.name for f in fields(self)
+                                           if getattr(self, f.name) != f.default])
+        if unread:
+            raise ConfigError(f"{self.kind} streams do not read {', '.join(unread)}")
 
     @property
     def total_instances(self) -> int:
         return self.n_chunks * self.chunk_size
+
+
+def unread_fields(kind: str, names) -> list[str]:
+    """The sorted ``StreamConfig`` field names among ``names`` that a stream
+    of ``kind`` does not read; every kind reads its seed and chunk size."""
+    return sorted(set(names) - {"kind", "seed", "chunk_size", *_READ_FIELDS[kind]})
 
 
 def _hashmix(h: int, mult: int):

@@ -22,8 +22,8 @@ import pytest
 
 import drifttune
 import drifttune.cli  # noqa: F401  (entry_points reads drifttune.cli)
-from drifttune import classifier, kernels
-from drifttune.classifier import GaussianNB
+from drifttune import classifier, dtd, kernels
+from drifttune.classifier import GaussianNB, evaluate
 from drifttune.dtd import DtdState, dtd_step
 from drifttune.harness import ExperimentConfig, detector_for_run, run_experiment, run_policies
 from drifttune.stream import StreamConfig, make_stream
@@ -93,30 +93,56 @@ def test_a_sporadic_run_scores_ahead_and_trains_each_chunk_once(kernel_calls):
     kernel_calls.clear()
     run_experiment(config, method="dtd", write=False)
     # every kernel evaluation, the races' included, goes through predict_indices;
-    # scoring each race chunk's three candidates in one stacked call made 54 here
-    # (24 through predict_indices and 30 stacked)
-    assert kernel_calls["predict_indices"] <= 54
+    # a sporadic race candidate scores its race's chunks in a window in one call,
+    # 45 calls here, where scoring to the window's end from its second score made 53
+    assert kernel_calls["predict_indices"] <= 45
     assert kernel_calls["class_stats"] <= 2 * 60
 
 
-def test_a_continual_pass_computes_no_rows_ahead(monkeypatch):
+def test_a_continual_pass_computes_no_rows_ahead(kernel_rows):
     """Continual models train after every chunk, so a pass in windows scores
     exactly the rows it reports, races included."""
-    rows = []
-
-    def counting(X, params, _kernel=kernels.predict_indices):
-        rows.append(X.shape[0])
-        return _kernel(X, params)
-
-    monkeypatch.setattr(kernels, "predict_indices", counting)
     stream = StreamConfig(kind="sea", n_chunks=30, chunk_size=200, drift_period=10)
     config = ExperimentConfig(name="cell", stream=stream, detector="ddm", seeds=(0,))
     for method in ("baseline", "dtd"):
-        rows.clear()
+        kernel_rows.clear()
         classifier.op_counts.reset()
         trace = run_experiment(config, method=method, write=False)[method].traces[0]
-        assert sum(rows) == classifier.op_counts.predict_instances > 0
+        assert sum(kernel_rows) == classifier.op_counts.predict_instances > 0
     assert "comparison" in trace.phase
+
+
+def test_a_sporadic_race_candidate_scores_its_race_in_one_call_per_window(kernel_rows,
+                                                                         monkeypatch):
+    """Each race candidate state makes at most one kernel call per window,
+    and that call covers its race's chunks in the window and no more."""
+    # the ph entry of ALARMING_OVERRIDES in test_harness.py
+    config = ExperimentConfig(name="cell", detector="ph", detector_overrides={"threshold": 0.02},
+                              mode="sporadic", seeds=(0,),
+                              stream=StreamConfig(kind="sine", n_chunks=60, chunk_size=100,
+                                                  drift_period=10))
+    state = DtdState(GaussianNB(), detector_for_run(config, 0), config.race_len, config.eta,
+                     config.mode)
+    calls = []  # (candidate model, window, rows computed, rows its race has left in the window)
+
+    def scoring(model, chunk, *args, **kwargs):
+        before = len(kernel_rows)
+        accuracy = evaluate(model, chunk, *args, **kwargs)
+        if model is not state.primary_model:
+            window, position = chunk.cache["window"]
+            # scored before the race opens (EDM on the alarm chunk) or during it
+            left = state.countdown - 1 if state.in_comparison else state.race_len
+            stop = min(position + 1 + left, len(window.starts) - 1)
+            race_rows = window.starts[stop] - window.starts[position]
+            calls.extend((model, window, rows, race_rows) for rows in kernel_rows[before:])
+        return accuracy
+
+    monkeypatch.setattr(dtd, "evaluate", scoring)
+    trace = run_policies(make_stream(config.stream), [(dtd_step, state)])[0]
+    assert trace.phase.count("comparison") >= 9
+    assert max(Counter((model, window) for model, window, _, _ in calls).values()) == 1
+    assert [rows for *_, rows, _ in calls] == [race_rows for *_, race_rows in calls]
+    assert max(rows for *_, rows, _ in calls) > config.stream.chunk_size
 
 
 def test_a_race_step_returns_what_the_race_probe_reads():

@@ -639,25 +639,13 @@ def window_of(n_chunks=4, rows=25, seed=0):
     return chunks[0], chunks[1:]
 
 
-@pytest.fixture
-def predict_calls(monkeypatch):
-    calls = []
-
-    def counting(X, params, _kernel=kernels.predict_indices):
-        calls.append(X.shape[0])
-        return _kernel(X, params)
-
-    monkeypatch.setattr(kernels, "predict_indices", counting)
-    return calls
-
-
 class TestScoringAhead:
-    def test_a_stopped_model_scores_the_rest_of_the_window_in_one_call(self, predict_calls):
+    def test_a_stopped_model_scores_the_rest_of_the_window_in_one_call(self, kernel_rows):
         warmup, chunks = window_of()
         model = GaussianNB().train(warmup)
         accuracies = [evaluate(model, c, RecordingDetector()) for c in chunks]
         # the first chunk after a train is scored alone, the second reads ahead
-        assert predict_calls == [25, 75]
+        assert kernel_rows == [25, 75]
         fresh = GaussianNB().train(warmup)
         assert accuracies == [float(np.mean(fresh.predict(c.X) == c.y)) for c in chunks]
 
@@ -667,7 +655,7 @@ class TestScoringAhead:
         assert isinstance(window, Window)
         assert [c.cache["window"] for c in chunks] == [(window, i) for i in range(4)]
         assert window.starts == [0, 25, 50, 75, 100]
-        assert np.array_equal(window.rows_from(2), np.vstack([c.X for c in chunks[2:]]))
+        assert np.array_equal(window.rows_from(2, 4), np.vstack([c.X for c in chunks[2:]]))
 
     def test_tags_make_no_reference_cycle(self):
         # chunks freed by reference counting alone, without waiting for the
@@ -684,7 +672,7 @@ class TestScoringAhead:
         finally:
             gc.enable()
 
-    def test_served_labels_equal_fresh_predictions_and_are_read_only(self, predict_calls):
+    def test_served_labels_equal_fresh_predictions_and_are_read_only(self, kernel_rows):
         warmup, chunks = window_of()
         model = GaussianNB().train(warmup)
         model.predict(chunks[0].X, chunks[0].cache["window"])
@@ -692,9 +680,9 @@ class TestScoringAhead:
             served = model.predict(chunk.X, chunk.cache["window"])
             assert not served.flags.writeable
             assert np.array_equal(served, model.predict(chunk.X))
-        assert predict_calls[:2] == [25, 75]
+        assert kernel_rows[:2] == [25, 75]
 
-    def test_train_drops_the_kept_labels(self, predict_calls):
+    def test_train_drops_the_kept_labels(self, kernel_rows):
         warmup, chunks = window_of()
         model = GaussianNB().train(warmup)
         for chunk in chunks[:2]:
@@ -704,10 +692,10 @@ class TestScoringAhead:
         assert model._ahead is None and model._predict_params is None
         got = model.predict(chunks[2].X, chunks[2].cache["window"])
         # retrained: scored alone, with the new constants
-        assert predict_calls == [25, 75, 25]
+        assert kernel_rows == [25, 75, 25]
         assert np.array_equal(got, GaussianNB().train(warmup).train(chunks[1]).predict(chunks[2].X))
 
-    def test_copy_shares_the_kept_labels(self, predict_calls):
+    def test_copy_shares_the_kept_labels(self, kernel_rows):
         warmup, chunks = window_of()
         model = GaussianNB().train(warmup)
         for chunk in chunks[:2]:
@@ -715,11 +703,11 @@ class TestScoringAhead:
         twin = model.copy()
         assert twin._ahead is model._ahead
         twin.predict(chunks[2].X, chunks[2].cache["window"])
-        assert predict_calls == [25, 75]
+        assert kernel_rows == [25, 75]
         twin.train(chunks[2])
         assert twin._ahead is None and model._ahead is not None
 
-    def test_an_untagged_chunk_is_never_served_from_kept_labels(self, predict_calls):
+    def test_an_untagged_chunk_is_never_served_from_kept_labels(self, kernel_rows):
         warmup, chunks = window_of()
         model = GaussianNB().train(warmup)
         for chunk in chunks[:2]:
@@ -727,9 +715,9 @@ class TestScoringAhead:
         untagged = Chunk(chunks[2].index, chunks[2].X, chunks[2].y)
         for _ in range(2):
             evaluate(model, untagged, RecordingDetector())
-        assert predict_calls == [25, 75, 25, 25]
+        assert kernel_rows == [25, 75, 25, 25]
 
-    def test_another_window_scores_ahead_from_its_own_rows(self, predict_calls):
+    def test_another_window_scores_ahead_from_its_own_rows(self, kernel_rows):
         warmup, chunks = window_of(n_chunks=6)
         first, second = chunks[:3], chunks[3:]
         Window(first)
@@ -738,8 +726,35 @@ class TestScoringAhead:
         for chunk in chunks:
             got = model.predict(chunk.X, chunk.cache["window"])
             assert np.array_equal(got, model.predict(chunk.X))
-        ahead = [n for n in predict_calls if n != 25]
+        ahead = [n for n in kernel_rows if n != 25]
         assert ahead == [50, 75]
+
+    def test_a_bounded_first_score_makes_one_call_over_exactly_its_chunks(self, kernel_rows):
+        warmup, chunks = window_of()
+        model = GaussianNB().train(warmup)
+        accuracies = [evaluate(model, chunks[1], RecordingDetector(), ahead=1),
+                      evaluate(model, chunks[2], RecordingDetector(), ahead=0)]
+        # the first score after a train covers chunks 1 and 2, not the window's end
+        assert kernel_rows == [50]
+        # a bound past the window's end is clipped there
+        evaluate(GaussianNB().train(warmup), chunks[2], RecordingDetector(), ahead=5)
+        assert kernel_rows == [50, 50]
+        fresh = GaussianNB().train(warmup)
+        assert accuracies == [float(np.mean(fresh.predict(c.X) == c.y)) for c in chunks[1:3]]
+
+    def test_a_chunk_past_the_kept_labels_is_scored_again(self, kernel_rows):
+        warmup, chunks = window_of()
+        fresh = GaussianNB().train(warmup)
+        expected = [fresh.predict(c.X) for c in chunks]
+        kernel_rows.clear()
+        model = GaussianNB().train(warmup)
+        window, _ = chunks[0].cache["window"]
+        assert np.array_equal(model.predict(chunks[0].X, (window, 0, 2)), expected[0])
+        for chunk, want in zip(chunks[1:], expected[1:]):
+            assert np.array_equal(model.predict(chunk.X, chunk.cache["window"]), want)
+        # chunk 2 lies past the kept labels of chunks 0 and 1: the model,
+        # which has scored since its train, scores to the window's end
+        assert kernel_rows == [50, 50]
 
     def test_op_counts_count_the_rows_of_each_scored_chunk(self):
         warmup, chunks = window_of()

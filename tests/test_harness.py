@@ -725,6 +725,28 @@ out: elsewhere
         with pytest.raises(ConfigError, match=match):
             config_from_mapping(mapping)
 
+    @pytest.mark.parametrize("stream,unread", [
+        ({"kind": "sea", "csv_path": "x.csv"}, "csv_path"),
+        ({"kind": "sea", "csv_has_header": True}, "csv_has_header"),
+        ({"kind": "sine", "csv_has_header": False}, "csv_has_header"),
+        ({"kind": "mixed", "noise": 0.0}, "noise"),
+        ({"kind": "csv", "csv_path": "x.csv", "n_chunks": 7}, "n_chunks"),
+        ({"kind": "csv", "csv_path": "x.csv", "drift_period": 5}, "drift_period"),
+        ({"kind": "csv", "csv_path": "x.csv", "noise": 0.0}, "noise"),
+    ])
+    def test_stream_keys_the_kind_does_not_read_are_rejected(self, stream, unread):
+        with pytest.raises(ConfigError, match=unread):
+            config_from_mapping({"stream": stream, "detector": {"kind": "ddm"}})
+
+    def test_a_csv_stream_runs_and_refuses_a_chunk_count(self, tmp_path):
+        path = tmp_path / "four.csv"
+        path.write_text("".join(f"{i}.0,{i % 2}\n" for i in range(4)))
+        stream = {"kind": "csv", "csv_path": str(path), "csv_has_header": False, "chunk_size": 2}
+        config = config_from_mapping({"stream": stream, "detector": {"kind": "ddm"}, "seeds": 1})
+        assert run_experiment(config, method="baseline", write=False)["baseline"].traces[0].chunk_index == [0, 1]
+        with pytest.raises(ConfigError, match="n_chunks"):
+            config_from_mapping({"stream": {**stream, "n_chunks": 7}, "detector": {"kind": "ddm"}})
+
     @pytest.mark.parametrize("text,match", [
         ("race_len: 2.5", "race_len"),
         ("race_len: '3'", "race_len"),
@@ -932,3 +954,13 @@ class TestWriteResult:
         cell_dir = tmp_path / "cell__baseline"
         assert sorted(p.name for p in cell_dir.iterdir()) == ["seed0.csv", "summary.json"]
         assert json.loads((cell_dir / "summary.json").read_text())["seeds"] == [0]
+
+    def test_a_rerun_removes_only_trace_names_the_program_writes(self, tmp_path):
+        cell_dir = tmp_path / "cellname__dtd"
+        cell_dir.mkdir()
+        kept = ["seed_notes.csv", "seedling.csv", "seed.csv", "seed1a.csv", "seed-1.csv",
+                "seed007.csv", "seed\u0663.csv", "seed1.csv.bak", "notes.txt"]
+        for name in kept + ["seed7.csv", "seed10.csv"]:
+            (cell_dir / name).write_text("kept\n")
+        write_result(fake_result("cellname", "dtd", [[0.5, 0.6]]), tmp_path)
+        assert sorted(p.name for p in cell_dir.iterdir()) == sorted(kept + ["seed0.csv", "summary.json"])

@@ -203,7 +203,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("kind", ["sine", "mixed"])
     def test_noise_rejected_off_sea(self, kind):
-        with pytest.raises(ConfigError, match="only supported for sea"):
+        with pytest.raises(ConfigError, match=f"{kind} streams do not read noise"):
             StreamConfig(kind=kind, noise=0.1)
 
     def test_csv_needs_path(self):
@@ -223,6 +223,17 @@ class TestConfigValidation:
     def test_badly_typed_fields_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
             StreamConfig(kind="sea", **{field: value})
+
+    @pytest.mark.parametrize("kind", ["sea", "sine", "mixed"])
+    @pytest.mark.parametrize("field,value", [("csv_path", "x.csv"), ("csv_has_header", True)])
+    def test_a_synthetic_kind_rejects_a_csv_field(self, kind, field, value):
+        with pytest.raises(ConfigError, match=f"{kind} streams do not read {field}"):
+            StreamConfig(kind=kind, **{field: value})
+
+    @pytest.mark.parametrize("field,value", [("n_chunks", 7), ("drift_period", 5)])
+    def test_a_csv_stream_rejects_a_synthetic_field(self, field, value):
+        with pytest.raises(ConfigError, match=f"csv streams do not read {field}"):
+            StreamConfig(kind="csv", csv_path="x.csv", **{field: value})
 
     def test_index_fits_one_word(self):
         with pytest.raises(ConfigError, match="n_chunks"):
