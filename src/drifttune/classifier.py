@@ -107,6 +107,19 @@ def _chunk_stats(chunk: Chunk) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     return stats
 
 
+def _on_classes(classes, labels, counts, means, m2):
+    """The count, mean and M2 rows of the sorted ``labels`` laid onto their
+    sorted superset ``classes``, with zero rows for the classes ``labels``
+    lacks; the arrays themselves when the two sets are equal."""
+    if labels.shape[0] == classes.shape[0]:
+        return counts, means, m2
+    pos = np.searchsorted(classes, labels)
+    shape = (classes.shape[0], means.shape[1])
+    laid = np.zeros(shape[0]), np.zeros(shape), np.zeros(shape)
+    laid[0][pos], laid[1][pos], laid[2][pos] = counts, means, m2
+    return laid
+
+
 class Window:
     """Consecutive chunks of one stream pass, whose rows a model that has
     stopped training scores in one kernel call.
@@ -168,28 +181,13 @@ class GaussianNB:
         if self.is_fitted and X.shape[1] != self.n_features:
             raise ModelError(f"expected {self.n_features} features, got {X.shape[1]}")
 
-    def _admit_classes(self, labels: np.ndarray, n_features: int) -> None:
-        if labels.shape == self._classes.shape and (labels == self._classes).all():
-            return
-        merged = np.union1d(self._classes, labels)
-        if merged.shape == self._classes.shape:
-            return
-        counts = np.zeros(merged.shape[0])
-        means = np.zeros((merged.shape[0], n_features))
-        m2 = np.zeros((merged.shape[0], n_features))
-        old_pos = np.searchsorted(merged, self._classes)
-        counts[old_pos] = self._counts
-        means[old_pos] = self._means
-        m2[old_pos] = self._m2
-        self._classes, self._counts, self._means, self._m2 = merged, counts, means, m2
-
     def train(self, chunk: Chunk) -> "GaussianNB":
         if chunk.X.shape[0] == 0:
             raise ModelError("cannot train on an empty chunk")
         self._require_width(chunk.X)
         labels, counts, means, m2 = _chunk_stats(chunk)
         if self.is_fitted:
-            self._merge(labels, counts, means, m2, chunk.X.shape[1])
+            self._merge(labels, counts, means, m2)
         else:
             # a fresh model adopts the chunk's read-only statistics: a merge
             # into zeros gives the same values, but turns a -0.0 mean into +0.0
@@ -199,33 +197,27 @@ class GaussianNB:
         op_counts.train_instances += chunk.X.shape[0]
         return self
 
-    def _merge(self, labels, counts, means, m2, n_features: int) -> None:
-        self._admit_classes(labels, n_features)
-        if labels.shape[0] == self._classes.shape[0]:
-            b_counts, b_means, b_m2 = counts, means, m2
-        else:
-            # the chunk lacks some known classes: scatter into the model layout
-            pos = np.searchsorted(self._classes, labels)
-            b_counts = np.zeros(self._classes.shape[0])
-            b_means = np.zeros(self._means.shape)
-            b_m2 = np.zeros(self._m2.shape)
-            b_counts[pos], b_means[pos], b_m2[pos] = counts, means, m2
+    def _merge(self, labels, n_b, b_means, b_m2) -> None:
+        classes, n_a, a_means, a_m2 = self._classes, self._counts, self._means, self._m2
+        if labels.shape != classes.shape or (labels != classes).any():
+            classes = np.union1d(classes, labels)
+            n_a, a_means, a_m2 = _on_classes(classes, self._classes, n_a, a_means, a_m2)
+            n_b, b_means, b_m2 = _on_classes(classes, labels, n_b, b_means, b_m2)
 
-        # Chan et al.'s pairwise update; _admit_classes only admits classes
-        # with rows, so every n_ab is positive. In place, in the order of
-        # means + delta * (n_b / n_ab) and m2 + b_m2 + delta * delta * (n_a * n_b / n_ab)
-        n_a, n_b = self._counts, b_counts
+        # Chan et al.'s pairwise update; both sides hold only classes with
+        # rows, so every n_ab is positive. In place, in the order of
+        # a_means + delta * (n_b / n_ab) and a_m2 + b_m2 + delta * delta * (n_a * n_b / n_ab)
         n_ab = n_a + n_b
-        delta = b_means - self._means
+        delta = b_means - a_means
         means = delta * (n_b / n_ab)[:, None]
-        means += self._means
+        means += a_means
         cross = n_a * n_b
         cross /= n_ab
         delta *= delta
         delta *= cross[:, None]
-        m2 = self._m2 + b_m2
+        m2 = a_m2 + b_m2
         m2 += delta
-        self._counts, self._means, self._m2 = n_ab, means, m2
+        self._classes, self._counts, self._means, self._m2 = classes, n_ab, means, m2
 
     def _params_for(self, X: np.ndarray) -> tuple[np.ndarray, ...]:
         """Check that the model can score ``X``; return its cached kernel constants."""
@@ -286,8 +278,8 @@ class GaussianNB:
         return labels
 
     def copy(self) -> "GaussianNB":
-        # sharing the arrays is safe: train and _admit_classes only rebind
-        # them; a copy has the same constants, so it shares the kept labels too
+        # sharing the arrays is safe: train only rebinds them; a copy has
+        # the same constants, so it shares the kept labels too
         twin = type(self).__new__(type(self))
         twin.__dict__.update(self.__dict__)
         return twin

@@ -72,6 +72,11 @@ class ExperimentConfig:
             raise ConfigError(f"experiment name must be a non-empty path-safe string, got {self.name!r}")
         if not isinstance(self.out, str) or "\0" in self.out:
             raise ConfigError(f"out must be a path string, got {self.out!r}")
+        if not isinstance(self.stream, StreamConfig):
+            raise ConfigError(f"stream must be a StreamConfig, got {type(self.stream).__name__}")
+        if not isinstance(self.detector_overrides, dict):
+            raise ConfigError("detector_overrides must be a dict, got "
+                              f"{type(self.detector_overrides).__name__}")
         if self.method not in METHODS + ("both",):
             raise ConfigError(f"method must be one of {METHODS + ('both',)}, got {self.method!r}")
         check_policy(self.race_len, self.eta, self.mode)

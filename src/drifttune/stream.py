@@ -32,7 +32,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigError, IngestError, check_count, check_real
+from .errors import ConfigError, IngestError, ModelError, check_count, check_real
 
 SEA_THRESHOLDS = (8.0, 9.0, 7.0, 9.5)
 
@@ -55,7 +55,9 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 @dataclass(frozen=True)
 class Chunk:
-    """One non-empty batch of instances. Arrays are read-only views.
+    """One batch of instances: a 2-d feature matrix and one integer (or bool)
+    label per row. Arrays are read-only views. An empty chunk can be built,
+    but a model neither trains nor scores on one.
 
     ``cache`` holds values derived from the arrays, such as the class
     statistics the model computes once per chunk.
@@ -67,6 +69,10 @@ class Chunk:
     cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.X.ndim != 2 or self.y.ndim != 1 or self.y.dtype.kind not in "biu" \
+                or self.X.shape[0] != self.y.shape[0]:
+            raise ModelError(f"chunk {self.index} needs a 2-d feature matrix and a 1-d integer "
+                             f"label per row, got X {self.X.shape} and y {self.y.shape} {self.y.dtype}")
         self.X.setflags(write=False)
         self.y.setflags(write=False)
 

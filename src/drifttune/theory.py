@@ -37,6 +37,7 @@ FLOAT_SLACK = 1e-12
 
 
 def _check_unit(name: str, value: float) -> None:
+    check_real(name, value)
     if not 0.0 <= value <= 1.0:
         raise ConfigError(f"{name} must lie in [0, 1], got {value!r}")
 

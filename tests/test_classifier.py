@@ -210,6 +210,14 @@ class TestExactness:
     # a -0.0 mean, which a fresh model keeps and a merge turns into +0.0
     @example([chunk_of([[-5e-324, 1.0], [-0.0, 2.0]], [0, 0]),
               chunk_of([[1.0, 1.0]], [0], index=1)])
+    # the merge lays both sides onto the union of their classes: the chunk
+    # brings class 2 and lacks class 0, then a chunk holds a strict subset
+    @example([chunk_of([[1.0, 0.5], [2.0, 1.5], [4.0, -1.0]], [0, 1, 1]),
+              chunk_of([[3.0, 2.0], [0.5, 0.25]], [2, 1], index=1),
+              chunk_of([[6.0, 6.0]], [1], index=2)])
+    # a known class with a -0.0 mean that the chunk lacks turns into +0.0
+    @example([chunk_of([[-5e-324, 1.0], [-0.0, 2.0]], [0, 0]),
+              chunk_of([[3.0, 1.0]], [1], index=1)])
     def test_cached_statistics_match_row_wise_path(self, chunks):
         expected = {"classes": np.empty(0, dtype=np.int64), "counts": None, "means": None, "m2": None}
         model = GaussianNB()

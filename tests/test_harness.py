@@ -130,6 +130,17 @@ class TestExperimentConfig:
         eta = small_config(eta=1).eta
         assert eta == 1.0 and type(eta) is float
 
+    @pytest.mark.parametrize("kw,match", [
+        ({"stream": {"kind": "sea"}}, "stream must be a StreamConfig"),
+        ({"stream": None}, "stream must be a StreamConfig"),
+        ({"detector_overrides": None}, "detector_overrides must be a dict"),
+        ({"detector_overrides": [("threshold", 2.0)]}, "detector_overrides must be a dict"),
+    ])
+    def test_wrongly_typed_stream_or_overrides_rejected(self, kw, match):
+        kw = {"name": "cell", "stream": StreamConfig(kind="sea"), "detector": "ddm", **kw}
+        with pytest.raises(ConfigError, match=match):
+            ExperimentConfig(**kw)
+
 
 class TestDetectorForRun:
     def test_sample_count_defaults_to_chunk_size(self):
@@ -693,6 +704,16 @@ out: elsewhere
         assert config.eta == 0.001
         assert config.seeds == (0, 2, 5)
         assert config.out == "elsewhere"
+
+    def test_readme_config_example_builds(self):
+        # README's example is the config reference, so a renamed or dropped key fails here
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Experiment configs\n", 1)[1]
+        mapping = yaml.safe_load(section.split("```yaml\n", 1)[1].split("```", 1)[0])
+        assert set(mapping) <= harness._TOP_KEYS
+        config = config_from_mapping(mapping)
+        assert (config.name, config.stream.kind, config.detector) == (
+            mapping["name"], mapping["stream"]["kind"], mapping["detector"]["kind"])
 
     def test_defaults(self):
         config = config_from_mapping(

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drifttune import stream as stream_module
-from drifttune.errors import ConfigError, IngestError
+from drifttune.errors import ConfigError, IngestError, ModelError
 from drifttune.stream import (
     SEA_THRESHOLDS,
     SEED_BLOCK,
@@ -182,6 +182,28 @@ class TestChunkObject:
     def test_total_instances(self):
         cfg = StreamConfig(kind="sea", n_chunks=7, chunk_size=11)
         assert cfg.total_instances == 77
+
+    @pytest.mark.parametrize("X, y", [
+        # one label for ten rows: a model would take their sum as a class mean
+        (np.arange(20.0).reshape(10, 2), np.array([1])),
+        (np.arange(20.0).reshape(10, 2), np.zeros((10, 1), dtype=np.int64)),
+        (np.arange(10.0), np.zeros(10, dtype=np.int64)),
+        (np.zeros((2, 2, 1)), np.zeros(2, dtype=np.int64)),
+        # float labels would be truncated to classes 0 and 1
+        (np.zeros((4, 1)), np.array([0.4, 0.6, 1.2, 1.9])),
+        (np.zeros((2, 1)), np.array(["0", "1"])),
+    ], ids=["rows", "2d-labels", "1d-features", "3d-features", "float-labels", "str-labels"])
+    def test_arrays_that_do_not_fit_together_rejected(self, X, y):
+        with pytest.raises(ModelError):
+            Chunk(0, X, y)
+
+    @pytest.mark.parametrize("y", [np.array([0, 1, 1], dtype=np.uint8), np.array([True, False, True])],
+                             ids=["uint8", "bool"])
+    def test_unsigned_and_bool_labels_accepted(self, y):
+        assert len(Chunk(0, np.zeros((3, 2)), y)) == 3
+
+    def test_an_empty_chunk_can_be_built(self):
+        assert len(Chunk(0, np.zeros((0, 2)), np.zeros(0, dtype=np.int64))) == 0
 
 
 class TestConfigValidation:

@@ -105,6 +105,15 @@ class TestSuddenClosedForm:
         with pytest.raises(ConfigError, match=field):
             SuddenDriftParams(**kw)
 
+    @pytest.mark.parametrize("value", [True, "0.5", None])
+    @pytest.mark.parametrize("field", ["A_C1", "A_g"])
+    def test_accuracies_must_be_numbers(self, field, value):
+        kw = dict(T=10, t_d=2, t_w=1, t_incre=1, t_incre_prime=1, A_C1=0.9,
+                  A_dismatch=0.5, A_incre=0.6, A_incre_prime=0.7, A_stable=0.9)
+        kw[field] = value
+        with pytest.raises(ConfigError, match=field):
+            SuddenDriftParams(**kw)
+
     def test_gradual_tightens_invariants(self):
         with pytest.raises(ConfigError, match="perfect-detection"):
             SuddenDriftParams(T=10, t_d=4, t_w=1, t_incre=3, t_incre_prime=0,
@@ -157,6 +166,12 @@ class TestRecurrentClosedForm:
         perfect, missed = analytic_recurrent(p)
         assert math.isclose(perfect, (3 * 0.9 + 0.5 + 0.4 + 5 * 0.9) / 10, rel_tol=1e-15)
         assert math.isclose(missed, (3 * 0.9 + 0.5 + 6 * 0.9) / 10, rel_tol=1e-15)
+
+    @pytest.mark.parametrize("value", [True, "0.5", None])
+    def test_accuracies_must_be_numbers(self, value):
+        with pytest.raises(ConfigError, match="A_mismatch2"):
+            RecurrentDriftParams(T=10, t_d=3, t_incre1=1, A_C1=0.9, A_dismatch=0.5,
+                                 A_mismatch2=value, A_incre1=0.6, A_stable1=0.9)
 
     def test_phase_invariant(self):
         with pytest.raises(ConfigError, match="t_d \\+ 2 \\+ t_incre1"):
