@@ -95,6 +95,9 @@ def _chunk_stats(chunk: Chunk) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
         X = np.ascontiguousarray(chunk.X, dtype=np.float64)
         if not np.isfinite(X).all():
             raise ModelError(f"chunk {chunk.index} has non-finite feature values")
+        # int64 would wrap a uint64 label at or above 2**63 to a negative class
+        if chunk.y.dtype == np.uint64 and chunk.y.shape[0] and chunk.y.max() >= 2**63:
+            raise ModelError(f"chunk {chunk.index} has labels at or above 2**63")
         labels, y_idx, counts = _relabel(np.asarray(chunk.y, dtype=np.int64))
         stats = (labels, *kernels.class_stats(X, y_idx.astype(np.int64, copy=False), counts))
         # a mean that overflows makes its class's M2 inf or NaN as well

@@ -10,21 +10,26 @@ Chunk 0 is warm-up: every model trains on it and evaluation starts at
 chunk 1, so every trace has exactly one row per chunk.
 
 An :class:`ExperimentConfig` is the only input to its runs: its stream,
-monitor, mode, methods, seeds and output directory. One run is one
-(config, seed) pass: each chunk is built once and fed to every method of
-the config in lockstep, so the methods share the chunk and its cached
-class statistics. Every pass walks the stream in windows of about
+monitor, mode, methods, seeds and output directory. Runs are grouped by
+the stream they read: the configs whose stream settings are equal share
+one pass per seed, so a CSV file is parsed once per pass. Each chunk is
+built once and fed to every method of every config in the pass in
+lockstep; the policies share only the read-only chunk, its cached class
+statistics and its window tag, so a trace is the same whichever configs
+share its pass. When worker processes outnumber the passes, each pass's
+configs are split round-robin into ceil(parallel / passes) parts, one
+pass each. Every pass walks the stream in windows of about
 ``WINDOW_ROWS`` rows (at least one chunk): it builds a window's chunks
 before stepping through them, so a model that has stopped training, as a
 sporadic model or race candidate does between alarms, can score the
 window's rows ahead in one kernel call (see
 :class:`~drifttune.classifier.Window`); a race candidate scores only its
 race's chunks. Continual models train after every chunk, so they never
-score ahead. Run
-seed k replaces the stream seed, which every trace of the pass records,
-and, for monitors that subsample (kswin), the subsample seed. Monitors
-that scale deviations by a per-update sample count get that count set to
-the chunk size unless a config override pins it.
+score ahead. Run seed k replaces the stream seed, which every trace of
+the pass records, and, for monitors that subsample (kswin), the
+subsample seed. Monitors that scale deviations by a per-update sample
+count get that count set to the chunk size unless a config override
+pins it.
 """
 
 from __future__ import annotations
@@ -201,17 +206,25 @@ def dtd_trace(stream: Stream, detector: DriftMonitor, mode: str = "continual",
     return run_policies(stream, [(dtd_step, state)])[0]
 
 
-def run_single(config: ExperimentConfig, seed: int) -> dict[str, RunTrace]:
-    """One pass over the config's stream seeded with ``seed`` that runs the
-    config's methods in lockstep, each with its own model and monitor;
-    returns traces by method."""
+def _run_pass(configs: Sequence[ExperimentConfig], seed: int) -> list[dict[str, RunTrace]]:
+    """One pass over the stream the configs share, seeded with ``seed``, that
+    runs every method of every config in lockstep, each with its own model
+    and monitor; returns each config's traces by method."""
     # looked up per call, so a step patched on the module is the one that runs
     steps = {"baseline": baseline_step, "dtd": dtd_step}
-    stream = make_stream(dataclasses.replace(config.stream, seed=seed))
+    stream = make_stream(dataclasses.replace(configs[0].stream, seed=seed))
     policies = [(steps[m], DtdState(GaussianNB(), detector_for_run(config, seed),
                                     config.race_len, config.eta, config.mode))
-                for m in config.methods]
-    return dict(zip(config.methods, run_policies(stream, policies)))
+                for config in configs for m in config.methods]
+    traces = iter(run_policies(stream, policies))
+    return [{m: next(traces) for m in config.methods} for config in configs]
+
+
+def run_single(config: ExperimentConfig, seed: int) -> dict[str, RunTrace]:
+    """One pass over the config's stream seeded with ``seed`` that runs the
+    config's methods in lockstep; returns traces by method. A suite runs
+    the same pass for every config that reads that stream at that seed."""
+    return _run_pass([config], seed)[0]
 
 
 @dataclass
@@ -308,22 +321,27 @@ def run_experiment(config: ExperimentConfig, method: str | None = None,
 
 
 def _run_all(configs: Sequence[ExperimentConfig], parallel: int) -> list[ExperimentResult]:
-    """One task per (config, seed); results per (config, method) in config order."""
+    """One pass per (stream, seed) that the configs read, split into parts
+    when workers outnumber passes; results per (config, method) in config order."""
     check_count("parallel", parallel, minimum=1)
-    tasks = [(config, seed) for config in configs for seed in config.seeds]
-    if parallel > 1 and len(tasks) > 1:
+    passes: dict[StreamConfig, list[int]] = {}
+    for i, config in enumerate(configs):
+        for seed in config.seeds:
+            passes.setdefault(dataclasses.replace(config.stream, seed=seed), []).append(i)
+    parts = -(-parallel // len(passes))
+    tasks = [(key.seed, members[j::parts]) for key, members in passes.items()
+             for j in range(min(parts, len(members)))]
+    calls = [([configs[i] for i in members], seed) for seed, members in tasks]
+    if parallel > 1 and len(calls) > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
-            rows = list(pool.map(run_single, *zip(*tasks)))
+            rows = list(pool.map(_run_pass, *zip(*calls)))
     else:
-        rows = [run_single(*task) for task in tasks]
-    runs = iter(rows)
-    results = []
-    for config in configs:
-        by_seed = [next(runs) for _ in config.seeds]
-        results.extend(ExperimentResult(method=m, config=config,
-                                        traces=[traces[m] for traces in by_seed])
-                       for m in config.methods)
-    return results
+        rows = [_run_pass(*call) for call in calls]
+    traces = {(i, seed): by_method for (seed, members), row in zip(tasks, rows)
+              for i, by_method in zip(members, row)}
+    return [ExperimentResult(method=m, config=config,
+                             traces=[traces[i, seed][m] for seed in config.seeds])
+            for i, config in enumerate(configs) for m in config.methods]
 
 
 def run_suite(configs: Sequence[ExperimentConfig],

@@ -25,8 +25,9 @@ import drifttune.cli  # noqa: F401  (entry_points reads drifttune.cli)
 from drifttune import classifier, dtd, kernels
 from drifttune.classifier import GaussianNB, evaluate
 from drifttune.dtd import DtdState, dtd_step
-from drifttune.harness import ExperimentConfig, detector_for_run, run_experiment, run_policies
-from drifttune.stream import StreamConfig, make_stream
+from drifttune.harness import (ExperimentConfig, detector_for_run, run_experiment, run_policies,
+                               run_suite)
+from drifttune.stream import Stream, StreamConfig, make_stream
 
 TRACER = Path(__file__).resolve().parent.parent / "e2ebench" / "tracer.py"
 
@@ -78,6 +79,25 @@ def test_a_run_computes_each_chunks_statistics_once(kernel_calls):
     kernel_calls.clear()
     run_experiment(config, method="dtd", write=False)
     assert kernel_calls["class_stats"] == 2 * 30
+
+
+def test_suite_configs_on_one_stream_share_each_seeds_pass(kernel_calls, monkeypatch, tmp_path):
+    """Three continual cells that read one stream run one pass per seed: each
+    chunk is built once per seed and its statistics are computed at most once."""
+    built = Counter()
+
+    def counting_chunk(self, index, _chunk=Stream.chunk):
+        built[self.config.seed, index] += 1
+        return _chunk(self, index)
+
+    monkeypatch.setattr(Stream, "chunk", counting_chunk)
+    stream = StreamConfig(kind="sea", n_chunks=12, chunk_size=100, drift_period=4)
+    configs = [ExperimentConfig(name=detector, stream=stream, detector=detector, seeds=(0, 1),
+                                out=str(tmp_path))
+               for detector in ("ddm", "ph", "hddm_a")]
+    run_suite(configs, parallel=1)
+    assert built == {(seed, i): 1 for seed in (0, 1) for i in range(12)}
+    assert 0 < kernel_calls["class_stats"] <= 2 * 12
 
 
 def test_a_sporadic_run_scores_ahead_and_trains_each_chunk_once(kernel_calls):

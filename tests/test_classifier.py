@@ -62,6 +62,18 @@ class TestTraining:
         assert np.allclose(twice._means, once._means)
         assert np.allclose(twice._m2, once._m2)
 
+    @pytest.mark.parametrize("labels", [[0, 2**63], [2**64 - 1, 3], [2**63 + 5]])
+    def test_unsigned_labels_past_int64_rejected(self, labels):
+        chunk = Chunk(0, np.zeros((len(labels), 1)), np.array(labels, dtype=np.uint64))
+        with pytest.raises(ModelError, match="2\\*\\*63"):
+            GaussianNB().train(chunk)
+
+    def test_unsigned_labels_below_2_63_keep_their_values(self):
+        labels = np.array([2**63 - 1, 0, 2**63 - 1], dtype=np.uint64)
+        model = GaussianNB().train(Chunk(0, np.array([[10.0], [0.0], [10.0]]), labels))
+        assert model.classes.tolist() == [0, 2**63 - 1]
+        assert model.predict(np.array([[0.0], [9.0]])).tolist() == [0, 2**63 - 1]
+
     def test_population_variance_value(self):
         model = GaussianNB().train(chunk_of([[1.0], [2.0], [3.0], [4.0]], [0, 0, 0, 0]))
         variance = model._m2[0, 0] / model._counts[0]

@@ -338,6 +338,24 @@ def small_configs(draw, detector, mode, min_seeds=1):
                             mode=mode, race_len=draw(st.integers(1, 4)), seeds=tuple(seeds))
 
 
+@st.composite
+def configs_on_one_stream(draw, detector, mode, max_seeds=3):
+    """2-4 random cells that read one drawn stream, the first with the given
+    monitor and mode, each on its own subset of the first's seeds."""
+    first = draw(small_configs(detector, mode))
+    seeds = first.seeds[:max_seeds]
+    configs = []
+    for k in range(draw(st.integers(2, 4))):
+        kind = detector if k == 0 else draw(st.sampled_from(DETECTOR_KINDS))
+        configs.append(dataclasses.replace(
+            first, name=f"cell{k}", detector=kind,
+            detector_overrides=draw(st.sampled_from(ALARMING_OVERRIDES[kind])),
+            mode=mode if k == 0 else draw(st.sampled_from(TRAINING_MODES)),
+            method=draw(st.sampled_from(METHODS + ("both",))), race_len=draw(st.integers(1, 4)),
+            seeds=tuple(draw(st.lists(st.sampled_from(seeds), min_size=1, unique=True)))))
+    return configs
+
+
 def csv_texts(result):
     return [t.to_csv_text() for t in result.traces]
 
@@ -369,6 +387,29 @@ class TestOnePassProperties:
             run_suite([dataclasses.replace(c, out=serial) for c in configs], parallel=1)
             run_suite([dataclasses.replace(c, out=parallel) for c in configs], parallel=2)
             assert tree_bytes(serial) == tree_bytes(parallel)
+
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_a_shared_pass_matches_each_config_alone(self, detector, mode, data):
+        configs = data.draw(configs_on_one_stream(detector, mode))
+        seed = data.draw(st.sampled_from(configs[0].seeds))
+        shared = harness._run_pass(configs, seed)
+        for config, traces in zip(configs, shared, strict=True):
+            alone = run_experiment(dataclasses.replace(config, seeds=(seed,)), write=False)
+            assert {m: t.to_csv_text() for m, t in traces.items()} == \
+                {m: csv_texts(result)[0] for m, result in alone.items()}
+
+    @settings(max_examples=3, deadline=None)
+    @given(data=st.data())
+    def test_split_passes_write_the_same_bytes_at_any_parallelism(self, detector, mode, data):
+        # at most two seeds, so at parallel 2 or 3 there are fewer passes than workers
+        configs = data.draw(configs_on_one_stream(detector, mode, max_seeds=2))
+        trees = []
+        for parallel in (1, 2, 3):
+            with tempfile.TemporaryDirectory() as out:
+                run_suite([dataclasses.replace(c, out=out) for c in configs], parallel=parallel)
+                trees.append(tree_bytes(out))
+        assert trees[0] == trees[1] == trees[2]
 
 
 def window_traces(window_rows, config, seed, flip):
