@@ -4,35 +4,41 @@ The model keeps per-class running counts, means, and sums of squared
 deviations, merged batch-wise with Chan's parallel update (Chan, Golub &
 LeVeque, Am. Stat. 1983), so training on a chunk is equivalent to having seen
 every instance one at a time. A chunk's own class statistics are computed once
-per chunk and cached on it, so every model trained on the same chunk (the
-primary and each race candidate) only pays for the merge, and a fresh model
-adopts them as they are; the class counts come from the pass that relabels the
-chunk's labels. The merge and the predict constants write in place only to
-arrays they made themselves, in the operation order of their plain formulas,
-since model copies share the arrays they replace. Prediction maximizes the log
-joint density with a per-feature variance floor; the kernel's per-model
-constants (log priors, means, doubled floored variances and log normalizers)
-are cached until the next ``train``. Every model, the primary or a race
+per chunk and cached on it, and a fresh model adopts them as they are; the
+class counts come from the pass that relabels the chunk's labels.
+
+A model holds one read-only state, which models share. ``train`` moves a
+model to the state its current state becomes after the chunk, and the chunk
+keeps the states it led to, by parent state, in ``chunk.cache["trained"]``:
+every model of a pass that trains from the same state on the same chunk
+(each ``adapt`` on it, every continual lineage over the same chunks) takes
+one state, merged once. ``copy`` shares the state. A state refers to no
+chunk, so the memo makes no reference cycle and a chunk and its states are
+freed with its window. The merge writes in place only to arrays it made
+itself, in the operation order of its plain formula. Prediction maximizes
+the log joint density with a per-feature variance floor; the kernel's
+constants (log priors, means, doubled floored variances and log
+normalizers) are built once per state. Every model, the primary or a race
 candidate, scores a chunk through :func:`evaluate` and ``predict``.
 Features are plain float64: a chunk whose class statistics overflow is
 rejected when a model trains on it, and a row that has no finite best class
 score raises instead of taking class 0.
 
-A stream pass groups its chunks into :class:`Window` runs. A model that scores
-a chunk of a window a second time since its last ``train`` has stopped
-training, so it predicts every row from that chunk to the window's end in one
-kernel call and serves the window's later chunks from those labels until it
-trains again. A caller that knows how many more chunks it will score with
-the model as it is, as a sporadic race knows its remaining chunks, passes
-that bound to :func:`evaluate`: the model then predicts exactly those chunks,
-clipped at the window's end, in one call at its first score, and nothing
-past them. Labels are served only for chunks they cover. Each label depends
-only on its own row and the model's constants, so the labels are the ones
-per-chunk calls give.
+A stream pass groups its chunks into :class:`Window` runs. A state keeps
+the labels of its last score of a window's rows, and serves any model that
+holds it a chunk they cover. A state that is scored on a chunk it has no
+labels for, after it has already been scored, belongs to models that have
+stopped training, so it predicts every row from that chunk to the window's
+end in one kernel call. A caller that knows how many more chunks it will
+score with the model as it is, as a sporadic race knows its remaining
+chunks, passes that bound to :func:`evaluate`: the state then predicts
+exactly those chunks, clipped at the window's end, in one call, and nothing
+past them. Each label depends only on its own row and the state's
+constants, so the labels are the ones per-chunk calls give.
 
 Module-level operation counters record how many instances were pushed
-through predict and train calls, per scored chunk, whether or not its labels
-were computed ahead. The adaptation logic is bounded to a fixed small
+through predict and train calls, per call, whether its labels or state were
+computed for it or served. The adaptation logic is bounded to a fixed small
 multiple of the chunk size per step, and tests read these counters to check
 that bound.
 """
@@ -84,6 +90,13 @@ def _relabel(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.unique(y, return_inverse=True, return_counts=True)
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, each made read-only."""
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
 def _chunk_stats(chunk: Chunk) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The chunk's sorted labels with their per-label count, mean and M2.
 
@@ -104,9 +117,7 @@ def _chunk_stats(chunk: Chunk) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
         if not np.isfinite(stats[3]).all():
             raise ModelError(f"chunk {chunk.index} has non-finite class statistics: "
                              "its features are outside the supported range")
-        for array in stats:
-            array.setflags(write=False)
-        chunk.cache["class_stats"] = stats
+        chunk.cache["class_stats"] = _read_only(*stats)
     return stats
 
 
@@ -148,35 +159,77 @@ class Window:
         return self._X[self.starts[position]:self.starts[stop]]
 
 
+class _State:
+    """One model state: the sorted classes with their counts, means and M2,
+    all read-only arrays, plus what is computed from them alone: the predict
+    constants, built on the first score, and the labels of the last window
+    rows scored. Models that trained on the same chunks in the same order
+    share one state, so each is computed once whichever model asks."""
+
+    __slots__ = ("classes", "counts", "means", "m2", "params", "ahead", "__weakref__")
+
+    def __init__(self, classes, counts, means, m2):
+        self.classes, self.counts, self.means, self.m2 = classes, counts, means, m2
+        self.params: tuple[np.ndarray, ...] | None = None
+        # (window, position, labels): read-only labels of the window's rows
+        # from chunk ``position`` on, covering as many chunks as they have rows for
+        self.ahead: tuple[Window, int, np.ndarray] | None = None
+
+
+_EMPTY = _State(*_read_only(np.empty(0, dtype=np.int64), np.empty(0), np.empty((0, 0)), np.empty((0, 0))))
+
+
+def _merge(state: _State, labels, n_b, b_means, b_m2) -> _State:
+    """The state ``state`` becomes after a chunk with these class statistics."""
+    if state is _EMPTY:
+        # a fresh model adopts the chunk's read-only statistics: a merge
+        # into zeros gives the same values, but turns a -0.0 mean into +0.0
+        return _State(labels, n_b, b_means, b_m2)
+    classes, n_a, a_means, a_m2 = state.classes, state.counts, state.means, state.m2
+    if labels.shape != classes.shape or (labels != classes).any():
+        classes = np.union1d(classes, labels)
+        n_a, a_means, a_m2 = _on_classes(classes, state.classes, n_a, a_means, a_m2)
+        n_b, b_means, b_m2 = _on_classes(classes, labels, n_b, b_means, b_m2)
+        classes.setflags(write=False)
+
+    # Chan et al.'s pairwise update; both sides hold only classes with
+    # rows, so every n_ab is positive. In place on new arrays, in the order of
+    # a_means + delta * (n_b / n_ab) and a_m2 + b_m2 + delta * delta * (n_a * n_b / n_ab)
+    n_ab = n_a + n_b
+    delta = b_means - a_means
+    means = delta * (n_b / n_ab)[:, None]
+    means += a_means
+    cross = n_a * n_b
+    cross /= n_ab
+    delta *= delta
+    delta *= cross[:, None]
+    m2 = a_m2 + b_m2
+    m2 += delta
+    return _State(classes, *_read_only(n_ab, means, m2))
+
+
 class GaussianNB:
     """Gaussian naive Bayes with incremental chunk training.
 
     Classes are discovered as they appear; statistics use population
-    variance. Tied posteriors resolve to the smallest class label.
+    variance. Tied posteriors resolve to the smallest class label. The model
+    holds one shared, read-only state, which ``train`` replaces.
     """
 
     def __init__(self):
-        self._classes = np.empty(0, dtype=np.int64)
-        self._counts = np.empty(0, dtype=np.float64)
-        self._means = np.empty((0, 0), dtype=np.float64)
-        self._m2 = np.empty((0, 0), dtype=np.float64)
-        self._predict_params: tuple[np.ndarray, ...] | None = None
-        # (window, position, labels): read-only labels of the window's rows
-        # from chunk ``position`` on, computed ahead for the current state
-        # and covering as many chunks as they have rows for
-        self._ahead: tuple[Window, int, np.ndarray] | None = None
+        self._state = _EMPTY
 
     @property
     def is_fitted(self) -> bool:
-        return self._classes.shape[0] > 0
+        return self._state.classes.shape[0] > 0
 
     @property
     def classes(self) -> np.ndarray:
-        return self._classes.copy()
+        return self._state.classes.copy()
 
     @property
     def n_features(self) -> int:
-        return self._means.shape[1]
+        return self._state.means.shape[1]
 
     def _require_width(self, X: np.ndarray) -> None:
         if X.ndim != 2:
@@ -185,60 +238,39 @@ class GaussianNB:
             raise ModelError(f"expected {self.n_features} features, got {X.shape[1]}")
 
     def train(self, chunk: Chunk) -> "GaussianNB":
+        """Train on ``chunk``: move to the state the current one becomes
+        after it. A chunk keeps the states it led to, keyed by their parent
+        state, so a model that trains from a state the chunk has already
+        seen takes the state made then."""
         if chunk.X.shape[0] == 0:
             raise ModelError("cannot train on an empty chunk")
-        self._require_width(chunk.X)
-        labels, counts, means, m2 = _chunk_stats(chunk)
-        if self.is_fitted:
-            self._merge(labels, counts, means, m2)
-        else:
-            # a fresh model adopts the chunk's read-only statistics: a merge
-            # into zeros gives the same values, but turns a -0.0 mean into +0.0
-            self._classes, self._counts, self._means, self._m2 = labels, counts, means, m2
-        self._predict_params = None
-        self._ahead = None
+        memo = chunk.cache.setdefault("trained", {})
+        state = memo.get(self._state)
+        if state is None:
+            self._require_width(chunk.X)
+            state = memo[self._state] = _merge(self._state, *_chunk_stats(chunk))
+        self._state = state
         op_counts.train_instances += chunk.X.shape[0]
         return self
 
-    def _merge(self, labels, n_b, b_means, b_m2) -> None:
-        classes, n_a, a_means, a_m2 = self._classes, self._counts, self._means, self._m2
-        if labels.shape != classes.shape or (labels != classes).any():
-            classes = np.union1d(classes, labels)
-            n_a, a_means, a_m2 = _on_classes(classes, self._classes, n_a, a_means, a_m2)
-            n_b, b_means, b_m2 = _on_classes(classes, labels, n_b, b_means, b_m2)
-
-        # Chan et al.'s pairwise update; both sides hold only classes with
-        # rows, so every n_ab is positive. In place, in the order of
-        # a_means + delta * (n_b / n_ab) and a_m2 + b_m2 + delta * delta * (n_a * n_b / n_ab)
-        n_ab = n_a + n_b
-        delta = b_means - a_means
-        means = delta * (n_b / n_ab)[:, None]
-        means += a_means
-        cross = n_a * n_b
-        cross /= n_ab
-        delta *= delta
-        delta *= cross[:, None]
-        m2 = a_m2 + b_m2
-        m2 += delta
-        self._classes, self._counts, self._means, self._m2 = classes, n_ab, means, m2
-
     def _params_for(self, X: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Check that the model can score ``X``; return its cached kernel constants."""
+        """Check that the model can score ``X``; return its state's kernel constants."""
         if not self.is_fitted:
             raise ModelError("predict called before any training data")
         self._require_width(X)
-        if self._predict_params is None:
-            log_priors = self._counts / self._counts.sum()
+        state = self._state
+        if state.params is None:
+            log_priors = state.counts / state.counts.sum()
             np.log(log_priors, out=log_priors)
-            variances = self._m2 / self._counts[:, None]
+            variances = state.m2 / state.counts[:, None]
             top = variances.max(axis=0)
             floor = np.where(top > 0.0, top, 1.0)
             floor *= VARIANCE_FLOOR_SCALE
             # a subnormal top variance would scale the floor down to zero
             np.maximum(floor, _FLOAT_TINY, out=floor)
             np.maximum(variances, floor, out=variances)
-            self._predict_params = kernels.predict_params(log_priors, self._means, variances)
-        return self._predict_params
+            state.params = kernels.predict_params(log_priors, state.means, variances)
+        return state.params
 
     def predict(self, X: np.ndarray,
                 window: tuple[Window, int] | tuple[Window, int, int] | None = None) -> np.ndarray:
@@ -248,41 +280,40 @@ class GaussianNB:
         features ``X`` holds, or ``(window, position, stop)`` when the
         caller will score chunks ``position`` to ``stop - 1`` with the model
         as it is. The model then predicts those rows, clipped at the
-        window's end, in one kernel call. Without a ``stop``, a model that
-        has scored a chunk since its last ``train`` predicts the window's
-        rows from that chunk to its end. It keeps the labels (read-only)
-        and slices them for each later chunk they cover.
+        window's end, in one kernel call. Without a ``stop``, a state that
+        has been scored predicts the window's rows from that chunk to its
+        end, and one that has not predicts the chunk alone. The state keeps
+        the labels (read-only) and slices them for each later request, from
+        any model that holds it, for a chunk they cover.
         """
+        state = self._state
         n_rows = X.shape[0]
-        if window is not None and self._ahead is not None:
-            kept, start, labels = self._ahead
+        if window is not None and state.ahead is not None:
+            kept, start, labels = state.ahead
             if window[0] is kept and window[1] >= start:
                 lo = kept.starts[window[1]] - kept.starts[start]
                 if lo + n_rows <= labels.shape[0]:
                     op_counts.predict_instances += n_rows
                     return labels[lo:lo + n_rows]
         X = np.ascontiguousarray(X, dtype=np.float64)
-        stop = None  # the caller's bound, else the window's end once the model has scored
-        if window is not None:
-            last = len(window[0].starts) - 1
-            if len(window) > 2:
-                stop = min(window[2], last)
-            elif self._predict_params is not None:
-                stop = last
+        scored = state.params is not None
         params = self._params_for(X)
-        if stop is not None and stop > window[1] + 1:
-            labels = self._classes[kernels.predict_indices(window[0].rows_from(window[1], stop), params)]
-            labels.setflags(write=False)
-            self._ahead = (window[0], window[1], labels)
-            labels = labels[:n_rows]
+        if window is None:
+            labels = state.classes[kernels.predict_indices(X, params)]
         else:
-            labels = self._classes[kernels.predict_indices(X, params)]
+            last = len(window[0].starts) - 1
+            # the caller's bound, else the window's end once the state has scored
+            stop = min(window[2], last) if len(window) > 2 else last if scored else window[1] + 1
+            rows = X if stop <= window[1] + 1 else window[0].rows_from(window[1], stop)
+            labels = state.classes[kernels.predict_indices(rows, params)]
+            labels.setflags(write=False)
+            state.ahead = (window[0], window[1], labels)
+            labels = labels[:n_rows]
         op_counts.predict_instances += n_rows
         return labels
 
     def copy(self) -> "GaussianNB":
-        # sharing the arrays is safe: train only rebinds them; a copy has
-        # the same constants, so it shares the kept labels too
+        # a copy shares the read-only state, its constants and its kept labels
         twin = type(self).__new__(type(self))
         twin.__dict__.update(self.__dict__)
         return twin

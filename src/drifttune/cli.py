@@ -50,7 +50,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _add_run_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None, help="output directory (default: the config's)")
     sub.add_argument("--seeds", type=int, default=None, help="run seeds 0..N-1 (default: the config's)")
-    sub.add_argument("--parallel", type=int, default=1, help="worker processes over (config, seed)")
+    sub.add_argument("--parallel", type=int, default=1,
+                     help="worker processes over (stream, seed) passes and their parts")
     sub.add_argument("--method", choices=METHODS + ("both",), default=None,
                      help="methods to run (default: the config's)")
 

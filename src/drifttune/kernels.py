@@ -2,11 +2,11 @@
 per-chunk class statistics, in numpy.
 
 ``class_stats`` runs once per chunk, over the chunk's own label set: the
-classifier caches the result on the chunk and merges it into each model
-that trains on that chunk. ``predict_params`` runs once per model state:
-the classifier caches its per-model constants until the next ``train``.
+classifier caches the result on the chunk and merges it once per model
+state that trains on that chunk. ``predict_params`` runs once per model
+state, which every model that trained on the same chunks shares.
 ``predict_indices`` runs once per predict call that the classifier cannot
-serve from labels it computed ahead: a model that has stopped training
+serve from labels the state keeps: a state that has stopped training
 scores the rest of a window of chunks in one call, a sporadic race
 candidate scores its race's chunks in the window in one call, and every
 model scores through it.
@@ -71,15 +71,15 @@ def _pairwise_sum(terms):
 
 
 def predict_params(log_priors, means, variances):
-    """The per-model constants of ``predict_indices``, feature-major.
+    """The per-state constants of ``predict_indices``, feature-major.
 
     ``variances`` must already be floored to positive values. Returns the
     log priors as a (classes, 1) column and, shaped (features, classes, 1)
     to broadcast over rows, the means, twice the variances and the log
     normalizers ``-0.5 * (log 2pi + log var)``, computed in place on an
-    array of their own. They are read-only views, so model copies can share
-    them; the means view aliases ``means``, which must not be written in
-    place afterwards. No input is written.
+    array of their own. They are read-only views, so the models that share
+    a state share them; the means view aliases ``means``, which must not be
+    written in place afterwards. No input is written.
     """
     log_norms = np.log(variances)
     log_norms += _LOG_2PI

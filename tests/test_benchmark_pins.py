@@ -15,6 +15,7 @@ outcome's ``phase`` and ``alarm``, and counts ``winner.name``.
 """
 
 import importlib.util
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -98,6 +99,42 @@ def test_suite_configs_on_one_stream_share_each_seeds_pass(kernel_calls, monkeyp
     run_suite(configs, parallel=1)
     assert built == {(seed, i): 1 for seed in (0, 1) for i in range(12)}
     assert 0 < kernel_calls["class_stats"] <= 2 * 12
+
+
+def test_continual_cells_that_never_alarm_make_the_kernel_calls_of_one(kernel_rows, tmp_path):
+    """Continual models that never alarm all train on the same chunks in the
+    same order, so they hold one state per chunk: three such cells in one
+    pass, both methods each, make exactly the calls and rows of one cell."""
+    stream = StreamConfig(kind="sea", n_chunks=12, chunk_size=100, drift_period=4)
+    configs = [ExperimentConfig(name=detector, stream=stream, detector=detector,
+                                detector_overrides={"threshold": math.inf}, seeds=(0,),
+                                out=str(tmp_path))
+               for detector in ("ddm", "ph", "hddm_a")]
+    run_suite(configs[:1], parallel=1)
+    alone = list(kernel_rows)
+    kernel_rows.clear()
+    results, _ = run_suite(configs, parallel=1)
+    assert not any(t.alarm_chunks for result in results for t in result.traces)
+    assert kernel_rows == alone
+    assert len(alone) == 11  # one call per evaluated chunk
+
+
+def test_baseline_cells_that_alarm_at_the_same_chunks_share_their_adapted_models(kernel_rows,
+                                                                                 tmp_path):
+    """After an alarm each baseline adapts a fresh model on the alarming
+    chunk; two cells that alarm at the same chunks get the same state there,
+    so the pair makes the kernel calls and rows of one cell."""
+    stream = StreamConfig(kind="sine", n_chunks=30, chunk_size=200, drift_period=10)
+    configs = [ExperimentConfig(name=detector, stream=stream, detector=detector,
+                                method="baseline", seeds=(0,), out=str(tmp_path))
+               for detector in ("ddm", "ph")]
+    run_suite(configs[:1], parallel=1)
+    alone = list(kernel_rows)
+    kernel_rows.clear()
+    results, _ = run_suite(configs, parallel=1)
+    alarms = [result.traces[0].alarm_chunks for result in results]
+    assert alarms[0] == alarms[1] == [10, 20]
+    assert kernel_rows == alone
 
 
 def test_a_sporadic_run_scores_ahead_and_trains_each_chunk_once(kernel_calls):

@@ -11,10 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drifttune import kernels
-from drifttune.classifier import GaussianNB, Window, _relabel, adapt, evaluate, op_counts
+from drifttune.classifier import GaussianNB, Window, _relabel, _State, adapt, evaluate, op_counts
 from drifttune.detectors import DETECTOR_KINDS, make_monitor
-from drifttune.dtd import Candidate, eval_candidates, respond
+from drifttune.dtd import Candidate, DtdState, baseline_step, dtd_step, eval_candidates, respond
 from drifttune.errors import ModelError
+from drifttune.harness import run_policies
 from drifttune.stream import Chunk, StreamConfig, make_stream
 
 
@@ -39,8 +40,8 @@ class RecordingDetector:
 class TestTraining:
     def test_mean_of_two_points(self):
         model = GaussianNB().train(chunk_of([[1.0, 1.0], [3.0, 3.0]], [0, 0]))
-        assert np.allclose(model._means[0], [2.0, 2.0])
-        assert model._counts[0] == 2
+        assert np.allclose(model._state.means[0], [2.0, 2.0])
+        assert model._state.counts[0] == 2
 
     def test_incremental_equals_batch(self):
         a = chunk_of([[1.0], [2.0]], [0, 1])
@@ -48,19 +49,19 @@ class TestTraining:
         both = chunk_of([[1.0], [2.0], [3.0], [5.0]], [0, 1, 0, 1])
         inc = GaussianNB().train(a).train(b)
         bat = GaussianNB().train(both)
-        assert np.array_equal(inc._classes, bat._classes)
-        assert np.allclose(inc._counts, bat._counts)
-        assert np.allclose(inc._means, bat._means)
-        assert np.allclose(inc._m2, bat._m2)
+        assert np.array_equal(inc._state.classes, bat._state.classes)
+        assert np.allclose(inc._state.counts, bat._state.counts)
+        assert np.allclose(inc._state.means, bat._state.means)
+        assert np.allclose(inc._state.m2, bat._state.m2)
 
     def test_train_twice_equals_duplicated_chunk(self):
         c = chunk_of([[1.0, 4.0], [2.0, 6.0], [0.0, 5.0]], [0, 1, 0])
         dup = chunk_of(np.vstack([c.X, c.X]), np.concatenate([c.y, c.y]))
         twice = GaussianNB().train(c).train(c)
         once = GaussianNB().train(dup)
-        assert np.allclose(twice._counts, once._counts)
-        assert np.allclose(twice._means, once._means)
-        assert np.allclose(twice._m2, once._m2)
+        assert np.allclose(twice._state.counts, once._state.counts)
+        assert np.allclose(twice._state.means, once._state.means)
+        assert np.allclose(twice._state.m2, once._state.m2)
 
     @pytest.mark.parametrize("labels", [[0, 2**63], [2**64 - 1, 3], [2**63 + 5]])
     def test_unsigned_labels_past_int64_rejected(self, labels):
@@ -76,7 +77,7 @@ class TestTraining:
 
     def test_population_variance_value(self):
         model = GaussianNB().train(chunk_of([[1.0], [2.0], [3.0], [4.0]], [0, 0, 0, 0]))
-        variance = model._m2[0, 0] / model._counts[0]
+        variance = model._state.m2[0, 0] / model._state.counts[0]
         # population variance of {1,2,3,4}: mean 2.5, mean squared deviation 1.25
         assert np.isclose(variance, 1.25, rtol=0, atol=1e-15)
 
@@ -86,8 +87,8 @@ class TestTraining:
         model = GaussianNB()
         for i in range(0, 10000, 250):
             model.train(chunk_of(values[i : i + 250, None], np.zeros(250)))
-        mean = model._means[0, 0]
-        variance = model._m2[0, 0] / model._counts[0]
+        mean = model._state.means[0, 0]
+        variance = model._state.m2[0, 0] / model._state.counts[0]
         two_pass_mean = values.mean()
         two_pass_var = ((values - two_pass_mean) ** 2).mean()
         assert np.isclose(mean, two_pass_mean, rtol=1e-12)
@@ -97,7 +98,7 @@ class TestTraining:
         model = GaussianNB().train(chunk_of([[0.0]], [4]))
         model.train(chunk_of([[1.0]], [2]))
         assert np.array_equal(model.classes, [2, 4])
-        assert np.allclose(model._means[:, 0], [1.0, 0.0])
+        assert np.allclose(model._state.means[:, 0], [1.0, 0.0])
 
     def test_train_returns_self(self):
         model = GaussianNB()
@@ -111,7 +112,7 @@ class TestTraining:
             model.train(chunk_of([[1.0, 2.0], [bad, 0.0]], [0, 1]))
         # the rejected chunk left the model as it was
         assert np.array_equal(model.classes, [0])
-        assert model._counts[0] == 1
+        assert model._state.counts[0] == 1
 
     def test_class_stats_computed_once_per_chunk(self, monkeypatch):
         calls = []
@@ -236,9 +237,9 @@ class TestExactness:
         for chunk in chunks:
             expected = reference_train(expected, chunk)
             model.train(chunk)
-            assert np.array_equal(model._classes, expected["classes"])
+            assert np.array_equal(model._state.classes, expected["classes"])
             for name in ("counts", "means", "m2"):
-                assert_same_bytes(getattr(model, "_" + name), expected[name])
+                assert_same_bytes(getattr(model._state, name), expected[name])
             constants = model._params_for(chunk.X)
             for got, want in zip(constants, reference_predict_constants(expected), strict=True):
                 assert_same_bytes(got, want)
@@ -246,8 +247,8 @@ class TestExactness:
         again = GaussianNB()
         for chunk in chunks:
             again.train(chunk)
-        for name in ("_classes", "_counts", "_means", "_m2"):
-            assert np.array_equal(getattr(again, name), getattr(model, name))
+        for name in ("classes", "counts", "means", "m2"):
+            assert np.array_equal(getattr(again._state, name), getattr(model._state, name))
 
     @settings(max_examples=100, deadline=None)
     @given(chunkings(), st.data())
@@ -284,11 +285,10 @@ def zero_state_model(labels, n_features):
     """A model that knows ``labels`` with zero counts and statistics: training
     it runs the Chan merge into zeros that a fresh model's first train ran
     before it adopted the chunk's statistics."""
+    classes = np.asarray(labels)
+    means = np.zeros((classes.shape[0], n_features))
     model = GaussianNB()
-    model._classes = np.asarray(labels)
-    model._counts = np.zeros(model._classes.shape[0])
-    model._means = np.zeros((model._classes.shape[0], n_features))
-    model._m2 = np.zeros_like(model._means)
+    model._state = _State(classes, np.zeros(classes.shape[0]), means, np.zeros_like(means))
     return model
 
 
@@ -303,9 +303,9 @@ class TestFreshModelAdoption:
         first = chunks[0]
         adopted = GaussianNB().train(first)
         merged = zero_state_model(np.unique(first.y), first.X.shape[1]).train(first)
-        for name in ("_classes", "_counts", "_means", "_m2"):
+        for name in ("classes", "counts", "means", "m2"):
             # equal as numbers: the arrays may differ only in the sign of a zero
-            assert np.array_equal(getattr(adopted, name), getattr(merged, name))
+            assert np.array_equal(getattr(adopted._state, name), getattr(merged._state, name))
         probe = np.vstack([c.X for c in chunks])
         assert predicted(adopted, probe) == predicted(merged, probe)
         for chunk in chunks[1:]:
@@ -317,15 +317,15 @@ class TestFreshModelAdoption:
         chunk = chunk_of([[-5e-324], [-0.0], [3.0]], [0, 0, 1])
         adopted = GaussianNB().train(chunk)
         merged = zero_state_model([0, 1], 1).train(chunk)
-        assert np.signbit(adopted._means[0, 0]) and not np.signbit(merged._means[0, 0])
+        assert np.signbit(adopted._state.means[0, 0]) and not np.signbit(merged._state.means[0, 0])
         probe = np.array([[-1.0], [0.0], [1.5], [2.0]])
         assert np.array_equal(adopted.predict(probe), merged.predict(probe))
 
     def test_fresh_model_shares_the_chunks_read_only_statistics(self):
         chunk = chunk_of([[1.0, 2.0], [3.0, 5.0]], [0, 1])
         model = GaussianNB().train(chunk)
-        assert not model._means.flags.writeable
-        means = model._means.copy()
+        assert not model._state.means.flags.writeable
+        means = model._state.means.copy()
         model.train(chunk_of([[9.0, 9.0]], [1], index=1))
         # the merge rebinds, so the chunk's cached statistics are untouched
         assert np.array_equal(chunk.cache["class_stats"][2], means)
@@ -340,8 +340,8 @@ class TestMergeInvariant:
         for chunk in chunks:
             model.train(chunk)
             seen.extend(chunk.y.tolist())
-            assert (model._counts > 0).all()
-            assert model._counts.tolist() == [seen.count(c) for c in model._classes.tolist()]
+            assert (model._state.counts > 0).all()
+            assert model._state.counts.tolist() == [seen.count(c) for c in model._state.classes.tolist()]
 
 
 class TestPrediction:
@@ -392,7 +392,7 @@ class TestPrediction:
         model = GaussianNB().train(chunk_of([[0.0], [1.0]], [0, 1]))
         with pytest.raises(ModelError, match="chunk 3 has non-finite class statistics"):
             model.train(chunk_of(X, [0, 0, 1, 1], index=3))
-        assert model._counts.tolist() == [1.0, 1.0]
+        assert model._state.counts.tolist() == [1.0, 1.0]
         with pytest.raises(ModelError, match="non-finite class statistics"):
             GaussianNB().train(chunk_of(X, [0, 0, 1, 1])).predict(X)
 
@@ -473,13 +473,13 @@ class TestCopyAndAdapt:
         model = GaussianNB().train(chunk_of([[1.0], [2.5]], [0, 0]))
         probe = np.linspace(-5.0, 110.0, 24)[:, None]
         predicted = model.predict(probe)
-        bits = [a.tobytes() for a in (model._counts, model._means, model._m2)]
+        bits = [a.tobytes() for a in (model._state.counts, model._state.means, model._state.m2)]
         twin = model.copy()
         twin.train(chunk_of([[4.0], [7.0]], [0, 0]))  # known class: merged in place of the old arrays
         twin.train(chunk_of([[100.0]], [1]))  # new class: admitted
         assert model.classes.shape == (1,)
         assert twin.classes.shape == (2,)
-        assert [a.tobytes() for a in (model._counts, model._means, model._m2)] == bits
+        assert [a.tobytes() for a in (model._state.counts, model._state.means, model._state.m2)] == bits
         assert np.array_equal(model.predict(probe), predicted)
 
     def test_adapt_equals_fresh_train(self):
@@ -487,10 +487,10 @@ class TestCopyAndAdapt:
         stale = GaussianNB().train(chunk_of([[50.0, 50.0]], [0]))
         adapted = adapt(stale, c)
         fresh = GaussianNB().train(c)
-        assert np.allclose(adapted._means, fresh._means)
-        assert np.allclose(adapted._counts, fresh._counts)
+        assert np.allclose(adapted._state.means, fresh._state.means)
+        assert np.allclose(adapted._state.counts, fresh._state.counts)
         # the stale model itself is untouched
-        assert stale._means[0, 0] == 50.0
+        assert stale._state.means[0, 0] == 50.0
 
     def test_adapt_discards_history(self):
         c = chunk_of([[1.0], [2.0], [8.0], [9.0]], [0, 0, 1, 1])
@@ -537,9 +537,9 @@ class TestEvaluate:
     def test_evaluate_does_not_train(self):
         c = chunk_of([[0.0], [10.0]], [0, 1])
         model = GaussianNB().train(c)
-        counts_before = model._counts.copy()
+        counts_before = model._state.counts.copy()
         evaluate(model, c, RecordingDetector())
-        assert np.array_equal(model._counts, counts_before)
+        assert np.array_equal(model._state.counts, counts_before)
 
 
     def test_empty_chunk_rejected_before_predicting(self):
@@ -624,8 +624,8 @@ class TestStackedEvaluation:
             assert op_counts.snapshot() == stacked_counts
         for a, b in zip(stacked, separate):
             assert a.accuracy_log == b.accuracy_log
-            for name in ("_classes", "_counts", "_means", "_m2"):
-                assert np.array_equal(getattr(a.model, name), getattr(b.model, name))
+            for name in ("classes", "counts", "means", "m2"):
+                assert np.array_equal(getattr(a.model._state, name), getattr(b.model._state, name))
             assert monitor_state(a.detector) == monitor_state(b.detector)
 
 
@@ -692,6 +692,33 @@ class TestScoringAhead:
         finally:
             gc.enable()
 
+    def test_a_two_policy_pass_frees_its_chunks_and_their_states(self):
+        # a state refers to no chunk, so the states memoized on a chunk, and
+        # the chunk, are freed by reference counting once the pass is done
+        stream = make_stream(StreamConfig(kind="sine", n_chunks=30, chunk_size=50, drift_period=10))
+        refs = []
+
+        def recorded(step):
+            def run(state, chunk):
+                out = step(state, chunk)
+                refs.append(weakref.ref(chunk))
+                refs.extend(map(weakref.ref, chunk.cache["trained"].values()))
+                return out
+            return run
+
+        gc.disable()
+        try:
+            policies = [(recorded(baseline_step), DtdState(GaussianNB(), make_monitor("ddm"))),
+                        (recorded(dtd_step), DtdState(GaussianNB(), make_monitor("ddm")))]
+            traces = run_policies(stream, policies)
+            assert traces[0].alarm_chunks and "comparison" in traces[1].phase
+            # both policies trained on every chunk: the memo holds their states
+            assert len(refs) > 2 * 29
+            del policies
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
+
     def test_served_labels_equal_fresh_predictions_and_are_read_only(self, kernel_rows):
         warmup, chunks = window_of()
         model = GaussianNB().train(warmup)
@@ -707,9 +734,12 @@ class TestScoringAhead:
         model = GaussianNB().train(warmup)
         for chunk in chunks[:2]:
             model.predict(chunk.X, chunk.cache["window"])
-        assert model._ahead is not None
+        kept = model._state
+        assert kept.ahead is not None
         model.train(chunks[1])
-        assert model._ahead is None and model._predict_params is None
+        # a trained model holds a new state; the old one keeps its labels
+        assert model._state.ahead is None and model._state.params is None
+        assert kept.ahead is not None
         got = model.predict(chunks[2].X, chunks[2].cache["window"])
         # retrained: scored alone, with the new constants
         assert kernel_rows == [25, 75, 25]
@@ -721,11 +751,11 @@ class TestScoringAhead:
         for chunk in chunks[:2]:
             model.predict(chunk.X, chunk.cache["window"])
         twin = model.copy()
-        assert twin._ahead is model._ahead
+        assert twin._state is model._state
         twin.predict(chunks[2].X, chunks[2].cache["window"])
         assert kernel_rows == [25, 75]
         twin.train(chunks[2])
-        assert twin._ahead is None and model._ahead is not None
+        assert twin._state.ahead is None and model._state.ahead is not None
 
     def test_an_untagged_chunk_is_never_served_from_kept_labels(self, kernel_rows):
         warmup, chunks = window_of()
@@ -756,8 +786,10 @@ class TestScoringAhead:
                       evaluate(model, chunks[2], RecordingDetector(), ahead=0)]
         # the first score after a train covers chunks 1 and 2, not the window's end
         assert kernel_rows == [50]
-        # a bound past the window's end is clipped there
-        evaluate(GaussianNB().train(warmup), chunks[2], RecordingDetector(), ahead=5)
+        # a bound past the window's end is clipped there; a warm-up chunk
+        # object of its own gives a state that has not scored yet
+        other = GaussianNB().train(Chunk(warmup.index, warmup.X, warmup.y))
+        evaluate(other, chunks[2], RecordingDetector(), ahead=5)
         assert kernel_rows == [50, 50]
         fresh = GaussianNB().train(warmup)
         assert accuracies == [float(np.mean(fresh.predict(c.X) == c.y)) for c in chunks[1:3]]
