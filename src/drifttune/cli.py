@@ -51,7 +51,8 @@ def _add_run_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None, help="output directory (default: the config's)")
     sub.add_argument("--seeds", type=int, default=None, help="run seeds 0..N-1 (default: the config's)")
     sub.add_argument("--parallel", type=int, default=1,
-                     help="worker processes over (stream, seed) passes and their parts")
+                     help="N processes over the (stream, seed) passes and their parts, this one "
+                          "included: this process runs one share and each other share runs in a child")
     sub.add_argument("--method", choices=METHODS + ("both",), default=None,
                      help="methods to run (default: the config's)")
 

@@ -1,6 +1,7 @@
 """Command line entry points and their exit codes."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -8,7 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from drifttune import harness
 from drifttune.cli import main
+from drifttune.dtd import baseline_step
+from drifttune.errors import ModelError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -131,6 +135,31 @@ class TestSuite:
         report = json.loads((out / "suite_summary.json").read_text())
         assert report["n_pairs"] == 2
         assert "win_rate" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("failure", ["raise", "exit"])
+    def test_a_failing_child_share_is_a_runtime_error(self, tmp_path, capsys, monkeypatch, failure):
+        # alpha and beta read one stream, so --parallel 2 runs beta in a child
+        conf_dir = tmp_path / "configs"
+        conf_dir.mkdir()
+        write_config(conf_dir, "alpha.yaml")
+        write_config(conf_dir, "beta.yaml", CONFIG.replace("kind: ddm", "kind: ph"))
+        caller = os.getpid()
+
+        def step(state, chunk):
+            if os.getpid() != caller:
+                if failure == "exit":
+                    os._exit(3)
+                raise ModelError("child share failed")
+            return baseline_step(state, chunk)
+
+        monkeypatch.setattr(harness, "baseline_step", step)
+        code = main(["suite", "--config", str(conf_dir), "--out", str(tmp_path / "results"),
+                     "--parallel", "2", "--method", "baseline"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert ("exit code 3" if failure == "exit" else "child share failed") in err
+        assert multiprocessing.active_children() == []
 
     def test_writes_to_the_configs_out_without_out_flag(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

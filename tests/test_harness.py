@@ -3,8 +3,11 @@
 import dataclasses
 import json
 import math
+import multiprocessing
+import os
 import statistics
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -16,7 +19,7 @@ from drifttune.detectors import DETECTOR_KINDS, KswinParams, make_monitor, param
 from drifttune.classifier import GaussianNB, op_counts
 from drifttune import harness
 from drifttune.dtd import TRAINING_MODES, DtdState, baseline_step, dtd_step
-from drifttune.errors import ConfigError, ReportError
+from drifttune.errors import ConfigError, DriftTuneError, ModelError, ReportError
 from drifttune.harness import (
     METHODS,
     ExperimentConfig,
@@ -402,14 +405,17 @@ class TestOnePassProperties:
     @settings(max_examples=3, deadline=None)
     @given(data=st.data())
     def test_split_passes_write_the_same_bytes_at_any_parallelism(self, detector, mode, data):
-        # at most two seeds, so at parallel 2 or 3 there are fewer passes than workers
+        # at most two seeds, so at parallel 2 or 3 there are fewer passes than
+        # processes, and at most eight calls of at most four cells each, so
+        # parallel 8 starts one child per call but the first
         configs = data.draw(configs_on_one_stream(detector, mode, max_seeds=2))
         trees = []
-        for parallel in (1, 2, 3):
+        for parallel in (1, 2, 3, 8):
             with tempfile.TemporaryDirectory() as out:
                 run_suite([dataclasses.replace(c, out=out) for c in configs], parallel=parallel)
                 trees.append(tree_bytes(out))
-        assert trees[0] == trees[1] == trees[2]
+            assert multiprocessing.active_children() == []
+        assert trees[0] == trees[1] == trees[2] == trees[3]
 
 
 def window_traces(window_rows, config, seed, flip):
@@ -577,6 +583,99 @@ class TestRunExperimentAndSuite:
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
 
 
+def one_pass_cells(seeds=(0,)):
+    """Three baseline cells on one stream: at one seed, one pass, which
+    parallel 2 splits into the calls (ddm, hddm_a) and (ph), and parallel 3
+    into one call per cell; this process runs the first."""
+    return [small_config(name=f"cell{k}", detector=kind, seeds=seeds, method="baseline",
+                         n_chunks=8, chunk_size=50)
+            for k, kind in enumerate(("ddm", "ph", "hddm_a"))]
+
+
+def failing_step(kind, error):
+    """baseline_step, except that it raises ``error`` on chunk 3 of a ``kind`` monitor."""
+    def step(state, chunk):
+        if state.primary_detector.kind == kind and chunk.index == 3:
+            raise error
+        return baseline_step(state, chunk)
+    return step
+
+
+class TestFanOut:
+    """The calling process runs share 0 of the passes and one child runs each
+    other share; a failure anywhere surfaces as the package's own error, and
+    no child outlives the call."""
+
+    @pytest.mark.parametrize("kind", ["ddm", "ph", "hddm_a"])
+    def test_a_failing_step_raises_the_same_error_at_any_parallelism(self, monkeypatch, kind):
+        monkeypatch.setattr(harness, "baseline_step",
+                            failing_step(kind, ModelError(f"{kind} cannot score chunk 3")))
+        for parallel in (1, 2, 3):
+            with pytest.raises(ModelError) as raised:
+                harness._run_all(one_pass_cells(), parallel)
+            assert type(raised.value) is ModelError
+            assert str(raised.value) == f"{kind} cannot score chunk 3"
+            assert multiprocessing.active_children() == []
+
+    def test_an_unpicklable_child_error_arrives_as_its_type_and_message(self, monkeypatch):
+        class LocalError(Exception):  # a local class cannot be pickled
+            pass
+
+        monkeypatch.setattr(harness, "baseline_step", failing_step("ph", LocalError("no pickle")))
+        with pytest.raises(LocalError):
+            harness._run_all(one_pass_cells(), 1)
+        with pytest.raises(DriftTuneError, match="^LocalError: no pickle$"):
+            harness._run_all(one_pass_cells(), 2)
+        assert multiprocessing.active_children() == []
+
+    def test_a_child_that_dies_raises_a_package_error_naming_its_exit_code(self, monkeypatch):
+        caller = os.getpid()
+
+        def dying(config):
+            if os.getpid() != caller:
+                os._exit(3)
+            return make_stream(config)
+
+        monkeypatch.setattr(harness, "make_stream", dying)
+        with pytest.raises(DriftTuneError, match="exit code 3"):
+            harness._run_all(one_pass_cells(), 2)
+        assert multiprocessing.active_children() == []
+
+    def test_a_failing_caller_share_stops_the_children(self, monkeypatch):
+        caller = os.getpid()
+        fail_here = failing_step("ddm", ModelError("caller share failed"))
+
+        def step(state, chunk):
+            if os.getpid() != caller and chunk.index == 1:
+                time.sleep(60)
+            return fail_here(state, chunk)
+
+        monkeypatch.setattr(harness, "baseline_step", step)
+        start = time.perf_counter()
+        with pytest.raises(ModelError, match="caller share failed"):
+            harness._run_all(one_pass_cells(), 3)
+        assert time.perf_counter() - start < 30
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("parallel,here", [(1, 2), (2, 1), (3, 2), (8, 1)])
+    def test_this_process_runs_share_zero(self, monkeypatch, parallel, here):
+        # two passes, split into ceil(parallel / 2) parts of at most three cells:
+        # 2, 2, 4 and 6 calls in n = min(parallel, calls) shares, and share 0
+        # (calls 0, n, 2n, ...) runs here
+        caller, pids, run_pass = os.getpid(), [], harness._run_pass
+
+        def recording(configs, seed):
+            pids.append(os.getpid())
+            return run_pass(configs, seed)
+
+        monkeypatch.setattr(harness, "_run_pass", recording)
+        results = harness._run_all(one_pass_cells(seeds=(0, 1)), parallel)
+        assert pids == [caller] * here
+        assert [r.name for r in results] == ["cell0", "cell1", "cell2"]
+        assert [[t.seed for t in r.traces] for r in results] == [[0, 1]] * 3
+        assert multiprocessing.active_children() == []
+
+
 class TestSummarize:
     def test_recomputes_means_exactly(self):
         accs = [[0.9, 0.8], [0.7, 0.6], [0.5, 0.9]]
@@ -713,6 +812,32 @@ class TestSummarize:
         assert "win_rate" in text
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def readme_config_block():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Experiment configs\n", 1)[1]
+    return section.split("```yaml\n", 1)[1].split("```", 1)[0]
+
+
+def config_texts():
+    """(name, YAML text) of every shipped config, README's example, a cell
+    as the grid-suite benchmark writes it (yaml.safe_dump, sorted keys) and
+    a set of scalars that YAML 1.1 resolves in surprising ways."""
+    grid_cell = {"stream": {"kind": "sea", "n_chunks": 100, "chunk_size": 1000,
+                            "drift_period": 10, "noise": 0.1},
+                 "detector": {"kind": "hddm_w", "threshold": 0.2, "ewma_weight": 0.05},
+                 "mode": "sporadic", "method": "dtd", "eta": 1e-6, "seeds": [0, 1, 2]}
+    scalars = ("eta: 1e-6\nnoise: 1.0e-6\nthreshold: .nan\nbig: 1" + "0" * 30 + "\n"
+               "flags: [yes, no, on, off, ~, null, True]\nints: [0o17, 0x1F, 1_000, 017, 1:30]\n"
+               "when: 2001-12-14\ntext: 'quoted'\nempty:\n")
+    return ([(p.name, p.read_text()) for p in sorted((ROOT / "configs").glob("*.yaml"))]
+            + [("README", readme_config_block()),
+               ("grid-cell", yaml.safe_dump(grid_cell, sort_keys=True)),
+               ("scalars", scalars)])
+
+
 class TestConfigFiles:
     GOOD = """\
 name: demo
@@ -748,9 +873,7 @@ out: elsewhere
 
     def test_readme_config_example_builds(self):
         # README's example is the config reference, so a renamed or dropped key fails here
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-        section = readme.split("\n## Experiment configs\n", 1)[1]
-        mapping = yaml.safe_load(section.split("```yaml\n", 1)[1].split("```", 1)[0])
+        mapping = yaml.safe_load(readme_config_block())
         assert set(mapping) <= harness._TOP_KEYS
         config = config_from_mapping(mapping)
         assert (config.name, config.stream.kind, config.detector) == (
@@ -866,11 +989,23 @@ out: elsewhere
         with pytest.raises(ConfigError, match="cannot read config"):
             load_config(tmp_path / "absent.yaml")
 
-    def test_load_config_invalid_yaml(self, tmp_path):
+    @pytest.mark.parametrize("text", ["stream: [unclosed\n", "a: b: c\n", "\tx: 1\n",
+                                      "key: \x07\n", "&a x: *b\n", "a: 1\n---\nb: 2\n",
+                                      "a: !!python/object:os.system x\n"])
+    def test_load_config_invalid_yaml(self, tmp_path, text):
         path = tmp_path / "broken.yaml"
-        path.write_text("stream: [unclosed\n")
-        with pytest.raises(ConfigError, match="invalid YAML"):
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="invalid YAML in .*broken.yaml"):
             load_config(path)
+
+    @pytest.mark.parametrize("name,text", config_texts(), ids=[n for n, _ in config_texts()])
+    def test_the_loader_maps_a_config_as_safe_load_does(self, tmp_path, name, text):
+        # repr tells 1 from 1.0 and True, which == does not
+        assert repr(yaml.load(text, Loader=harness._YAML_LOADER)) == repr(yaml.safe_load(text))
+        if name != "scalars":
+            path = tmp_path / "cell.yaml"
+            path.write_text(text)
+            assert load_config(path) == config_from_mapping(yaml.safe_load(text), "cell")
 
     def test_name_defaults_to_stem(self, tmp_path):
         path = tmp_path / "my_cell.yaml"
