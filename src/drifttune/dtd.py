@@ -130,48 +130,45 @@ def respond(model: GaussianNB, chunk: Chunk, detector: DriftMonitor,
 
 def create_candidates(state: DtdState, chunk: Chunk, accuracy: float) -> list[Candidate]:
     """Build the three candidates for an alarm on ``chunk`` that the primary
-    model scored ``accuracy`` on; PM's threshold starts just above the
-    primary detector's alarming statistic.
+    model scored ``accuracy`` on, then move each through :func:`respond`.
 
-    EDM starts as a fresh model of the primary's type trained only on
-    ``state.prev_chunk``; ``adapt`` reads nothing of the model but its type.
-    The primary detector is only cloned, never touched, so it stays silent
-    for the whole comparison phase.
+    EDM, a fresh model of the primary's type trained on ``state.prev_chunk``
+    only, scores ``chunk`` first. RDM's monitor is a clone of the alarming
+    one, so it resets and adapts; PM's is fresh, so it trains only in
+    continual mode. The primary monitor is only cloned, never touched, so
+    it stays silent for the whole comparison phase.
     """
     if state.prev_chunk is None:
         raise PhaseError("cannot build candidates without a previous chunk")
     model, detector = state.primary_model, state.primary_detector
-
-    rdm = Candidate(adapt(model, chunk), detector.clone(), [accuracy])
-    rdm.detector.reset()
+    if not detector.alarm:
+        raise PhaseError("cannot build candidates without a primary alarm")
 
     edm = Candidate(adapt(model, state.prev_chunk), detector.fresh(), [])
     edm.detector.threshold = state.prev_statistic
     ahead = 0 if state.continual else state.race_len
     edm.accuracy_log.append(evaluate(edm.model, chunk, edm.detector, ahead))
-    # the earlier hypothesis may alarm on the current chunk too: then re-adapt
-    edm.model = respond(edm.model, chunk, edm.detector, state.continual)
-
     pm = Candidate(model.copy(), detector.fresh(), [accuracy])
     pm.detector.threshold = detector.statistic + state.eta
-    if state.continual:
-        pm.model.train(chunk)
-    return [edm, rdm, pm]
+    candidates = [edm, Candidate(model, detector.clone(), [accuracy]), pm]
+    for candidate in candidates:
+        candidate.model = respond(candidate.model, chunk, candidate.detector, state.continual)
+    return candidates
 
 
 def eval_candidates(candidates: list[Candidate] | None, chunk: Chunk, *,
                     continual: bool, ahead: int = 0) -> list[float]:
-    """One comparison chunk: evaluate every candidate, then log and update
-    each, in EDM, RDM, PM order. ``ahead`` counts the race's chunks after
-    this one, which a sporadic candidate scores in the same kernel call."""
+    """One comparison chunk: each candidate, in EDM, RDM, PM order, scores
+    it, logs the accuracy and reacts through :func:`respond`. ``ahead``
+    counts the race's chunks after this one, which a sporadic candidate
+    scores in the same kernel call."""
     if candidates is None:
         raise PhaseError("no comparison phase is active")
     ahead = 0 if continual else ahead
-    accuracies = [evaluate(c.model, chunk, c.detector, ahead) for c in candidates]
-    for candidate, accuracy in zip(candidates, accuracies):
-        candidate.accuracy_log.append(accuracy)
+    for candidate in candidates:
+        candidate.accuracy_log.append(evaluate(candidate.model, chunk, candidate.detector, ahead))
         candidate.model = respond(candidate.model, chunk, candidate.detector, continual)
-    return accuracies
+    return [candidate.accuracy_log[-1] for candidate in candidates]
 
 
 def finalize_comparison(candidates: list[Candidate] | None) -> CandidateKind:

@@ -531,12 +531,11 @@ def render_table(report: dict) -> str:
     lines.append(header)
     lines.append("-" * len(header))
     for name, per_method in report["cells"].items():
-        base = per_method.get("baseline")
-        dtd = per_method.get("dtd")
+        base, dtd = per_method.get("baseline"), per_method.get("dtd")
+        pair = report["pairs"].get(name)
         base_s = pct(base["mean_accuracy"]) if base else "-"
         dtd_s = pct(dtd["mean_accuracy"]) if dtd else "-"
-        delta_s = (f"{100.0 * (dtd['mean_accuracy'] - base['mean_accuracy']):+.3f}"
-                   if base and dtd else "-")
+        delta_s = f"{100.0 * pair['delta']:+.3f}" if pair else "-"
         lines.append(f"{name:<28} {base_s:>9} {dtd_s:>9} {delta_s:>8}")
     if report["n_pairs"]:
         lines.append("")

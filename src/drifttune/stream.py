@@ -53,11 +53,12 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Chunk:
     """One batch of instances: a 2-d feature matrix and one integer (or bool)
     label per row. Arrays are read-only views. An empty chunk can be built,
-    but a model neither trains nor scores on one.
+    but a model neither trains nor scores on one. A chunk compares and
+    hashes by identity.
 
     ``cache`` holds values derived from the arrays, such as the class
     statistics the model computes once per chunk.
@@ -66,7 +67,7 @@ class Chunk:
     index: int
     X: np.ndarray
     y: np.ndarray
-    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.X.ndim != 2 or self.y.ndim != 1 or self.y.dtype.kind not in "biu" \
@@ -204,7 +205,7 @@ def _load_csv(cfg: StreamConfig) -> list[Chunk]:
     width: int | None = None
     start = 2 if cfg.csv_has_header else 1
     try:
-        with open(cfg.csv_path, "r", encoding="utf-8") as fh:
+        with open(cfg.csv_path, "r", encoding="utf-8-sig") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise IngestError(f"cannot read {cfg.csv_path}: {exc}") from exc
@@ -231,6 +232,8 @@ def _load_csv(cfg: StreamConfig) -> list[Chunk]:
             label = int(parts[-1].strip())
         except ValueError:
             raise IngestError(f"line {lineno}: label {parts[-1].strip()!r} is not an integer") from None
+        if not -2**63 <= label < 2**63:
+            raise IngestError(f"line {lineno}: label {label} is outside the int64 range")
         rows.append(features)
         labels.append(label)
     if not rows:

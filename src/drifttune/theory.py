@@ -140,9 +140,9 @@ def analytic_recurrent(p: RecurrentDriftParams) -> tuple[float, float]:
     return perfect, missed
 
 
-def random_sudden_params(rng: np.random.Generator, max_T: int = 200) -> SuddenDriftParams:
-    """Uniform draw satisfying the phase invariants; used by identity checks."""
-    T = int(rng.integers(2, max_T + 1))
+def random_sudden_params(rng: np.random.Generator) -> SuddenDriftParams:
+    """Uniform draw with T in [2, 200] that satisfies the phase invariants."""
+    T = int(rng.integers(2, 201))
     t_d = int(rng.integers(0, T))
     t_incre = int(rng.integers(0, T - t_d))
     t_w = int(rng.integers(1, T - t_d + 1))
@@ -155,13 +155,14 @@ def random_sudden_params(rng: np.random.Generator, max_T: int = 200) -> SuddenDr
                              A_stable=float(a[4]))
 
 
-def check_sudden_identity(n_draws: int = 10_000, seed: int = 7) -> dict:
-    """Cross-check A_D - A_P against :func:`sudden_gap` on random draws.
+def check_sudden_identity() -> dict:
+    """Cross-check A_D - A_P against :func:`sudden_gap` on 10,000 random draws.
 
     Also counts violations of the sufficiency direction: whenever the gap
     is positive, the delayed average must be strictly larger.
     """
-    rng = np.random.Generator(np.random.PCG64(seed))
+    n_draws = 10_000
+    rng = np.random.Generator(np.random.PCG64(7))
     max_residual = 0.0
     violations = 0
     for _ in range(n_draws):
@@ -261,9 +262,9 @@ def _segment_accuracy(trace: RunTrace, start: int, end: int) -> float:
     return statistics.fmean(values)
 
 
-def validate_theorem3(stream: Stream, theta_grid, boundaries, detector: str = "ddm",
-                      mode: str = "continual", overrides: dict | None = None) -> dict:
-    """Best constant threshold versus the composed per-segment winners.
+def validate_theorem3(stream: Stream, theta_grid, boundaries) -> dict:
+    """Best constant threshold versus the composed per-segment winners, on
+    continual DDM runs.
 
     The whole grid runs as constant schedules in one pass; each segment
     picks its winner by segment-restricted accuracy from those runs, and
@@ -282,8 +283,7 @@ def validate_theorem3(stream: Stream, theta_grid, boundaries, detector: str = "d
     ThresholdStrategy(segments=tuple((b, 0.0) for b in boundaries)).validate_for(len(stream))
     spans = _segment_spans(boundaries, len(stream))
 
-    traces = policy_traces(stream, [ThresholdStrategy.constant(t) for t in theta_grid],
-                           detector, mode, overrides)
+    traces = policy_traces(stream, [ThresholdStrategy.constant(t) for t in theta_grid])
     constant_acc = {theta: trace.mean_accuracy for theta, trace in zip(theta_grid, traces)}
     segment_acc = {theta: [_segment_accuracy(trace, s, e) for s, e in spans]
                    for theta, trace in zip(theta_grid, traces)}
@@ -293,7 +293,7 @@ def validate_theorem3(stream: Stream, theta_grid, boundaries, detector: str = "d
     winners = [max(theta_grid, key=lambda theta: segment_acc[theta][k]) for k in range(len(spans))]
 
     dynamic = ThresholdStrategy(segments=tuple(zip(boundaries, winners)))
-    dynamic_acc = policy_trace(stream, dynamic, detector, mode, overrides).mean_accuracy
+    dynamic_acc = policy_trace(stream, dynamic).mean_accuracy
     return {
         "best_constant": {"theta": best_theta, "accuracy": constant_acc[best_theta]},
         "dynamic": {"thetas": winners, "accuracy": dynamic_acc},
@@ -402,7 +402,7 @@ SUDDEN_EXAMPLE = SuddenDriftParams(T=100, t_d=40, t_w=3, t_incre=20, t_incre_pri
 SIM_TOLERANCE = 0.005
 
 
-def validate_theorem1(chunk_size: int = 500, seed: int = 0) -> dict:
+def validate_theorem1() -> dict:
     """Missed detection can beat perfect detection: closed form and stream.
 
     The fixed example must order A_M above A_P; the stream simulation must
@@ -410,7 +410,7 @@ def validate_theorem1(chunk_size: int = 500, seed: int = 0) -> dict:
     accuracies to within half a percentage point, on both policies.
     """
     analytic_perfect, analytic_missed = analytic_recurrent(RECURRENT_EXAMPLE)
-    sim = simulate_recurrent_drift(chunk_size=chunk_size, seed=seed)
+    sim = simulate_recurrent_drift()
     err_perfect = abs(sim["sim"]["A_P"] - sim["analytic"]["A_P"])
     err_missed = abs(sim["sim"]["A_M"] - sim["analytic"]["A_M"])
     example_ok = analytic_missed > analytic_perfect
@@ -427,15 +427,13 @@ def validate_theorem1(chunk_size: int = 500, seed: int = 0) -> dict:
     }
 
 
-def validate_theory(chunk_size: int = 500, seed: int = 0) -> dict:
+def validate_theory() -> dict:
     """Full report for every check; stream-mode margin is informational."""
-    theorem1 = validate_theorem1(chunk_size=chunk_size, seed=seed)
+    theorem1 = validate_theorem1()
     identity = check_sudden_identity()
     analytic3 = validate_theorem3_analytic()
-    stream = make_stream(StreamConfig(kind="sea", seed=seed, n_chunks=50,
-                                      chunk_size=chunk_size, drift_period=25))
-    stream3 = validate_theorem3(stream, theta_grid=(1.0, 2.0, 3.0, 4.0, 6.0),
-                                boundaries=(0, 25), detector="ddm")
+    stream = make_stream(StreamConfig(kind="sea", n_chunks=50, chunk_size=500, drift_period=25))
+    stream3 = validate_theorem3(stream, theta_grid=(1.0, 2.0, 3.0, 4.0, 6.0), boundaries=(0, 25))
     return {
         "theorem1": theorem1,
         "sudden_identity": identity,

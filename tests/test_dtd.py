@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from drifttune import dtd as dtd_module
 from drifttune.detectors import DriftMonitor
 from drifttune.dtd import (
     Candidate,
@@ -263,6 +264,31 @@ class TestCandidateCreation:
         state = fresh_state()
         with pytest.raises(PhaseError, match="previous chunk"):
             create_candidates(state, chunk_from_labels([1]), 0.5)
+
+    def test_create_candidates_requires_an_alarming_primary(self):
+        state = fresh_state(c=1)
+        quiet = chunk_from_labels(labels(first=1, ones=99), index=0)  # stat 0.01
+        dtd_step(state, quiet)
+        assert not state.primary_detector.alarm
+        with pytest.raises(PhaseError, match="alarm"):
+            create_candidates(state, chunk_from_labels(labels(first=1, ones=99), index=1), 0.99)
+
+    @pytest.mark.parametrize("mode", ["sporadic", "continual"])
+    def test_every_candidate_reacts_through_respond(self, monkeypatch, mode):
+        # the race opening and every race chunk move each of the three
+        # candidates through the one reaction rule
+        calls = []
+
+        def counting(model, chunk, detector, continual, _respond=dtd_module.respond):
+            calls.append(chunk.index)
+            return _respond(model, chunk, detector, continual)
+
+        monkeypatch.setattr(dtd_module, "respond", counting)
+        state, _, alarm, _ = self.alarm_setup(mode=mode)
+        assert calls[-3:] == [alarm.index] * 3 and calls[:-3] == [0]
+        calls.clear()
+        dtd_step(state, chunk_from_labels(labels(first=1, ones=50), index=2))
+        assert calls == [2, 2, 2]
 
 
 class TestComparisonPhase:

@@ -808,8 +808,20 @@ class TestSummarize:
         ])
         text = render_table(report)
         assert "experiment" in text and "a" in text
-        assert "50.00" in text and "60.00" in text
+        assert "50.00" in text and "60.00" in text and "+10.000" in text
         assert "win_rate" in text
+
+    def test_render_table_reads_the_pair_delta(self):
+        cfg = small_config(name="a", seeds=(0,))
+        report = summarize([
+            fake_result("a", "baseline", [[0.5, 0.5]], cfg),
+            fake_result("a", "dtd", [[0.6, 0.6]], cfg),
+            fake_result("b", "baseline", [[0.5, 0.5]], small_config(name="b", seeds=(0,))),
+        ])
+        report["pairs"]["a"]["delta"] = 0.25  # the report's one delta is what is shown
+        rows = dict(line.split(maxsplit=1) for line in render_table(report).splitlines()[2:4])
+        assert rows["a"].split() == ["50.00", "60.00", "+25.000"]
+        assert rows["b"].split() == ["50.00", "-", "-"]
 
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -205,6 +205,13 @@ class TestChunkObject:
     def test_an_empty_chunk_can_be_built(self):
         assert len(Chunk(0, np.zeros((0, 2)), np.zeros(0, dtype=np.int64))) == 0
 
+    def test_chunks_compare_and_hash_by_identity(self):
+        # two chunks with equal arrays are still two chunks: a lineage keyed
+        # on chunk objects must tell them apart
+        a, b = (Chunk(0, np.zeros((2, 1)), np.zeros(2, dtype=np.int64)) for _ in range(2))
+        assert a == a and a != b
+        assert {a: 1, b: 2}[a] == 1
+
 
 class TestConfigValidation:
     def test_unknown_kind(self):
@@ -429,6 +436,23 @@ class TestCsv:
         path = self.write(tmp_path, "1.0,0\n2.0,zero\n")
         with pytest.raises(IngestError, match="line 2: label 'zero'"):
             make_stream(StreamConfig(kind="csv", csv_path=path, chunk_size=10))
+
+    @pytest.mark.parametrize("label", ["99999999999999999999999", "-9223372036854775809"])
+    def test_label_outside_int64_reports_line(self, tmp_path, label):
+        path = self.write(tmp_path, f"1.0,0\n2.0,{label}\n3.0,1\n")
+        with pytest.raises(IngestError, match=f"line 2: label {label} is outside"):
+            make_stream(StreamConfig(kind="csv", csv_path=path, chunk_size=10))
+
+    def test_int64_extremes_accepted(self, tmp_path):
+        path = self.write(tmp_path, f"1.0,{-2**63}\n2.0,{2**63 - 1}\n")
+        chunk = make_stream(StreamConfig(kind="csv", csv_path=path, chunk_size=10)).chunk(0)
+        assert chunk.y.tolist() == [-2**63, 2**63 - 1]
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf1.0,2.0,0\n3.0,4.0,1\n")
+        chunk = make_stream(StreamConfig(kind="csv", csv_path=str(path), chunk_size=10)).chunk(0)
+        assert np.array_equal(chunk.X, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_ragged_row_reports_line(self, tmp_path):
         path = self.write(tmp_path, "1.0,2.0,0\n1.0,1\n3.0,4.0,0\n")

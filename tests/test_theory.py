@@ -135,7 +135,7 @@ class TestSuddenIdentity:
             assert p.t_w >= 1
 
     def test_identity_over_many_draws(self):
-        report = check_sudden_identity(n_draws=10_000, seed=7)
+        report = check_sudden_identity()
         assert report["pass"]
         assert report["max_abs_residual"] <= FLOAT_SLACK
         assert report["sufficiency_violations"] == 0
@@ -395,7 +395,7 @@ class TestTheorem1Simulation:
         assert report["sim"] == {"A_P": statistics.fmean(perfect), "A_M": statistics.fmean(missed)}
 
     def test_oracle_policies_order_and_agree(self):
-        report = validate_theorem1(chunk_size=500, seed=0)
+        report = validate_theorem1()
         assert report["pass"]
         sim = report["simulation"]
         assert sim["ordering_ok"]
@@ -419,7 +419,7 @@ class TestTheorem1Simulation:
 
 
 def test_validate_theory_aggregates_all_checks():
-    report = validate_theory(chunk_size=300, seed=0)
+    report = validate_theory()
     assert set(report) == {"theorem1", "sudden_identity", "theorem3_analytic",
                            "theorem3_stream", "pass"}
     assert report["pass"]
