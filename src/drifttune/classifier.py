@@ -24,7 +24,8 @@ Features are plain float64: a chunk whose class statistics overflow is
 rejected when a model trains on it, and a row that has no finite best class
 score raises instead of taking class 0.
 
-A stream pass groups its chunks into :class:`Window` runs. A state keeps
+A stream builds its chunks a :class:`~drifttune.stream.Window` at a time,
+as row views of one feature block. A state keeps
 the labels of its last score of a window's rows, and serves any model that
 holds it a chunk they cover. A state that is scored on a chunk it has no
 labels for, after it has already been scored, belongs to models that have
@@ -45,13 +46,11 @@ that bound.
 
 from __future__ import annotations
 
-from itertools import accumulate
-
 import numpy as np
 
 from . import kernels
 from .errors import ModelError
-from .stream import Chunk
+from .stream import Chunk, Window
 
 VARIANCE_FLOOR_SCALE = 1e-9
 _FLOAT_TINY = np.finfo(np.float64).tiny  # the smallest normal float
@@ -132,31 +131,6 @@ def _on_classes(classes, labels, counts, means, m2):
     laid = np.zeros(shape[0]), np.zeros(shape), np.zeros(shape)
     laid[0][pos], laid[1][pos], laid[2][pos] = counts, means, m2
     return laid
-
-
-class Window:
-    """Consecutive chunks of one stream pass, whose rows a model that has
-    stopped training scores in one kernel call.
-
-    Building a window tags each chunk: ``chunk.cache["window"]`` holds
-    ``(window, position)``. The chunks' features are concatenated the first
-    time a model asks for rows ahead. A window holds the chunks' feature
-    arrays, not the chunks, so the tags make no reference cycle and a pass's
-    chunks are freed as soon as nothing uses them.
-    """
-
-    def __init__(self, chunks):
-        self._parts = [chunk.X for chunk in chunks]
-        self.starts = list(accumulate(map(len, chunks), initial=0))
-        self._X = None
-        for position, chunk in enumerate(chunks):
-            chunk.cache["window"] = (self, position)
-
-    def rows_from(self, position: int, stop: int) -> np.ndarray:
-        """The features of the rows of chunks ``position`` to ``stop - 1``."""
-        if self._X is None:
-            self._X = np.concatenate(self._parts, dtype=np.float64)
-        return self._X[self.starts[position]:self.starts[stop]]
 
 
 class _State:

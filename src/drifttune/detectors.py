@@ -22,7 +22,6 @@ an integer, a ``float`` a number, and a bool is neither.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -32,8 +31,7 @@ from .errors import ConfigError, DetectorError, check_count, check_real
 
 def ks_distance(a, b) -> float:
     """Two-sample Kolmogorov-Smirnov distance: max gap between empirical CDFs."""
-    a = np.sort(np.asarray(a, dtype=np.float64))
-    b = np.sort(np.asarray(b, dtype=np.float64))
+    a, b = np.sort(a), np.sort(b)
     if a.size == 0 or b.size == 0:
         raise DetectorError("ks_distance needs two non-empty samples")
     values = np.concatenate([a, b])
@@ -244,22 +242,27 @@ class Kswin(DriftMonitor):
     Params = KswinParams
 
     def _init_state(self):
-        self._window = deque(maxlen=self.params.window)
+        # each value goes to slot i and slot i + window, so the window, oldest
+        # first, is always the contiguous run ring[i + 1:i + 1 + window]
+        self._ring = np.zeros(2 * self.params.window)
+        self._count = 0
         self._rng = np.random.Generator(np.random.PCG64(self.params.seed))
 
     def _consume(self, value):
-        self._window.append(value)
-        if len(self._window) < self.params.window:
+        size, recent = self.params.window, self.params.recent
+        i = self._count % size
+        self._ring[i] = self._ring[i + size] = value
+        self._count += 1
+        if self._count < size:
             return 0.0
-        arr = np.asarray(self._window, dtype=np.float64)
-        older = arr[: -self.params.recent]
-        recent = arr[-self.params.recent :]
-        sample = self._rng.choice(older, size=self.params.recent, replace=False)
-        return ks_distance(sample, recent)
+        window = self._ring[i + 1:i + 1 + size]
+        # the indices rng.choice(older, ...) would take, so the same sample
+        sample = window[self._rng.choice(size - recent, size=recent, replace=False)]
+        return ks_distance(sample, window[size - recent:])
 
     def clone(self) -> "Kswin":
         twin = super().clone()
-        twin._window, twin._rng = self._window.copy(), np.random.Generator(np.random.PCG64(0))
+        twin._ring, twin._rng = self._ring.copy(), np.random.Generator(np.random.PCG64(0))
         twin._rng.bit_generator.state = self._rng.bit_generator.state
         return twin
 

@@ -21,11 +21,11 @@ included: this process runs one share and each other share runs in a
 forked child. When processes outnumber the passes, each pass's configs
 are split round-robin into ceil(parallel / passes) parts, one pass each.
 Every pass walks the stream in windows of about
-``WINDOW_ROWS`` rows (at least one chunk): it builds a window's chunks
-before stepping through them, so a model that has stopped training, as a
-sporadic model or race candidate does between alarms, can score the
-window's rows ahead in one kernel call (see
-:class:`~drifttune.classifier.Window`); a race candidate scores only its
+``WINDOW_ROWS`` rows (at least one chunk): the stream builds a window's
+chunks as views of one feature block before the pass steps through them,
+so a model that has stopped training, as a sporadic model or race
+candidate does between alarms, can score the window's rows ahead in one
+kernel call (see :class:`~drifttune.stream.Window`); a race candidate scores only its
 race's chunks. Continual models train after every chunk, so they never
 score ahead. Run seed k replaces the stream seed, which every trace of
 the pass records, and, for monitors that subsample (kswin), the
@@ -49,7 +49,7 @@ from typing import Callable, Sequence
 
 import yaml
 
-from .classifier import GaussianNB, Window
+from .classifier import GaussianNB
 from .detectors import MONITOR_TYPES, DriftMonitor, make_monitor, params_from_dict
 from .dtd import DtdState, baseline_step, check_policy, dtd_step
 from .errors import ConfigError, DriftTuneError, ReportError, check_count
@@ -187,9 +187,7 @@ def run_policies(stream: Stream, policies: Sequence[tuple[Callable, DtdState]]) 
         traces[-1].append(0, math.nan, math.nan, state.primary_detector.threshold, False, "warmup")
     per_window = max(1, WINDOW_ROWS // len(warmup))
     for first in range(1, len(stream), per_window):
-        chunks = [stream.chunk(i) for i in range(first, min(first + per_window, len(stream)))]
-        Window(chunks)  # tags each chunk with the window and its position
-        for chunk in chunks:
+        for chunk in stream.window(first, min(first + per_window, len(stream))):
             for (step, state), trace in zip(policies, traces):
                 out = step(state, chunk)
                 trace.append(chunk.index, out.accuracy, out.statistic, out.threshold, out.alarm, out.phase)

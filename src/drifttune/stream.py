@@ -16,18 +16,22 @@ cycles four boundary thresholds, Sine and Mixed alternate between a labeling
 rule and its complement. With the 100 x 1000 defaults that is nine abrupt
 drifts per stream.
 
-Features are drawn with ``Generator.random`` and scaled in place where the
-range is not [0, 1). numpy computes ``uniform(low, high)`` as
+A stream builds a window of consecutive chunks at once: one feature block
+that each chunk's generator state draws its own rows into, one label pass
+over the block, and each chunk a read-only row view of it. The bits stay
+per chunk; only the bookkeeping around them is batched. Features are drawn
+with ``Generator.random(out=...)`` and scaled in place where the range is
+not [0, 1). numpy computes ``uniform(low, high)`` as
 ``low + (high - low) * next_double``, the double ``random`` returns, so the
 bits are those of ``uniform(0, high)`` at a lower cost. A complement concept
-takes the complementary comparison (``>=`` for ``<``), which on non-NaN
-values is ``1 - y`` without the extra pass.
+flips the rule's boolean on its chunks' rows, which is ``1 - y``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+import re
+from dataclasses import dataclass, fields
 from typing import Iterator
 
 import numpy as np
@@ -51,9 +55,9 @@ _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK_128 = 2**128 - 1
 
 
-@dataclass(frozen=True, eq=False)
 class Chunk:
     """One batch of instances: a 2-d feature matrix and one integer (or bool)
     label per row. Arrays are read-only views. An empty chunk can be built,
@@ -61,24 +65,48 @@ class Chunk:
     hashes by identity.
 
     ``cache`` holds values derived from the arrays, such as the class
-    statistics the model computes once per chunk.
+    statistics the model computes once per chunk and, for a chunk a stream
+    built, its window tag ``(window, position)``.
     """
 
-    index: int
-    X: np.ndarray
-    y: np.ndarray
-    cache: dict = field(default_factory=dict, init=False, repr=False)
+    __slots__ = ("index", "X", "y", "cache", "__weakref__")
 
-    def __post_init__(self):
-        if self.X.ndim != 2 or self.y.ndim != 1 or self.y.dtype.kind not in "biu" \
-                or self.X.shape[0] != self.y.shape[0]:
-            raise ModelError(f"chunk {self.index} needs a 2-d feature matrix and a 1-d integer "
-                             f"label per row, got X {self.X.shape} and y {self.y.shape} {self.y.dtype}")
-        self.X.setflags(write=False)
-        self.y.setflags(write=False)
+    def __init__(self, index: int, X: np.ndarray, y: np.ndarray):
+        if X.ndim != 2 or y.ndim != 1 or y.dtype.kind not in "biu" or X.shape[0] != y.shape[0]:
+            raise ModelError(f"chunk {index} needs a 2-d feature matrix and a 1-d integer "
+                             f"label per row, got X {X.shape} and y {y.shape} {y.dtype}")
+        X.setflags(write=False)
+        y.setflags(write=False)
+        self.index, self.X, self.y = index, X, y
+        self.cache: dict = {}
 
     def __len__(self) -> int:
         return self.X.shape[0]
+
+    def __repr__(self) -> str:
+        return f"Chunk(index={self.index}, rows={self.X.shape[0]})"
+
+
+class Window:
+    """Consecutive chunks of one stream pass, built as one block of rows:
+    ``X`` holds their features, and chunk ``position`` of the window is rows
+    ``starts[position]`` to ``starts[position + 1] - 1``, a read-only view.
+
+    The stream tags each chunk it builds with ``chunk.cache["window"] =
+    (window, position)``, so a model that has stopped training can score
+    the rows of several chunks in one kernel call. A window refers to its
+    block, not to its chunks, so the tags make no reference cycle and a
+    pass's chunks are freed as soon as nothing uses them.
+    """
+
+    __slots__ = ("X", "starts")
+
+    def __init__(self, X: np.ndarray, starts: list[int]):
+        self.X, self.starts = X, starts
+
+    def rows_from(self, position: int, stop: int) -> np.ndarray:
+        """The features of the rows of chunks ``position`` to ``stop - 1``, a view of the block."""
+        return self.X[self.starts[position]:self.starts[stop]]
 
 
 @dataclass(frozen=True)
@@ -159,47 +187,84 @@ def _block_words(seed: int, start: int, n: int) -> np.ndarray:
     return words.astype("<u4").view("<u8").astype(np.uint64)  # low word first, as numpy does
 
 
-def _flip_labels(y: np.ndarray, noise: float, rng: np.random.Generator) -> np.ndarray:
-    # Noise draws happen after the feature draws, so noisy and clean variants
-    # of the same seed share identical feature matrices and rule labels.
-    if noise <= 0.0:
-        return y
-    flips = rng.random(y.shape[0]) < noise
-    return np.where(flips, 1 - y, y)
-
-
 def sea_concept(index: int, drift_period: int) -> int:
     return (index // drift_period) % len(SEA_THRESHOLDS)
 
 
-def _sea_chunk(cfg: StreamConfig, index: int, rng: np.random.Generator) -> Chunk:
-    X = rng.random((cfg.chunk_size, 3))
+def _periods(cfg: StreamConfig, first: int, stop: int) -> list[tuple[int, int, int]]:
+    """``(a, b, index)`` for each run of chunks in [first, stop) that share a
+    concept period: rows a to b - 1 of their block, from chunk ``index`` on."""
+    runs, index = [], first
+    while index < stop:
+        end = min(stop, index - index % cfg.drift_period + cfg.drift_period)
+        runs.append(((index - first) * cfg.chunk_size, (end - first) * cfg.chunk_size, index))
+        index = end
+    return runs
+
+
+def _complement(cfg: StreamConfig, first: int, stop: int, holds: np.ndarray) -> np.ndarray:
+    """``holds`` negated in place on the rows of chunks in an odd concept
+    period, where sine and mixed take the complementary rule; as int64 labels."""
+    for a, b, index in _periods(cfg, first, stop):
+        if index // cfg.drift_period % 2 == 1:
+            np.logical_not(holds[a:b], out=holds[a:b])
+    return holds.astype(np.int64)
+
+
+def _sea_block(cfg: StreamConfig, first: int, stop: int, rngs) -> tuple[np.ndarray, np.ndarray]:
+    n = cfg.chunk_size
+    X = np.empty(((stop - first) * n, 3))
+    # Noise draws follow each chunk's feature draws, so noisy and clean
+    # variants of the same seed share identical feature matrices and rule labels.
+    flips = np.empty(X.shape[0]) if cfg.noise > 0.0 else None
+    for a, rng in zip(range(0, X.shape[0], n), rngs):
+        rng.random(out=X[a:a + n])
+        if flips is not None:
+            rng.random(out=flips[a:a + n])
     X *= 10.0
-    threshold = SEA_THRESHOLDS[sea_concept(index, cfg.drift_period)]
-    y = (X[:, 0] + X[:, 1] <= threshold).astype(np.int64)
-    y = _flip_labels(y, cfg.noise, rng)
-    return Chunk(index, X, y)
+    total = X[:, 0] + X[:, 1]
+    below = np.empty(X.shape[0], dtype=bool)
+    for a, b, index in _periods(cfg, first, stop):
+        np.less_equal(total[a:b], SEA_THRESHOLDS[sea_concept(index, cfg.drift_period)], out=below[a:b])
+    if flips is not None:
+        below ^= flips < cfg.noise
+    return X, below.astype(np.int64)
 
 
-def _sine_chunk(cfg: StreamConfig, index: int, rng: np.random.Generator) -> Chunk:
-    X = rng.random((cfg.chunk_size, 2))
-    rule = np.greater_equal if (index // cfg.drift_period) % 2 == 1 else np.less
-    return Chunk(index, X, rule(X[:, 1], np.sin(X[:, 0])).astype(np.int64))
+def _sine_block(cfg: StreamConfig, first: int, stop: int, rngs) -> tuple[np.ndarray, np.ndarray]:
+    n = cfg.chunk_size
+    X = np.empty(((stop - first) * n, 2))
+    for a, rng in zip(range(0, X.shape[0], n), rngs):
+        rng.random(out=X[a:a + n])
+    return X, _complement(cfg, first, stop, X[:, 1] < np.sin(X[:, 0]))
 
 
-def _mixed_chunk(cfg: StreamConfig, index: int, rng: np.random.Generator) -> Chunk:
-    booleans = rng.integers(0, 2, size=(cfg.chunk_size, 2)).astype(np.float64)
-    X = np.column_stack([booleans, rng.random((cfg.chunk_size, 2))])
+def _mixed_block(cfg: StreamConfig, first: int, stop: int, rngs) -> tuple[np.ndarray, np.ndarray]:
+    n = cfg.chunk_size
+    X = np.empty(((stop - first) * n, 4))
+    reals = np.empty((X.shape[0], 2))
+    for a, rng in zip(range(0, X.shape[0], n), rngs):
+        X[a:a + n, :2] = rng.integers(0, 2, size=(n, 2))
+        rng.random(out=reals[a:a + n])
+    X[:, 2:] = reals
     curve = 0.5 + 0.3 * np.sin(3.0 * np.pi * X[:, 2])
     votes = (X[:, 0] == 1.0).astype(np.int64) + (X[:, 1] == 1.0).astype(np.int64) + (X[:, 3] < curve)
-    rule = np.less if (index // cfg.drift_period) % 2 == 1 else np.greater_equal
-    return Chunk(index, X, rule(votes, 2).astype(np.int64))
+    return X, _complement(cfg, first, stop, votes >= 2)
 
 
-_GENERATORS = {"sea": _sea_chunk, "sine": _sine_chunk, "mixed": _mixed_chunk}
+# Each builds the feature block and labels of chunks [first, stop), drawing
+# chunk first + k's rows from the k-th generator ``rngs`` yields.
+_BLOCKS = {"sea": _sea_block, "sine": _sine_block, "mixed": _mixed_block}
+
+# A CSV number, with optional spaces or tabs around it: ASCII digits only,
+# no digit-group underscores; and the non-finite spellings float() takes.
+_NUMBER = re.compile(r"[ \t]*[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?[ \t]*")
+_INTEGER = re.compile(r"[ \t]*[+-]?[0-9]+[ \t]*")
+_NON_FINITE = re.compile(r"[ \t]*[+-]?(?:inf|infinity|nan)[ \t]*", re.IGNORECASE)
 
 
-def _load_csv(cfg: StreamConfig) -> list[Chunk]:
+def _load_csv(cfg: StreamConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The file's feature matrix and labels, both read-only."""
     rows: list[list[float]] = []
     labels: list[int] = []
     width: int | None = None
@@ -211,8 +276,7 @@ def _load_csv(cfg: StreamConfig) -> list[Chunk]:
         raise IngestError(f"cannot read {cfg.csv_path}: {exc}") from exc
     if cfg.csv_has_header and lines:
         lines = lines[1:]
-    for offset, line in enumerate(lines):
-        lineno = start + offset
+    for lineno, line in enumerate(lines, start):
         if not line.strip():
             continue
         parts = line.split(",")
@@ -222,61 +286,99 @@ def _load_csv(cfg: StreamConfig) -> list[Chunk]:
             width = len(parts)
         elif len(parts) != width:
             raise IngestError(f"line {lineno}: expected {width} columns, found {len(parts)}")
-        try:
-            features = [float(p) for p in parts[:-1]]
-        except ValueError:
-            raise IngestError(f"line {lineno}: non-numeric feature value") from None
-        if not all(map(math.isfinite, features)):
+        texts, label = parts[:-1], parts[-1]
+        if not all(map(_NUMBER.fullmatch, texts)):
+            odd = [text for text in texts if not _NUMBER.fullmatch(text)]
+            kind = "non-finite" if all(map(_NON_FINITE.fullmatch, odd)) else "non-numeric"
+            raise IngestError(f"line {lineno}: {kind} feature value")
+        features = [float(text) for text in texts]
+        if not all(map(math.isfinite, features)):  # a finite spelling can overflow to inf
             raise IngestError(f"line {lineno}: non-finite feature value")
-        try:
-            label = int(parts[-1].strip())
-        except ValueError:
-            raise IngestError(f"line {lineno}: label {parts[-1].strip()!r} is not an integer") from None
-        if not -2**63 <= label < 2**63:
-            raise IngestError(f"line {lineno}: label {label} is outside the int64 range")
+        if not _INTEGER.fullmatch(label):
+            raise IngestError(f"line {lineno}: label {label.strip()!r} is not an integer")
+        value = int(label)
+        if not -2**63 <= value < 2**63:
+            raise IngestError(f"line {lineno}: label {value} is outside the int64 range")
         rows.append(features)
-        labels.append(label)
+        labels.append(value)
     if not rows:
         raise IngestError(f"{cfg.csv_path}: no data rows")
     X = np.asarray(rows, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    chunks = []
-    for i in range(0, len(rows), cfg.chunk_size):
-        # The final chunk may be shorter than chunk_size; empty tails never occur.
-        chunks.append(Chunk(len(chunks), X[i : i + cfg.chunk_size].copy(), y[i : i + cfg.chunk_size].copy()))
-    return chunks
+    X.setflags(write=False)
+    y.setflags(write=False)
+    return X, y
 
 
 class Stream:
-    """Immutable chunk sequence. Synthetic chunks are generated lazily; not thread-safe."""
+    """Immutable chunk sequence, built a window of chunks at a time. Synthetic
+    chunks are generated on request; not thread-safe.
+
+    :meth:`window` builds consecutive chunks as row views of one feature
+    block: a synthetic stream draws each chunk's rows into the block from
+    that chunk's seeded generator state and labels the whole block in one
+    pass; a CSV stream hands out a slice of the array it loaded. A chunk
+    from :meth:`chunk` or from iteration is a one-chunk window.
+    """
 
     def __init__(self, config: StreamConfig):
         self.config = config
-        self._csv_chunks = _load_csv(config) if config.kind == "csv" else None
+        self._csv = _load_csv(config) if config.kind == "csv" else None
+        self._n_chunks = (config.n_chunks if self._csv is None
+                          else -(-self._csv[1].shape[0] // config.chunk_size))
         self._rng = np.random.Generator(np.random.PCG64(0))  # reseeded before every chunk
-        self._block_start = -1
+        self._words_start = -1
 
     def __len__(self) -> int:
-        if self._csv_chunks is not None:
-            return len(self._csv_chunks)
-        return self.config.n_chunks
+        return self._n_chunks
+
+    def _seeded(self, first: int, stop: int) -> Iterator[np.random.Generator]:
+        """This stream's generator once per chunk index in [first, stop), each
+        time in the state that PCG64(SeedSequence((seed, index))) starts in."""
+        bit_generator = self._rng.bit_generator
+        for index in range(first, stop):
+            start = index - index % SEED_BLOCK
+            if start != self._words_start:
+                self._seed_words = _block_words(self.config.seed, start, min(SEED_BLOCK, len(self) - start))
+                self._words_start = start
+            w0, w1, w2, w3 = self._seed_words[index - start].tolist()
+            inc = (w2 << 65 | w3 << 1 | 1) & _MASK_128
+            state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK_128
+            bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+            yield self._rng
+
+    def window(self, first: int, stop: int) -> list[Chunk]:
+        """Chunks ``first`` to ``stop - 1``: read-only row views of one
+        feature block, each tagged with their :class:`Window` and position."""
+        if not 0 <= first < stop <= len(self):
+            raise ConfigError(f"window [{first}, {stop}) out of range [0, {len(self)})")
+        size = self.config.chunk_size
+        if self._csv is not None:
+            X, y = self._csv
+            lo = first * size
+            # the final chunk may be shorter than chunk_size; empty tails never occur
+            starts = [min(i * size, y.shape[0]) - lo for i in range(first, stop + 1)]
+            X, y = X[lo:lo + starts[-1]], y[lo:lo + starts[-1]]
+        else:
+            X, y = _BLOCKS[self.config.kind](self.config, first, stop, self._seeded(first, stop))
+            X.setflags(write=False)
+            y.setflags(write=False)
+            starts = list(range(0, X.shape[0] + 1, size))
+        window = Window(X, starts)
+        chunks = []
+        for position in range(stop - first):
+            a, b = starts[position], starts[position + 1]
+            chunk = Chunk(first + position, X[a:b], y[a:b])
+            chunk.cache["window"] = (window, position)
+            chunks.append(chunk)
+        return chunks
 
     def chunk(self, index: int) -> Chunk:
+        """Chunk ``index``, built as a one-chunk window."""
         if not 0 <= index < len(self):
             raise ConfigError(f"chunk index {index} out of range [0, {len(self)})")
-        if self._csv_chunks is not None:
-            return self._csv_chunks[index]
-        # set the state that PCG64(SeedSequence((seed, index))) starts in
-        start = index - index % SEED_BLOCK
-        if start != self._block_start:
-            self._block = _block_words(self.config.seed, start, min(SEED_BLOCK, len(self) - start))
-            self._block_start = start
-        w0, w1, w2, w3 = self._block[index - start].tolist()
-        inc = ((w2 << 64 | w3) << 1 | 1) % 2**128
-        state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) % 2**128
-        self._rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                                         "has_uint32": 0, "uinteger": 0}
-        return _GENERATORS[self.config.kind](self.config, index, self._rng)
+        return self.window(index, index + 1)[0]
 
     def __iter__(self) -> Iterator[Chunk]:
         for i in range(len(self)):

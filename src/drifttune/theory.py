@@ -346,9 +346,13 @@ class _FlippedStream(Stream):
         super().__init__(config)
         self.flip_index = flip_index
 
-    def chunk(self, index: int) -> Chunk:
-        chunk = super().chunk(index)
-        return Chunk(index, chunk.X, 1 - chunk.y) if index == self.flip_index else chunk
+    def window(self, first: int, stop: int) -> list[Chunk]:
+        chunks = super().window(first, stop)
+        if first <= self.flip_index < stop:
+            chunk = chunks[self.flip_index - first]
+            flipped = chunks[self.flip_index - first] = Chunk(chunk.index, chunk.X, 1 - chunk.y)
+            flipped.cache["window"] = chunk.cache["window"]
+        return chunks
 
 
 def simulate_recurrent_drift(t_eval: int = 100, t_d: int = 50, t_incre1: int = 10,

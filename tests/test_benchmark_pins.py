@@ -19,13 +19,15 @@ import math
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import drifttune
 import drifttune.cli  # noqa: F401  (entry_points reads drifttune.cli)
 from drifttune import classifier, dtd, kernels
 from drifttune.classifier import GaussianNB, evaluate
-from drifttune.dtd import DtdState, dtd_step
+from drifttune.detectors import make_monitor
+from drifttune.dtd import DtdState, baseline_step, dtd_step
 from drifttune.harness import (ExperimentConfig, detector_for_run, run_experiment, run_policies,
                                run_suite)
 from drifttune.stream import Stream, StreamConfig, make_stream
@@ -87,11 +89,11 @@ def test_suite_configs_on_one_stream_share_each_seeds_pass(kernel_calls, monkeyp
     chunk is built once per seed and its statistics are computed at most once."""
     built = Counter()
 
-    def counting_chunk(self, index, _chunk=Stream.chunk):
-        built[self.config.seed, index] += 1
-        return _chunk(self, index)
+    def counting_window(self, first, stop, _window=Stream.window):
+        built.update((self.config.seed, i) for i in range(first, stop))
+        return _window(self, first, stop)
 
-    monkeypatch.setattr(Stream, "chunk", counting_chunk)
+    monkeypatch.setattr(Stream, "window", counting_window)
     stream = StreamConfig(kind="sea", n_chunks=12, chunk_size=100, drift_period=4)
     configs = [ExperimentConfig(name=detector, stream=stream, detector=detector, seeds=(0, 1),
                                 out=str(tmp_path))
@@ -99,6 +101,42 @@ def test_suite_configs_on_one_stream_share_each_seeds_pass(kernel_calls, monkeyp
     run_suite(configs, parallel=1)
     assert built == {(seed, i): 1 for seed in (0, 1) for i in range(12)}
     assert 0 < kernel_calls["class_stats"] <= 2 * 12
+
+
+def test_a_sine_pass_draws_each_chunk_once_and_scores_ahead_on_views(monkeypatch):
+    """A pass builds each window as one feature block: each chunk's rows are
+    drawn once, straight into the block, and the rows a stopped model scores
+    ahead are a view of that block, not a copy of its chunks."""
+    seeded = Counter()
+
+    def counting(self, first, stop, _seeded=Stream._seeded):
+        for index, rng in zip(range(first, stop), _seeded(self, first, stop)):
+            seeded[index] += 1
+            yield rng
+
+    current = []  # the window of the chunk being stepped
+    ahead = []  # per kernel call over more than one chunk: whether it reads the block
+
+    def scoring(X, params, _kernel=kernels.predict_indices):
+        if X.shape[0] > 100:
+            ahead.append(np.shares_memory(X, current[-1].X))
+        return _kernel(X, params)
+
+    def recorded(state, chunk):
+        window, position = chunk.cache["window"]
+        current.append(window)
+        assert np.shares_memory(chunk.X, window.X)
+        assert np.shares_memory(window.rows_from(position, len(window.starts) - 1), window.X)
+        return baseline_step(state, chunk)
+
+    monkeypatch.setattr(Stream, "_seeded", counting)
+    monkeypatch.setattr(kernels, "predict_indices", scoring)
+    stream = make_stream(StreamConfig(kind="sine", n_chunks=60, chunk_size=100, drift_period=10))
+    state = DtdState(GaussianNB(), make_monitor("ddm"), training_mode="sporadic")
+    run_policies(stream, [(recorded, state)])
+    assert seeded == {i: 1 for i in range(60)}
+    assert len(current) == 59 and len({id(w) for w in current}) == 3  # windows of 20 chunks
+    assert ahead and all(ahead)
 
 
 def test_continual_cells_that_never_alarm_make_the_kernel_calls_of_one(kernel_rows, tmp_path):

@@ -3,7 +3,6 @@
 import gc
 import math
 import weakref
-from collections import deque
 
 import numpy as np
 import pytest
@@ -559,7 +558,7 @@ class TestEvaluate:
 def monitor_state(det):
     """A monitor's full state, with its window and PRNG made comparable."""
     def plain(value):
-        if isinstance(value, deque):
+        if isinstance(value, np.ndarray):
             return list(value)
         if isinstance(value, np.random.Generator):
             return value.bit_generator.state
@@ -651,12 +650,15 @@ class TestRelabel:
             assert np.array_equal(array, want)
 
 
+def sine_stream(n_chunks=5, rows=25, seed=0):
+    return make_stream(StreamConfig(kind="sine", seed=seed, n_chunks=n_chunks, chunk_size=rows,
+                                    drift_period=100))
+
+
 def window_of(n_chunks=4, rows=25, seed=0):
     """A tagged window over a small sine stream, plus the chunk before it."""
-    chunks = list(make_stream(StreamConfig(kind="sine", seed=seed, n_chunks=n_chunks + 1,
-                                           chunk_size=rows, drift_period=100)))
-    Window(chunks[1:])
-    return chunks[0], chunks[1:]
+    stream = sine_stream(n_chunks + 1, rows, seed)
+    return stream.chunk(0), stream.window(1, n_chunks + 1)
 
 
 class TestScoringAhead:
@@ -676,6 +678,9 @@ class TestScoringAhead:
         assert [c.cache["window"] for c in chunks] == [(window, i) for i in range(4)]
         assert window.starts == [0, 25, 50, 75, 100]
         assert np.array_equal(window.rows_from(2, 4), np.vstack([c.X for c in chunks[2:]]))
+        # the chunks and the rows ahead are views of the window's one block
+        assert all(np.shares_memory(c.X, window.X) for c in chunks)
+        assert np.shares_memory(window.rows_from(2, 4), window.X)
 
     def test_tags_make_no_reference_cycle(self):
         # chunks freed by reference counting alone, without waiting for the
@@ -768,10 +773,8 @@ class TestScoringAhead:
         assert kernel_rows == [25, 75, 25, 25]
 
     def test_another_window_scores_ahead_from_its_own_rows(self, kernel_rows):
-        warmup, chunks = window_of(n_chunks=6)
-        first, second = chunks[:3], chunks[3:]
-        Window(first)
-        Window(second)
+        stream = sine_stream(n_chunks=7)
+        warmup, chunks = stream.chunk(0), stream.window(1, 4) + stream.window(4, 7)
         model = GaussianNB().train(warmup)
         for chunk in chunks:
             got = model.predict(chunk.X, chunk.cache["window"])

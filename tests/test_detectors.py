@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -159,6 +160,40 @@ class TestPageHinkley:
         assert PageHinkley().threshold == 0.1
 
 
+class DequeKswin:
+    """Kswin's update as first written, frozen as the reference: a deque
+    window copied to an array on every update, a subsample drawn by
+    ``rng.choice`` over the older values, and the KS distance of the sorted
+    float64 samples."""
+
+    def __init__(self, params):
+        self.params = params
+        self.reset()
+
+    def reset(self):
+        self.window = deque(maxlen=self.params.window)
+        self.rng = np.random.Generator(np.random.PCG64(self.params.seed))
+
+    def clone(self):
+        twin = DequeKswin(self.params)
+        twin.window = self.window.copy()
+        twin.rng.bit_generator.state = self.rng.bit_generator.state
+        return twin
+
+    def update(self, value):
+        self.window.append(value)
+        if len(self.window) < self.params.window:
+            return 0.0
+        arr = np.asarray(self.window, dtype=np.float64)
+        sample = self.rng.choice(arr[:-self.params.recent], size=self.params.recent, replace=False)
+        a = np.sort(np.asarray(sample, dtype=np.float64))
+        b = np.sort(np.asarray(arr[-self.params.recent:], dtype=np.float64))
+        values = np.concatenate([a, b])
+        cdf_a = np.searchsorted(a, values, side="right") / a.size
+        cdf_b = np.searchsorted(b, values, side="right") / b.size
+        return float(np.abs(cdf_a - cdf_b).max())
+
+
 class TestKswin:
     def test_default_threshold_closed_form(self):
         assert KswinParams().threshold == math.sqrt(-math.log(0.005) / 30.0)
@@ -186,6 +221,30 @@ class TestKswin:
         assert a == b
         c = run(Kswin(KswinParams(seed=10)), values)
         assert a != c
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_statistics_match_the_deque_formulation(self, data):
+        """Updates, clones and resets in random order give the statistic
+        sequence of the original formulation, kept here as ``DequeKswin``."""
+        window = data.draw(st.integers(2, 40), label="window")
+        recent = data.draw(st.integers(1, window // 2), label="recent")
+        params = KswinParams(window=window, recent=recent, seed=data.draw(st.integers(0, 2**64)))
+        pairs = [(Kswin(params), DequeKswin(params))]
+        # a few distinct values make ties between the two samples common
+        values = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+        for op in data.draw(st.lists(st.sampled_from(["update"] * 8 + ["clone", "reset"]),
+                                     max_size=3 * window), label="ops"):
+            k = data.draw(st.integers(0, len(pairs) - 1), label="pair")
+            monitor, frozen = pairs[k]
+            if op == "clone":
+                pairs.append((monitor.clone(), frozen.clone()))
+            elif op == "reset":
+                monitor.reset()
+                frozen.reset()
+            else:
+                value = data.draw(values, label="value")
+                assert monitor.update(value) == frozen.update(value)
 
     def test_ks_distance_against_scipy(self):
         scipy_stats = pytest.importorskip("scipy.stats")

@@ -310,8 +310,11 @@ class UnitDraws:
     def __init__(self, unit: np.ndarray):
         self.unit = unit
 
-    def random(self, size):
-        return self.unit.reshape(size).copy()
+    def random(self, size=None, out=None):
+        if out is None:
+            return self.unit.reshape(size).copy()
+        out[...] = self.unit.reshape(out.shape)
+        return out
 
     def uniform(self, low, high, size):
         return low + (high - low) * self.unit.reshape(size)
@@ -348,6 +351,18 @@ def access_orders(draw, n_chunks):
     return draw(st.permutations(indices + indices[:3]))
 
 
+@st.composite
+def windows(draw, n_chunks):
+    """``[first, stop)`` chunk ranges: random ones, plus one across each ``SEED_BLOCK`` edge."""
+    ranges = []
+    for _ in range(draw(st.integers(1, 4))):
+        first = draw(st.integers(0, n_chunks - 1))
+        ranges.append((first, draw(st.integers(first + 1, min(n_chunks, first + 25)))))
+    for edge in range(SEED_BLOCK, n_chunks, SEED_BLOCK):
+        ranges.append((edge - draw(st.integers(1, 3)), min(n_chunks, edge + draw(st.integers(1, 3)))))
+    return draw(st.permutations(ranges))
+
+
 class TestBlockSeeding:
     @settings(max_examples=200, deadline=None)
     @given(seed=SEEDS, start=st.integers(0, 2**32 - 1), n=st.integers(1, 40))
@@ -366,6 +381,21 @@ class TestBlockSeeding:
         for index in data.draw(access_orders(cfg.n_chunks)):
             assert_same_bytes(stream.chunk(index), reference_chunk(cfg, index))
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), cfg=stream_configs())
+    def test_window_chunks_equal_per_chunk_generators(self, data, cfg):
+        stream = make_stream(cfg)
+        for first, stop in data.draw(windows(cfg.n_chunks)):
+            chunks = stream.window(first, stop)
+            window = chunks[0].cache["window"][0]
+            assert [c.cache["window"] for c in chunks] == [(window, p) for p in range(stop - first)]
+            stacked = np.vstack([c.X for c in chunks])
+            assert window.X.tobytes() == stacked.tobytes() and not window.X.flags.writeable
+            assert window.starts == [p * cfg.chunk_size for p in range(stop - first + 1)]
+            for chunk in chunks:
+                assert np.shares_memory(chunk.X, window.X)
+                assert_same_bytes(chunk, reference_chunk(cfg, chunk.index))
+
     @settings(max_examples=30, deadline=None)
     @given(data=st.data(), first=stream_configs(), second_seed=SEEDS)
     def test_interleaved_streams_stay_independent(self, data, first, second_seed):
@@ -380,16 +410,17 @@ class TestBlockSeeding:
         x1 = np.random.default_rng(3).random(8)
         unit = np.vstack([np.column_stack([x1, np.sin(x1)]), [[0.0, 0.0], [0.5, 0.1], [0.5, 0.9]]])
         cfg = StreamConfig(kind="sine", n_chunks=20, chunk_size=unit.shape[0])
-        for index in (0, 10):  # both concepts
-            chunk = stream_module._sine_chunk(cfg, index, UnitDraws(unit))
-            assert_same_bytes(chunk, frozen_chunk(cfg, index, UnitDraws(unit)))
+        X, y = stream_module._sine_block(cfg, 9, 11, [UnitDraws(unit)] * 2)  # both concepts
+        for position, index in enumerate((9, 10)):
+            rows = slice(position * unit.shape[0], (position + 1) * unit.shape[0])
+            assert_same_bytes(Chunk(index, X[rows], y[rows]), frozen_chunk(cfg, index, UnitDraws(unit)))
 
     def test_last_index_and_bounded_block(self):
         cfg = StreamConfig(kind="sine", seed=2**96 + 7, n_chunks=2**32 - 1, chunk_size=3)
         stream = make_stream(cfg)
         for index in (2**32 - 2, 0, 2**31, 2**32 - 2):
             assert_same_bytes(stream.chunk(index), reference_chunk(cfg, index))
-            assert stream._block.shape[0] <= SEED_BLOCK
+            assert stream._seed_words.shape[0] <= SEED_BLOCK
 
 
 class TestCsv:
@@ -408,6 +439,22 @@ class TestCsv:
         assert np.array_equal(stream.chunk(2).X, [[9.0, 10.0]])
         assert stream.chunk(1).index == 1
 
+    def test_a_window_is_a_slice_of_the_loaded_rows(self, tmp_path):
+        path = self.write(tmp_path, "".join(f"{i}.5,{i % 3}\n" for i in range(7)))
+        stream = make_stream(StreamConfig(kind="csv", csv_path=path, chunk_size=2))
+        chunks = stream.window(1, 4)
+        window = chunks[0].cache["window"][0]
+        assert window.starts == [0, 2, 4, 5]
+        assert window.X.ravel().tolist() == [2.5, 3.5, 4.5, 5.5, 6.5]
+        # views of the one array the stream loaded
+        assert window.X.base is stream.chunk(0).X.base is not None
+        for chunk in chunks:
+            assert np.shares_memory(chunk.X, window.X)
+            assert chunk.X.tolist() == stream.chunk(chunk.index).X.tolist()
+            assert chunk.y.tolist() == stream.chunk(chunk.index).y.tolist()
+        with pytest.raises(ConfigError, match="out of range"):
+            stream.window(3, 5)
+
     def test_header_skipped(self, tmp_path):
         path = self.write(tmp_path, "f1,f2,label\n1.0,2.0,0\n3.0,4.0,1\n")
         stream = make_stream(StreamConfig(kind="csv", csv_path=path, chunk_size=10, csv_has_header=True))
@@ -425,6 +472,26 @@ class TestCsv:
         path = self.write(tmp_path, "1.0,2.0,0\n1.5,abc,0\n")
         with pytest.raises(IngestError, match="line 2: non-numeric feature"):
             make_stream(StreamConfig(kind="csv", csv_path=path, chunk_size=10))
+
+    # Python's float() takes the first four, but none is a CSV number
+    @pytest.mark.parametrize("bad", ["1_0.5", "\u0661\u0662", "\uff11.5", "1.5\u00a0", "0x1p3", "1e"])
+    def test_a_feature_that_is_not_a_csv_number_reports_line(self, tmp_path, bad):
+        path = self.write(tmp_path, f"1.0,2.0,0\n1.5,{bad},0\n")
+        with pytest.raises(IngestError, match="line 2: non-numeric feature"):
+            make_stream(StreamConfig(kind="csv", csv_path=path, chunk_size=10))
+
+    # Python's int() takes the first three
+    @pytest.mark.parametrize("label", ["1_0", "\u0663", "\uff11", "1.0", "1e3"])
+    def test_a_label_that_is_not_a_csv_integer_reports_line(self, tmp_path, label):
+        path = self.write(tmp_path, f"1.0,0\n2.0,{label}\n")
+        with pytest.raises(IngestError, match=f"line 2: label {label!r} is not an integer"):
+            make_stream(StreamConfig(kind="csv", csv_path=path, chunk_size=10))
+
+    def test_signs_exponents_and_padding_are_numbers(self, tmp_path):
+        path = self.write(tmp_path, "+1.5, -.5 ,2.,1E-2,\t-3\n")
+        chunk = make_stream(StreamConfig(kind="csv", csv_path=path, chunk_size=10)).chunk(0)
+        assert chunk.X.tolist() == [[1.5, -0.5, 2.0, 0.01]]
+        assert chunk.y.tolist() == [-3]
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
     def test_non_finite_feature_reports_line(self, tmp_path, bad):
