@@ -3,39 +3,40 @@
 The model keeps per-class running counts, means, and sums of squared
 deviations, merged batch-wise with Chan's parallel update (Chan, Golub &
 LeVeque, Am. Stat. 1983), so training on a chunk is equivalent to having seen
-every instance one at a time. A chunk's own class statistics are computed once
-per chunk and cached on it, and a fresh model adopts them as they are; the
-class counts come from the pass that relabels the chunk's labels.
+every instance one at a time. Both sides of a merge are states of the same
+form: a chunk's own class statistics are the state a fresh model takes after
+it, computed once per chunk; the class counts come from the pass that
+relabels the chunk's labels.
 
-A model holds one read-only state, which models share. ``train`` moves a
-model to the state its current state becomes after the chunk, and the chunk
-keeps the states it led to, by parent state, in ``chunk.cache["trained"]``:
-every model of a pass that trains from the same state on the same chunk
-(each ``adapt`` on it, every continual lineage over the same chunks) takes
-one state, merged once. ``copy`` shares the state. A state refers to no
-chunk, so the memo makes no reference cycle and a chunk and its states are
-freed with its window. The merge writes in place only to arrays it made
-itself, in the operation order of its plain formula. Prediction maximizes
-the log joint density with a per-feature variance floor; the kernel's
-constants (log priors, means, doubled floored variances and log
-normalizers) are built once per state. Every model, the primary or a race
-candidate, scores a chunk through :func:`evaluate` and ``predict``.
-Features are plain float64: a chunk whose class statistics overflow is
-rejected when a model trains on it, and a row that has no finite best class
-score raises instead of taking class 0.
+A model holds one read-only state, which models share. ``train`` moves a model
+to the state its current state becomes after the chunk, and the chunk keeps
+the states it led to, by parent state, in ``chunk.cache["trained"]``; its own
+state is the entry for the empty state. Every model of a pass that trains from
+the same state on the same chunk (each ``adapt`` on it, every continual
+lineage over the same chunks) takes one state, merged once. ``copy`` shares
+the state. A state refers to no chunk, so the memo makes no reference cycle
+and a chunk and its states are freed with its window. The merge writes in
+place only to arrays it made itself, in the operation order of its plain
+formula. Prediction maximizes the log joint density with a per-feature
+variance floor; the kernel's constants (log priors, means, doubled floored
+variances and log normalizers) are built once per state. Every model, the
+primary or a race candidate, scores a chunk through :func:`evaluate` and
+``predict``. Features are plain float64: a chunk whose class statistics
+overflow is rejected when a model trains on it, and a row that has no finite
+best class score raises instead of taking class 0.
 
-A stream builds its chunks a :class:`~drifttune.stream.Window` at a time,
-as row views of one feature block. A state keeps
-the labels of its last score of a window's rows, and serves any model that
-holds it a chunk they cover. A state that is scored on a chunk it has no
-labels for, after it has already been scored, belongs to models that have
-stopped training, so it predicts every row from that chunk to the window's
-end in one kernel call. A caller that knows how many more chunks it will
-score with the model as it is, as a sporadic race knows its remaining
-chunks, passes that bound to :func:`evaluate`: the state then predicts
-exactly those chunks, clipped at the window's end, in one call, and nothing
-past them. Each label depends only on its own row and the state's
-constants, so the labels are the ones per-chunk calls give.
+A stream builds its chunks a :class:`~drifttune.stream.Window` at a time, as
+row views of one feature block. A state keeps the labels of its last score of
+a window's rows, and serves any model that holds it a chunk they cover. A
+state that is scored on a chunk it has no labels for, after it has already
+been scored, belongs to models that have stopped training, so it predicts
+every row from that chunk to the window's end in one kernel call. A caller
+that knows how many more chunks it will score with the model as it is, as a
+sporadic race knows its remaining chunks, passes that bound to
+:func:`evaluate`: the state then predicts exactly those chunks, clipped at the
+window's end, in one call, and nothing past them. Each label depends only on
+its own row and the state's constants, so the labels are the ones per-chunk
+calls give.
 
 Module-level operation counters record how many instances were pushed
 through predict and train calls, per call, whether its labels or state were
@@ -96,43 +97,6 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _chunk_stats(chunk: Chunk) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The chunk's sorted labels with their per-label count, mean and M2.
-
-    Computed on the first call for a chunk and cached on it; chunk arrays
-    are read-only, so the cache cannot go stale.
-    """
-    stats = chunk.cache.get("class_stats")
-    if stats is None:
-        X = np.ascontiguousarray(chunk.X, dtype=np.float64)
-        if not np.isfinite(X).all():
-            raise ModelError(f"chunk {chunk.index} has non-finite feature values")
-        # int64 would wrap a uint64 label at or above 2**63 to a negative class
-        if chunk.y.dtype == np.uint64 and chunk.y.shape[0] and chunk.y.max() >= 2**63:
-            raise ModelError(f"chunk {chunk.index} has labels at or above 2**63")
-        labels, y_idx, counts = _relabel(np.asarray(chunk.y, dtype=np.int64))
-        stats = (labels, *kernels.class_stats(X, y_idx.astype(np.int64, copy=False), counts))
-        # a mean that overflows makes its class's M2 inf or NaN as well
-        if not np.isfinite(stats[3]).all():
-            raise ModelError(f"chunk {chunk.index} has non-finite class statistics: "
-                             "its features are outside the supported range")
-        chunk.cache["class_stats"] = _read_only(*stats)
-    return stats
-
-
-def _on_classes(classes, labels, counts, means, m2):
-    """The count, mean and M2 rows of the sorted ``labels`` laid onto their
-    sorted superset ``classes``, with zero rows for the classes ``labels``
-    lacks; the arrays themselves when the two sets are equal."""
-    if labels.shape[0] == classes.shape[0]:
-        return counts, means, m2
-    pos = np.searchsorted(classes, labels)
-    shape = (classes.shape[0], means.shape[1])
-    laid = np.zeros(shape[0]), np.zeros(shape), np.zeros(shape)
-    laid[0][pos], laid[1][pos], laid[2][pos] = counts, means, m2
-    return laid
-
-
 class _State:
     """One model state: the sorted classes with their counts, means and M2,
     all read-only arrays, plus what is computed from them alone: the predict
@@ -153,18 +117,52 @@ class _State:
 _EMPTY = _State(*_read_only(np.empty(0, dtype=np.int64), np.empty(0), np.empty((0, 0)), np.empty((0, 0))))
 
 
-def _merge(state: _State, labels, n_b, b_means, b_m2) -> _State:
-    """The state ``state`` becomes after a chunk with these class statistics."""
-    if state is _EMPTY:
-        # a fresh model adopts the chunk's read-only statistics: a merge
-        # into zeros gives the same values, but turns a -0.0 mean into +0.0
-        return _State(labels, n_b, b_means, b_m2)
-    classes, n_a, a_means, a_m2 = state.classes, state.counts, state.means, state.m2
-    if labels.shape != classes.shape or (labels != classes).any():
-        classes = np.union1d(classes, labels)
-        n_a, a_means, a_m2 = _on_classes(classes, state.classes, n_a, a_means, a_m2)
-        n_b, b_means, b_m2 = _on_classes(classes, labels, n_b, b_means, b_m2)
+def _chunk_state(chunk: Chunk) -> _State:
+    """The state a fresh model takes after ``chunk``: the chunk's sorted
+    labels with their per-label count, mean and M2.
+
+    Computed on the first call for a chunk and kept as its ``trained`` memo
+    entry for ``_EMPTY``; chunk arrays are read-only, so it cannot go stale.
+    """
+    memo = chunk.cache.setdefault("trained", {})
+    state = memo.get(_EMPTY)
+    if state is None:
+        X = np.ascontiguousarray(chunk.X, dtype=np.float64)
+        if not np.isfinite(X).all():
+            raise ModelError(f"chunk {chunk.index} has non-finite feature values")
+        # int64 would wrap a uint64 label at or above 2**63 to a negative class
+        if chunk.y.dtype == np.uint64 and chunk.y.shape[0] and chunk.y.max() >= 2**63:
+            raise ModelError(f"chunk {chunk.index} has labels at or above 2**63")
+        labels, y_idx, counts = _relabel(np.asarray(chunk.y, dtype=np.int64))
+        stats = kernels.class_stats(X, y_idx.astype(np.int64, copy=False), counts)
+        # a mean that overflows makes its class's M2 inf or NaN as well
+        if not np.isfinite(stats[2]).all():
+            raise ModelError(f"chunk {chunk.index} has non-finite class statistics: "
+                             "its features are outside the supported range")
+        state = memo[_EMPTY] = _State(*_read_only(labels, *stats))
+    return state
+
+
+def _on_classes(classes, state: _State):
+    """The count, mean and M2 rows of ``state`` laid onto ``classes``, a
+    sorted superset of its classes, with zero rows for the classes it lacks;
+    its own arrays when the two sets are equal."""
+    if state.classes.shape[0] == classes.shape[0]:
+        return state.counts, state.means, state.m2
+    pos = np.searchsorted(classes, state.classes)
+    shape = (classes.shape[0], state.means.shape[1])
+    laid = np.zeros(shape[0]), np.zeros(shape), np.zeros(shape)
+    laid[0][pos], laid[1][pos], laid[2][pos] = state.counts, state.means, state.m2
+    return laid
+
+
+def _merge(a: _State, b: _State) -> _State:
+    """The state ``a`` becomes after a chunk whose own state is ``b``."""
+    classes = a.classes
+    if b.classes.shape != classes.shape or (b.classes != classes).any():
+        classes = np.union1d(classes, b.classes)
         classes.setflags(write=False)
+    (n_a, a_means, a_m2), (n_b, b_means, b_m2) = _on_classes(classes, a), _on_classes(classes, b)
 
     # Chan et al.'s pairwise update; both sides hold only classes with
     # rows, so every n_ab is positive. In place on new arrays, in the order of
@@ -215,14 +213,15 @@ class GaussianNB:
         """Train on ``chunk``: move to the state the current one becomes
         after it. A chunk keeps the states it led to, keyed by their parent
         state, so a model that trains from a state the chunk has already
-        seen takes the state made then."""
+        seen takes the state made then; a fresh model takes the chunk's own."""
         if chunk.X.shape[0] == 0:
             raise ModelError("cannot train on an empty chunk")
-        memo = chunk.cache.setdefault("trained", {})
-        state = memo.get(self._state)
+        state = chunk.cache.get("trained", {}).get(self._state)
         if state is None:
             self._require_width(chunk.X)
-            state = memo[self._state] = _merge(self._state, *_chunk_stats(chunk))
+            own = _chunk_state(chunk)
+            memo = chunk.cache["trained"]
+            state = memo.get(self._state) or memo.setdefault(self._state, _merge(self._state, own))
         self._state = state
         op_counts.train_instances += chunk.X.shape[0]
         return self

@@ -16,18 +16,20 @@ three candidate hypotheses about what just happened:
 The three race for ``race_len`` chunks, each with its own detector, and the
 one with the best mean accuracy over the race (seed entry included) becomes
 the new primary model and detector. The installed threshold is therefore one
-of {previous statistic, unchanged, alarm statistic + eta}.
+of {previous statistic, unchanged, alarm statistic + eta}. A race chunk
+reports the accuracy of the candidate that led on the chunk before (RDM on
+the first); the race's place and leader are read from the candidates' logs.
 
 A threshold policy is a step ``step(state, chunk) -> StepOutcome`` over one
 :class:`DtdState`: :func:`baseline_step` keeps its threshold, :func:`dtd_step`
 races. Both, and every race candidate, react to a chunk through :func:`respond`.
 
 In sporadic mode a candidate does not train until it alarms, so each
-evaluation tells the model how many race chunks are left after this one:
-a candidate scores them in one kernel call at its first score in a
-window (EDM's first score also covers the alarm chunk), and nothing past
-the race. Continual candidates train after every chunk and score one
-chunk at a time.
+evaluation tells the model how many race chunks are left after this one,
+``race_len`` less the length of its log: a candidate scores them in one
+kernel call at its first score in a window (EDM's first score also covers
+the alarm chunk), and nothing past the race. Continual candidates train
+after every chunk and score one chunk at a time.
 """
 
 from __future__ import annotations
@@ -98,8 +100,6 @@ class DtdState:
     race_len: int = 3
     eta: float = 1e-6
     training_mode: str = "continual"
-    countdown: int = field(default=0, init=False)
-    leader: CandidateKind = field(default=CandidateKind.RDM, init=False)  # leads when a race opens
     candidates: list[Candidate] | None = field(default=None, init=False)
     prev_statistic: float = field(default=0.0, init=False)  # of the last normal-phase chunk
     prev_chunk: Chunk | None = field(default=None, init=False)
@@ -114,6 +114,11 @@ class DtdState:
     @property
     def in_comparison(self) -> bool:
         return self.candidates is not None
+
+
+def _ahead(state: DtdState, candidate: Candidate) -> int:
+    """Race chunks after the candidate's next one; none in continual mode, which trains on each."""
+    return 0 if state.continual else state.race_len - len(candidate.accuracy_log)
 
 
 def respond(model: GaussianNB, chunk: Chunk, detector: DriftMonitor,
@@ -146,8 +151,7 @@ def create_candidates(state: DtdState, chunk: Chunk, accuracy: float) -> list[Ca
 
     edm = Candidate(adapt(model, state.prev_chunk), detector.fresh(), [])
     edm.detector.threshold = state.prev_statistic
-    ahead = 0 if state.continual else state.race_len
-    edm.accuracy_log.append(evaluate(edm.model, chunk, edm.detector, ahead))
+    edm.accuracy_log.append(evaluate(edm.model, chunk, edm.detector, _ahead(state, edm)))
     pm = Candidate(model.copy(), detector.fresh(), [accuracy])
     pm.detector.threshold = detector.statistic + state.eta
     candidates = [edm, Candidate(model, detector.clone(), [accuracy]), pm]
@@ -156,19 +160,16 @@ def create_candidates(state: DtdState, chunk: Chunk, accuracy: float) -> list[Ca
     return candidates
 
 
-def eval_candidates(candidates: list[Candidate] | None, chunk: Chunk, *,
-                    continual: bool, ahead: int = 0) -> list[float]:
+def eval_candidates(state: DtdState, chunk: Chunk) -> list[float]:
     """One comparison chunk: each candidate, in EDM, RDM, PM order, scores
-    it, logs the accuracy and reacts through :func:`respond`. ``ahead``
-    counts the race's chunks after this one, which a sporadic candidate
-    scores in the same kernel call."""
-    if candidates is None:
+    it, logs the accuracy and reacts through :func:`respond`. A sporadic
+    candidate scores the race's later chunks in the same kernel call."""
+    if state.candidates is None:
         raise PhaseError("no comparison phase is active")
-    ahead = 0 if continual else ahead
-    for candidate in candidates:
-        candidate.accuracy_log.append(evaluate(candidate.model, chunk, candidate.detector, ahead))
-        candidate.model = respond(candidate.model, chunk, candidate.detector, continual)
-    return [candidate.accuracy_log[-1] for candidate in candidates]
+    for c in state.candidates:
+        c.accuracy_log.append(evaluate(c.model, chunk, c.detector, _ahead(state, c)))
+        c.model = respond(c.model, chunk, c.detector, state.continual)
+    return [c.accuracy_log[-1] for c in state.candidates]
 
 
 def finalize_comparison(candidates: list[Candidate] | None) -> CandidateKind:
@@ -191,18 +192,15 @@ def baseline_step(state: DtdState, chunk: Chunk) -> StepOutcome:
 def dtd_step(state: DtdState, chunk: Chunk) -> StepOutcome:
     """Process one chunk; returns the reported accuracy and trace fields."""
     if state.in_comparison:
-        accuracies = eval_candidates(state.candidates, chunk, continual=state.continual,
-                                     ahead=state.countdown - 1)
-        state.countdown -= 1
-        reported = accuracies[state.leader]
-        state.leader = _best(accuracies)
+        logs = [candidate.accuracy_log for candidate in state.candidates]
+        leader = CandidateKind.RDM if len(logs[0]) == 1 else _best([log[-1] for log in logs])
+        reported = eval_candidates(state, chunk)[leader]
         winner = None
-        if state.countdown == 0:
+        if len(logs[0]) > state.race_len:
             winner = finalize_comparison(state.candidates)
             chosen = state.candidates[winner]
             state.primary_model, state.primary_detector = chosen.model, chosen.detector
             state.candidates = None
-            state.leader = CandidateKind.RDM
         return StepOutcome(accuracy=reported, statistic=state.primary_detector.statistic,
                            threshold=state.primary_detector.threshold, alarm=False,
                            phase="comparison", winner=winner)
@@ -212,7 +210,6 @@ def dtd_step(state: DtdState, chunk: Chunk) -> StepOutcome:
     if alarm and state.prev_chunk is not None:
         # the primary model is not trained: the race winner replaces it
         state.candidates = create_candidates(state, chunk, accuracy)
-        state.countdown = state.race_len
     else:
         # quiet, or an alarm before any history, where no race is possible
         state.primary_model = respond(state.primary_model, chunk, state.primary_detector,

@@ -43,6 +43,7 @@ import multiprocessing
 import pickle
 import re
 import statistics
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -477,7 +478,9 @@ def _report_from_rows(rows: list[dict]) -> dict:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    # finite and within a float's range: json reads NaN, Infinity and ints of any size
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 # the stored summary keys a report reads, each with the test its value must pass
@@ -510,7 +513,7 @@ def summarize_stored(out_root: str | Path) -> dict:
             if key not in row:
                 raise ReportError(f"{path}: summary has no key {key!r}")
             if not valid(row[key]):
-                raise ReportError(f"{path}: summary key {key!r} has a wrongly typed value {row[key]!r}")
+                raise ReportError(f"{path}: summary key {key!r} has a wrongly typed or non-finite value {row[key]!r}")
         if len(row["seeds"]) != len(row["per_seed_accuracy"]):
             raise ReportError(f"{path}: summary's seeds and per_seed_accuracy differ in length "
                               f"({len(row['seeds'])} and {len(row['per_seed_accuracy'])})")

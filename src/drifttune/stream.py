@@ -64,9 +64,9 @@ class Chunk:
     but a model neither trains nor scores on one. A chunk compares and
     hashes by identity.
 
-    ``cache`` holds values derived from the arrays, such as the class
-    statistics the model computes once per chunk and, for a chunk a stream
-    built, its window tag ``(window, position)``.
+    ``cache`` holds values derived from the arrays, such as the model
+    states trained on the chunk (its own class statistics among them) and,
+    for a chunk a stream built, its window tag ``(window, position)``.
     """
 
     __slots__ = ("index", "X", "y", "cache", "__weakref__")

@@ -219,14 +219,16 @@ def test_a_sporadic_race_candidate_scores_its_race_in_one_call_per_window(kernel
     state = DtdState(GaussianNB(), detector_for_run(config, 0), config.race_len, config.eta,
                      config.mode)
     calls = []  # (candidate model, window, rows computed, rows its race has left in the window)
+    opened = []  # the index of each race's alarm chunk
 
     def scoring(model, chunk, *args, **kwargs):
         before = len(kernel_rows)
         accuracy = evaluate(model, chunk, *args, **kwargs)
         if model is not state.primary_model:
             window, position = chunk.cache["window"]
-            # scored before the race opens (EDM on the alarm chunk) or during it
-            left = state.countdown - 1 if state.in_comparison else state.race_len
+            if not state.in_comparison:  # EDM scores the alarm chunk before the race opens
+                opened.append(chunk.index)
+            left = state.race_len - (chunk.index - opened[-1])
             stop = min(position + 1 + left, len(window.starts) - 1)
             race_rows = window.starts[stop] - window.starts[position]
             calls.extend((model, window, rows, race_rows) for rows in kernel_rows[before:])

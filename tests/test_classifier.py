@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from drifttune import kernels
+from drifttune import classifier, kernels
 from drifttune.classifier import GaussianNB, Window, _relabel, _State, adapt, evaluate, op_counts
 from drifttune.detectors import DETECTOR_KINDS, make_monitor
 from drifttune.dtd import Candidate, DtdState, baseline_step, dtd_step, eval_candidates, respond
@@ -127,6 +127,17 @@ class TestTraining:
         GaussianNB().train(chunk_of([[5.0]], [1])).train(c).train(c)
         adapt(GaussianNB(), c)
         assert len(calls) == 2
+        # the same when a fitted model trains on the chunk before a fresh one
+        d = chunk_of([[1.0], [2.0], [8.0]], [0, 0, 1], index=1)
+        GaussianNB().train(chunk_of([[5.0]], [1])).train(d).train(d)
+        GaussianNB().train(d)
+        adapt(GaussianNB(), d)
+        assert len(calls) == 4
+
+    def test_width_error_comes_before_the_non_finite_check(self):
+        model = GaussianNB().train(chunk_of([[1.0, 2.0]], [0]))
+        with pytest.raises(ModelError, match="expected 2 features, got 3"):
+            model.train(chunk_of([[np.nan, 0.0, 1.0]], [0], index=1))
 
 
 def reference_train(model, chunk):
@@ -326,8 +337,27 @@ class TestFreshModelAdoption:
         assert not model._state.means.flags.writeable
         means = model._state.means.copy()
         model.train(chunk_of([[9.0, 9.0]], [1], index=1))
-        # the merge rebinds, so the chunk's cached statistics are untouched
-        assert np.array_equal(chunk.cache["class_stats"][2], means)
+        # the merge rebinds, so a later fresh model takes the chunk's statistics untouched
+        assert np.array_equal(GaussianNB().train(chunk)._state.means, means)
+
+    @pytest.mark.parametrize("fresh_first", [True, False])
+    def test_every_merge_on_a_chunk_reads_the_fresh_models_state(self, monkeypatch, fresh_first):
+        merged_with = []
+        real = classifier._merge
+
+        def recording(state, own):
+            merged_with.append(own)
+            return real(state, own)
+
+        chunk = chunk_of([[1.0], [2.0], [8.0]], [0, 0, 1], index=2)
+        fitted = [GaussianNB().train(chunk_of([[5.0]], [1])),
+                  GaussianNB().train(chunk_of([[3.0], [4.0]], [0, 2], index=1))]
+        monkeypatch.setattr(classifier, "_merge", recording)
+        fresh = GaussianNB()
+        for model in ([fresh, *fitted] if fresh_first else [*fitted, fresh]):
+            model.train(chunk)
+        assert len(merged_with) == 2
+        assert all(own is fresh._state for own in merged_with)
 
 
 class TestMergeInvariant:
@@ -548,9 +578,10 @@ class TestEvaluate:
         op_counts.reset()
         with pytest.raises(ModelError, match="empty chunk"):
             evaluate(model, empty, det)
+        state = DtdState(model, det, training_mode="continual")
+        state.candidates = [Candidate(model, det, []), Candidate(model.copy(), RecordingDetector(), [])]
         with pytest.raises(ModelError, match="empty chunk"):
-            eval_candidates([Candidate(model, det, []), Candidate(model.copy(), RecordingDetector(), [])],
-                            empty, continual=True)
+            eval_candidates(state, empty)
         assert det.values == []
         assert op_counts.snapshot() == (0, 0)
 
@@ -608,9 +639,12 @@ class TestStackedEvaluation:
             return [Candidate(m.copy(), d.clone(), []) for m, d in zip(models, detectors)]
 
         stacked, separate = candidates(), candidates()
+        state = DtdState(models[0], detectors[0], race_len=len(chunks),
+                         training_mode="continual" if continual else "sporadic")
+        state.candidates = stacked
         for chunk in chunks:
             op_counts.reset()
-            accuracies = eval_candidates(stacked, chunk, continual=continual)
+            accuracies = eval_candidates(state, chunk)
             stacked_counts = op_counts.snapshot()
             op_counts.reset()
             expected = []

@@ -100,7 +100,6 @@ class TestStateConstruction:
         state = fresh_state()
         assert not state.in_comparison
         assert state.candidates is None and state.prev_chunk is None
-        assert state.leader is CandidateKind.RDM
 
     def test_validation(self):
         model = FirstLabelModel().train(chunk_from_labels([0]))
@@ -114,12 +113,12 @@ class TestStateConstruction:
 
     def test_race_fields_are_not_constructor_arguments(self):
         model = FirstLabelModel().train(chunk_from_labels([0]))
-        for name in ("countdown", "leader", "candidates", "prev_statistic", "prev_chunk"):
+        for name in ("candidates", "prev_statistic", "prev_chunk"):
             with pytest.raises(TypeError):
                 DtdState(model, IdentityMonitor(StubParams()), **{name: None})
 
     @pytest.mark.parametrize("kw,match", [
-        ({"race_len": 2.5}, "race_len"),  # its countdown would step over 0 and never close
+        ({"race_len": 2.5}, "race_len"),  # a race would never reach its end
         ({"race_len": "3"}, "race_len"),
         ({"race_len": True}, "race_len"),
         ({"eta": None}, "eta"),
@@ -189,9 +188,9 @@ class TestCandidateCreation:
         state, _, _, out = self.alarm_setup()
         assert out.alarm and out.phase == "normal"
         assert state.in_comparison
-        assert state.countdown == state.race_len
-        assert state.leader is CandidateKind.RDM
         assert state.candidates is not None
+        # each log holds the alarm chunk's entry only: no race chunk has run
+        assert [len(c.accuracy_log) for c in state.candidates] == [1, 1, 1]
 
     def test_threshold_assignments(self):
         state, _, _, _ = self.alarm_setup(eta=0.25)
@@ -315,25 +314,43 @@ class TestComparisonPhase:
             state.candidates[kind].model.c = c
             state.candidates[kind].detector.threshold = 10.0
         # chunk 2: 30 ones. RDM (c=1) scores 0.3, EDM (c=0) 0.7, PM (c=1) 0.3.
-        # The report uses the leader chosen before this chunk: RDM.
+        # The first race chunk reports RDM, although EDM led on the alarm chunk.
         out2 = dtd_step(state, chunk_from_labels(labels(first=1, ones=30), index=2))
         assert out2.accuracy == 0.3
-        assert state.leader is CandidateKind.EDM
-        # chunk 3: 80 ones. EDM scores 0.2 and reports, although RDM sees 0.8.
+        # chunk 3: 80 ones. EDM led on chunk 2, so it reports 0.2, although RDM sees 0.8.
         out3 = dtd_step(state, chunk_from_labels(labels(first=1, ones=80), index=3))
         assert out3.accuracy == 0.2
-        assert state.leader is CandidateKind.RDM
+        # chunk 4: 40 ones, and PM now predicts 0. RDM and PM tied on chunk 3
+        # and RDM leads: it reports 0.4, where PM or EDM would report 0.6.
+        state.candidates[CandidateKind.PM].model.c = 0
+        out4 = dtd_step(state, chunk_from_labels(labels(first=1, ones=40), index=4))
+        assert out4.accuracy == 0.4
 
     def test_countdown_and_finalization_shape(self):
         state = self.drive_to_comparison(race_len=3)
-        assert state.countdown == 3
         outs = [dtd_step(state, chunk_from_labels(labels(first=1, ones=50), index=2 + i))
                 for i in range(3)]
         assert [o.phase for o in outs] == ["comparison"] * 3
         assert [o.winner for o in outs[:2]] == [None, None]
         assert outs[2].winner is not None
         assert not state.in_comparison and state.candidates is None
-        assert state.leader is CandidateKind.RDM
+
+    def test_next_race_reports_rdm_first_again(self):
+        state = self.drive_to_comparison(race_len=1)
+        # all-zero race chunk: EDM (c=0) leads with 1.0 and wins, so the primary predicts 0
+        out = dtd_step(state, chunk_from_labels(labels(first=0, ones=0), index=2))
+        assert out.winner is CandidateKind.EDM
+        dtd_step(state, chunk_from_labels(labels(first=1, ones=1), index=3))  # quiet: stat 0.01
+        out = dtd_step(state, chunk_from_labels(labels(first=1, ones=99), index=4))
+        assert out.alarm and state.in_comparison
+        # EDM, fit on chunk 3 (c=1), scored 0.99 on the alarm chunk, RDM and PM 0.01
+        assert [c.accuracy_log for c in state.candidates] == [[0.99], [0.01], [0.01]]
+        for kind, c in ((CandidateKind.EDM, 0), (CandidateKind.RDM, 1), (CandidateKind.PM, 0)):
+            state.candidates[kind].model.c = c
+            state.candidates[kind].detector.threshold = 10.0
+        # 70 ones: RDM scores 0.7 and reports; EDM, which led on the alarm chunk, scores 0.3
+        out = dtd_step(state, chunk_from_labels(labels(first=1, ones=70), index=5))
+        assert out.accuracy == 0.7
 
     def test_winner_by_mean_logged_accuracy_including_seed(self):
         state = self.drive_to_comparison(race_len=2)
@@ -420,7 +437,7 @@ class TestComparisonPhase:
 class TestPhaseErrors:
     def test_eval_without_active_race(self):
         with pytest.raises(PhaseError, match="no comparison phase"):
-            eval_candidates(None, chunk_from_labels([0]), continual=False)
+            eval_candidates(fresh_state(), chunk_from_labels([0]))
 
     def test_finalize_without_candidates(self):
         with pytest.raises(PhaseError, match="finalize"):

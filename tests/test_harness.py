@@ -787,6 +787,12 @@ class TestSummarize:
         ("seeds", 0),
         ("name", ["a"]),
         ("method", None),
+        # json reads NaN and Infinity as floats; a NaN mean would compare as a tie
+        ("mean_accuracy", math.nan),
+        ("mean_accuracy", -math.inf),
+        ("std_accuracy", math.inf),
+        ("per_seed_accuracy", [math.nan]),
+        pytest.param("mean_accuracy", 10**400, id="mean_accuracy-huge-int"),  # no float holds it
     ])
     def test_stored_report_names_a_wrongly_typed_value(self, tmp_path, key, value):
         cfg = small_config(name="a", seeds=(0,))
