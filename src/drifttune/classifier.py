@@ -26,17 +26,12 @@ overflow is rejected when a model trains on it, and a row that has no finite
 best class score raises instead of taking class 0.
 
 A stream builds its chunks a :class:`~drifttune.stream.Window` at a time, as
-row views of one feature block. A state keeps the labels of its last score of
-a window's rows, and serves any model that holds it a chunk they cover. A
-state that is scored on a chunk it has no labels for, after it has already
-been scored, belongs to models that have stopped training, so it predicts
-every row from that chunk to the window's end in one kernel call. A caller
-that knows how many more chunks it will score with the model as it is, as a
-sporadic race knows its remaining chunks, passes that bound to
-:func:`evaluate`: the state then predicts exactly those chunks, clipped at the
-window's end, in one call, and nothing past them. Each label depends only on
-its own row and the state's constants, so the labels are the ones per-chunk
-calls give.
+row views of one feature block. The caller of :func:`evaluate` states how many
+more chunks it will score with the model as it is (the threshold policy knows:
+see :mod:`drifttune.dtd`); a state predicts exactly those chunks, clipped at
+the window's end, in one kernel call, keeps their labels, and serves any model
+that holds it a chunk they cover. Each label depends only on its own row and
+the state's constants, so the labels are the ones per-chunk calls give.
 
 Module-level operation counters record how many instances were pushed
 through predict and train calls, per call, whether its labels or state were
@@ -245,19 +240,15 @@ class GaussianNB:
             state.params = kernels.predict_params(log_priors, state.means, variances)
         return state.params
 
-    def predict(self, X: np.ndarray,
-                window: tuple[Window, int] | tuple[Window, int, int] | None = None) -> np.ndarray:
+    def predict(self, X: np.ndarray, window: tuple[Window, int, int] | None = None) -> np.ndarray:
         """Class labels of the rows of ``X``.
 
-        ``window`` is the ``(window, position)`` tag of the chunk whose
-        features ``X`` holds, or ``(window, position, stop)`` when the
-        caller will score chunks ``position`` to ``stop - 1`` with the model
-        as it is. The model then predicts those rows, clipped at the
-        window's end, in one kernel call. Without a ``stop``, a state that
-        has been scored predicts the window's rows from that chunk to its
-        end, and one that has not predicts the chunk alone. The state keeps
-        the labels (read-only) and slices them for each later request, from
-        any model that holds it, for a chunk they cover.
+        ``window`` is ``(window, position, stop)`` when ``X`` holds chunk
+        ``position`` of the window and the caller will score chunks
+        ``position`` to ``stop - 1`` with the model as it is. The state serves
+        the chunk from labels it keeps, or predicts those chunks' rows in one
+        kernel call and keeps their labels (read-only) for any model that
+        holds it to slice for a chunk they cover.
         """
         state = self._state
         n_rows = X.shape[0]
@@ -269,18 +260,15 @@ class GaussianNB:
                     op_counts.predict_instances += n_rows
                     return labels[lo:lo + n_rows]
         X = np.ascontiguousarray(X, dtype=np.float64)
-        scored = state.params is not None
         params = self._params_for(X)
         if window is None:
             labels = state.classes[kernels.predict_indices(X, params)]
         else:
-            last = len(window[0].starts) - 1
-            # the caller's bound, else the window's end once the state has scored
-            stop = min(window[2], last) if len(window) > 2 else last if scored else window[1] + 1
-            rows = X if stop <= window[1] + 1 else window[0].rows_from(window[1], stop)
+            block, position, stop = window
+            rows = X if stop <= position + 1 else block.rows_from(position, stop)
             labels = state.classes[kernels.predict_indices(rows, params)]
             labels.setflags(write=False)
-            state.ahead = (window[0], window[1], labels)
+            state.ahead = (block, position, labels)
             labels = labels[:n_rows]
         op_counts.predict_instances += n_rows
         return labels
@@ -297,22 +285,23 @@ def adapt(model: GaussianNB, chunk: Chunk) -> GaussianNB:
     return type(model)().train(chunk)
 
 
-def evaluate(model: GaussianNB, chunk: Chunk, detector, ahead: int | None = None) -> float:
+def evaluate(model: GaussianNB, chunk: Chunk, detector, ahead: int | None = 0) -> float:
     """Score a frozen model on a chunk, push the error rate to a detector and
     return the accuracy.
 
-    The model is not trained here; it gets the chunk's window tag, if any.
-    ``ahead``, when given, counts the chunks after this one that the caller
-    will score with the model as it is; the tag then bounds the rows the
-    model scores ahead to those chunks. The detector sees exactly one
-    update, the chunk error rate; callers read its statistic from the
-    detector.
+    The model is not trained here. ``ahead`` counts the chunks after this one
+    that the caller will score with the model unchanged, ``None`` for all to
+    the window's end; a chunk that a stream built gives the model the tag
+    ``(window, position, stop)`` of those chunks, clipped at the window's end.
+    The detector sees exactly one update, the chunk error rate; callers read
+    its statistic from the detector.
     """
     if len(chunk) == 0:
         raise ModelError(f"cannot evaluate on an empty chunk (chunk {chunk.index})")
     tag = chunk.cache.get("window")
-    if tag is not None and ahead is not None:
-        tag = (*tag, tag[1] + 1 + ahead)
+    if tag is not None:
+        last = len(tag[0].starts) - 1
+        tag = (*tag, last if ahead is None else min(tag[1] + 1 + ahead, last))
     predicted = model.predict(chunk.X, tag)
     # count / n is correctly rounded, as np.mean of the bool array is
     accuracy = np.count_nonzero(predicted == chunk.y) / len(chunk)

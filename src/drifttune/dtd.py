@@ -24,12 +24,12 @@ A threshold policy is a step ``step(state, chunk) -> StepOutcome`` over one
 :class:`DtdState`: :func:`baseline_step` keeps its threshold, :func:`dtd_step`
 races. Both, and every race candidate, react to a chunk through :func:`respond`.
 
-In sporadic mode a candidate does not train until it alarms, so each
-evaluation tells the model how many race chunks are left after this one,
-``race_len`` less the length of its log: a candidate scores them in one
-kernel call at its first score in a window (EDM's first score also covers
-the alarm chunk), and nothing past the race. Continual candidates train
-after every chunk and score one chunk at a time.
+Every evaluation passes the model the number of chunks after this one that
+it scores unchanged, from one rule, :func:`_ahead`: none for a continual
+model, which trains after every chunk. A sporadic race candidate scores its
+race's chunks left, ``race_len`` less the length of its log (EDM's first score
+also covers the alarm chunk); a sporadic primary scores to the window's end,
+unless its threshold is negative: statistics are not, so it adapts on each chunk.
 """
 
 from __future__ import annotations
@@ -116,8 +116,11 @@ class DtdState:
         return self.candidates is not None
 
 
-def _ahead(state: DtdState, candidate: Candidate) -> int:
-    """Race chunks after the candidate's next one; none in continual mode, which trains on each."""
+def _ahead(state: DtdState, candidate: Candidate | None = None) -> int | None:
+    """The chunks after the next one that the primary, or ``candidate``,
+    scores unchanged; None: to the window's end."""
+    if candidate is None and not state.continual:
+        return 0 if state.primary_detector.threshold < 0 else None
     return 0 if state.continual else state.race_len - len(candidate.accuracy_log)
 
 
@@ -181,7 +184,7 @@ def finalize_comparison(candidates: list[Candidate] | None) -> CandidateKind:
 
 def baseline_step(state: DtdState, chunk: Chunk) -> StepOutcome:
     """Fixed threshold: an alarm adapts on the chunk and resets the monitor."""
-    accuracy = evaluate(state.primary_model, chunk, state.primary_detector)
+    accuracy = evaluate(state.primary_model, chunk, state.primary_detector, _ahead(state))
     statistic, alarm = state.primary_detector.statistic, state.primary_detector.alarm
     state.primary_model = respond(state.primary_model, chunk, state.primary_detector,
                                   state.continual)
@@ -205,7 +208,7 @@ def dtd_step(state: DtdState, chunk: Chunk) -> StepOutcome:
                            threshold=state.primary_detector.threshold, alarm=False,
                            phase="comparison", winner=winner)
 
-    accuracy = evaluate(state.primary_model, chunk, state.primary_detector)
+    accuracy = evaluate(state.primary_model, chunk, state.primary_detector, _ahead(state))
     statistic, alarm = state.primary_detector.statistic, state.primary_detector.alarm
     if alarm and state.prev_chunk is not None:
         # the primary model is not trained: the race winner replaces it

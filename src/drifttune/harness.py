@@ -20,15 +20,12 @@ share its pass. The passes run in ``parallel`` processes, this one
 included: this process runs one share and each other share runs in a
 forked child. When processes outnumber the passes, each pass's configs
 are split round-robin into ceil(parallel / passes) parts, one pass each.
-Every pass walks the stream in windows of about
-``WINDOW_ROWS`` rows (at least one chunk): the stream builds a window's
-chunks as views of one feature block before the pass steps through them,
-so a model that has stopped training, as a sporadic model or race
-candidate does between alarms, can score the window's rows ahead in one
-kernel call (see :class:`~drifttune.stream.Window`); a race candidate scores only its
-race's chunks. Continual models train after every chunk, so they never
-score ahead. Run seed k replaces the stream seed, which every trace of
-the pass records, and, for monitors that subsample (kswin), the
+Every pass walks the stream in windows of about ``WINDOW_ROWS`` rows (at
+least one chunk), each built as views of one feature block
+(:class:`~drifttune.stream.Window`), so a model that its policy will score
+unchanged for several chunks scores them in one kernel call; the policy states
+how many (:mod:`drifttune.dtd`). Run seed k replaces the stream seed, which
+every trace of the pass records, and, for monitors that subsample (kswin), the
 subsample seed. Monitors that scale deviations by a per-update sample
 count get that count set to the chunk size unless a config override
 pins it.
@@ -588,9 +585,21 @@ def config_from_mapping(mapping: dict, default_name: str = "experiment") -> Expe
                             **kwargs)
 
 
-# libyaml's safe loader where PyYAML was built with it: the same mappings as
-# yaml.safe_load, parsed about five times faster
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+class _ConfigLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """libyaml's safe loader where PyYAML has it: yaml.safe_load's mappings, five
+    times faster, but a key repeated in one mapping (safe_load keeps its last value) is an error."""
+
+    def construct_mapping(self, node, deep=False):
+        keys = []  # a list: == compares keys as a dict does, unhashable ones too
+        for key_node, _ in node.value:
+            if key_node.tag != "tag:yaml.org,2002:merge":  # merged keys may be overridden
+                key = self.construct_object(key_node, deep=deep)
+                if key in keys:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", node.start_mark,
+                        f"found repeated key {key!r}", key_node.start_mark)
+                keys.append(key)
+        return super().construct_mapping(node, deep)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -601,7 +610,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        mapping = yaml.load(text, Loader=_YAML_LOADER)
+        mapping = yaml.load(text, Loader=_ConfigLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
     try:

@@ -6,10 +6,9 @@ classifier caches the result on the chunk and merges it once per model
 state that trains on that chunk. ``predict_params`` runs once per model
 state, which every model that trained on the same chunks shares.
 ``predict_indices`` runs once per predict call that the classifier cannot
-serve from labels the state keeps: a state that has stopped training
-scores the rest of a window of chunks in one call, a sporadic race
-candidate scores its race's chunks in the window in one call, and every
-model scores through it.
+serve from labels the state keeps, over every chunk of the window that the
+threshold policy will score with the model unchanged; every model scores
+through it.
 
 These run on every chunk, so they keep the number of numpy calls small:
 predict keeps its log-densities in a feature-major (features, classes,

@@ -207,6 +207,43 @@ def test_a_continual_pass_computes_no_rows_ahead(kernel_rows):
     assert "comparison" in trace.phase
 
 
+def test_a_sporadic_primary_scores_to_the_windows_end_from_its_first_score(kernel_rows):
+    """A sporadic primary scores unchanged until it alarms, so its first
+    score after the warm-up or an adapt computes the rest of the window in
+    one kernel call, and the chunks after it are served."""
+    stream = StreamConfig(kind="sine", n_chunks=60, chunk_size=100, drift_period=10)
+    config = ExperimentConfig(name="cell", stream=stream, detector="ddm", mode="sporadic", seeds=(0,))
+    state = DtdState(GaussianNB(), detector_for_run(config, 0), training_mode="sporadic")
+    firsts = []  # per first score of a new state: (rows computed, rows to the window's end)
+    new_state = [True]
+
+    def step(state, chunk):
+        before = len(kernel_rows)
+        out = baseline_step(state, chunk)
+        if new_state[0]:
+            window, position = chunk.cache["window"]
+            firsts.append((kernel_rows[before:], [window.starts[-1] - window.starts[position]]))
+        new_state[0] = out.alarm
+        return out
+
+    trace = run_policies(make_stream(stream), [(step, state)])[0]
+    assert len(firsts) == 1 + len(trace.alarm_chunks) >= 3
+    assert [rows for rows, _ in firsts] == [to_end for _, to_end in firsts]
+
+
+def test_a_sporadic_baseline_under_a_negative_threshold_computes_no_rows_ahead(kernel_rows):
+    """Statistics are never negative, so under a negative threshold the
+    monitor alarms on every chunk and the model adapts on each: it scores
+    exactly the rows it reports."""
+    stream = StreamConfig(kind="sine", n_chunks=30, chunk_size=100, drift_period=10)
+    config = ExperimentConfig(name="cell", stream=stream, detector="ddm", mode="sporadic",
+                              detector_overrides={"threshold": -1.0}, seeds=(0,))
+    classifier.op_counts.reset()
+    trace = run_experiment(config, method="baseline", write=False)["baseline"].traces[0]
+    assert trace.alarm_chunks == list(range(1, 30))
+    assert sum(kernel_rows) == classifier.op_counts.predict_instances == 29 * 100
+
+
 def test_a_sporadic_race_candidate_scores_its_race_in_one_call_per_window(kernel_rows,
                                                                          monkeypatch):
     """Each race candidate state makes at most one kernel call per window,

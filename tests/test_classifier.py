@@ -695,13 +695,28 @@ def window_of(n_chunks=4, rows=25, seed=0):
     return stream.chunk(0), stream.window(1, n_chunks + 1)
 
 
+def to_end(chunk):
+    """The chunk's window tag with the bound at its window's end."""
+    window, position = chunk.cache["window"]
+    return window, position, len(window.starts) - 1
+
+
 class TestScoringAhead:
     def test_a_stopped_model_scores_the_rest_of_the_window_in_one_call(self, kernel_rows):
         warmup, chunks = window_of()
         model = GaussianNB().train(warmup)
+        accuracies = [evaluate(model, c, RecordingDetector(), ahead=None) for c in chunks]
+        # the first score, bounded at the window's end, reads ahead
+        assert kernel_rows == [100]
+        fresh = GaussianNB().train(warmup)
+        assert accuracies == [float(np.mean(fresh.predict(c.X) == c.y)) for c in chunks]
+
+    def test_evaluate_scores_only_its_chunk_by_default(self, kernel_rows):
+        warmup, chunks = window_of()
+        model = GaussianNB().train(warmup)
         accuracies = [evaluate(model, c, RecordingDetector()) for c in chunks]
-        # the first chunk after a train is scored alone, the second reads ahead
-        assert kernel_rows == [25, 75]
+        # no bound given: whether the state has scored before does not matter
+        assert kernel_rows == [25, 25, 25, 25]
         fresh = GaussianNB().train(warmup)
         assert accuracies == [float(np.mean(fresh.predict(c.X) == c.y)) for c in chunks]
 
@@ -724,7 +739,7 @@ class TestScoringAhead:
             warmup, chunks = window_of()
             model = GaussianNB().train(warmup)
             for chunk in chunks:
-                model.predict(chunk.X, chunk.cache["window"])
+                model.predict(chunk.X, to_end(chunk))
             refs = [weakref.ref(chunk) for chunk in chunks]
             del chunk, chunks
             assert all(ref() is None for ref in refs)
@@ -761,38 +776,38 @@ class TestScoringAhead:
     def test_served_labels_equal_fresh_predictions_and_are_read_only(self, kernel_rows):
         warmup, chunks = window_of()
         model = GaussianNB().train(warmup)
-        model.predict(chunks[0].X, chunks[0].cache["window"])
+        model.predict(chunks[0].X, to_end(chunks[0]))
         for chunk in chunks[1:]:
-            served = model.predict(chunk.X, chunk.cache["window"])
+            served = model.predict(chunk.X, to_end(chunk))
             assert not served.flags.writeable
             assert np.array_equal(served, model.predict(chunk.X))
-        assert kernel_rows[:2] == [25, 75]
+        assert kernel_rows[:2] == [100, 25]
 
     def test_train_drops_the_kept_labels(self, kernel_rows):
         warmup, chunks = window_of()
         model = GaussianNB().train(warmup)
         for chunk in chunks[:2]:
-            model.predict(chunk.X, chunk.cache["window"])
+            model.predict(chunk.X, to_end(chunk))
         kept = model._state
         assert kept.ahead is not None
         model.train(chunks[1])
         # a trained model holds a new state; the old one keeps its labels
         assert model._state.ahead is None and model._state.params is None
         assert kept.ahead is not None
-        got = model.predict(chunks[2].X, chunks[2].cache["window"])
-        # retrained: scored alone, with the new constants
-        assert kernel_rows == [25, 75, 25]
+        got = model.predict(chunks[2].X, (*chunks[2].cache["window"], 3))
+        # retrained: scored with the new constants, as far as its bound
+        assert kernel_rows == [100, 25]
         assert np.array_equal(got, GaussianNB().train(warmup).train(chunks[1]).predict(chunks[2].X))
 
     def test_copy_shares_the_kept_labels(self, kernel_rows):
         warmup, chunks = window_of()
         model = GaussianNB().train(warmup)
         for chunk in chunks[:2]:
-            model.predict(chunk.X, chunk.cache["window"])
+            model.predict(chunk.X, to_end(chunk))
         twin = model.copy()
         assert twin._state is model._state
-        twin.predict(chunks[2].X, chunks[2].cache["window"])
-        assert kernel_rows == [25, 75]
+        twin.predict(chunks[2].X, to_end(chunks[2]))
+        assert kernel_rows == [100]
         twin.train(chunks[2])
         assert twin._state.ahead is None and model._state.ahead is not None
 
@@ -800,21 +815,21 @@ class TestScoringAhead:
         warmup, chunks = window_of()
         model = GaussianNB().train(warmup)
         for chunk in chunks[:2]:
-            model.predict(chunk.X, chunk.cache["window"])
+            model.predict(chunk.X, to_end(chunk))
         untagged = Chunk(chunks[2].index, chunks[2].X, chunks[2].y)
         for _ in range(2):
-            evaluate(model, untagged, RecordingDetector())
-        assert kernel_rows == [25, 75, 25, 25]
+            evaluate(model, untagged, RecordingDetector(), ahead=None)
+        assert kernel_rows == [100, 25, 25]
 
     def test_another_window_scores_ahead_from_its_own_rows(self, kernel_rows):
         stream = sine_stream(n_chunks=7)
         warmup, chunks = stream.chunk(0), stream.window(1, 4) + stream.window(4, 7)
         model = GaussianNB().train(warmup)
         for chunk in chunks:
-            got = model.predict(chunk.X, chunk.cache["window"])
+            got = model.predict(chunk.X, to_end(chunk))
             assert np.array_equal(got, model.predict(chunk.X))
         ahead = [n for n in kernel_rows if n != 25]
-        assert ahead == [50, 75]
+        assert ahead == [75, 75]
 
     def test_a_bounded_first_score_makes_one_call_over_exactly_its_chunks(self, kernel_rows):
         warmup, chunks = window_of()
@@ -824,7 +839,7 @@ class TestScoringAhead:
         # the first score after a train covers chunks 1 and 2, not the window's end
         assert kernel_rows == [50]
         # a bound past the window's end is clipped there; a warm-up chunk
-        # object of its own gives a state that has not scored yet
+        # object of its own gives a state whose labels do not cover chunk 2
         other = GaussianNB().train(Chunk(warmup.index, warmup.X, warmup.y))
         evaluate(other, chunks[2], RecordingDetector(), ahead=5)
         assert kernel_rows == [50, 50]
@@ -840,9 +855,9 @@ class TestScoringAhead:
         window, _ = chunks[0].cache["window"]
         assert np.array_equal(model.predict(chunks[0].X, (window, 0, 2)), expected[0])
         for chunk, want in zip(chunks[1:], expected[1:]):
-            assert np.array_equal(model.predict(chunk.X, chunk.cache["window"]), want)
-        # chunk 2 lies past the kept labels of chunks 0 and 1: the model,
-        # which has scored since its train, scores to the window's end
+            assert np.array_equal(model.predict(chunk.X, to_end(chunk)), want)
+        # chunk 2 lies past the kept labels of chunks 0 and 1: the model
+        # scores it again, to its bound at the window's end
         assert kernel_rows == [50, 50]
 
     def test_op_counts_count_the_rows_of_each_scored_chunk(self):

@@ -465,6 +465,22 @@ def monitors():
 
 
 class TestMonitorContractProperties:
+    @pytest.mark.parametrize("kind,params", [(kind, params) for kind in DETECTOR_KINDS
+                                             for params in PARAM_VARIANTS[kind]])
+    @settings(max_examples=50, deadline=None)
+    @given(feed=FEEDS, v=st.floats(0.0, 1.0))
+    def test_first_statistic_after_reset_or_fresh_is_zero(self, kind, params, feed, v):
+        # a policy's monitor is new, fresh or just reset whenever its model
+        # state is new, so the model's first score never alarms under a
+        # non-negative threshold
+        monitor = make_monitor(kind, params)
+        assert monitor.update(v) == 0.0
+        run(monitor, feed)
+        fresh = monitor.fresh()
+        monitor.reset()
+        assert monitor.update(v) == 0.0
+        assert fresh.update(v) == 0.0
+
     @settings(max_examples=100, deadline=None)
     @given(monitor=monitors(), feed=FEEDS)
     def test_statistic_finite_and_non_negative(self, monitor, feed):

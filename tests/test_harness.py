@@ -1016,10 +1016,31 @@ out: elsewhere
         with pytest.raises(ConfigError, match="invalid YAML in .*broken.yaml"):
             load_config(path)
 
+    @pytest.mark.parametrize("text,key", [
+        ("stream: {kind: sea}\ndetector: {kind: ddm}\nrace_len: 3\nrace_len: 5\n", "'race_len'"),
+        ("stream:\n  kind: sea\n  noise: 0.1\n  noise: 0.2\ndetector: {kind: ddm}\n", "'noise'"),
+        ("stream: {kind: sea}\ndetector: {kind: ddm, threshold: 1.0, threshold: 2.0}\n",
+         "'threshold'"),
+        ("stream: {kind: sea}\ndetector: {kind: ddm}\nseeds: 1\n0x1: a\n1: b\n", "1"),
+    ])
+    def test_a_repeated_key_is_rejected(self, tmp_path, text, key):
+        # yaml.safe_load keeps the last value of a repeated key
+        path = tmp_path / "cell.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"(?s)invalid YAML in .*cell.yaml.*repeated key {key}"):
+            load_config(path)
+
+    def test_merged_keys_are_not_repeats(self):
+        # YAML merge keys: the first merged mapping wins, and the mapping's own keys win over both
+        text = "a: &a {x: 1, y: 2}\nb: &b {x: 3, z: 4}\nc: {<<: [*a, *b], y: 5}\n"
+        merged = yaml.load(text, Loader=harness._ConfigLoader)
+        assert merged == yaml.safe_load(text)
+        assert merged["c"] == {"x": 1, "y": 5, "z": 4}
+
     @pytest.mark.parametrize("name,text", config_texts(), ids=[n for n, _ in config_texts()])
     def test_the_loader_maps_a_config_as_safe_load_does(self, tmp_path, name, text):
         # repr tells 1 from 1.0 and True, which == does not
-        assert repr(yaml.load(text, Loader=harness._YAML_LOADER)) == repr(yaml.safe_load(text))
+        assert repr(yaml.load(text, Loader=harness._ConfigLoader)) == repr(yaml.safe_load(text))
         if name != "scalars":
             path = tmp_path / "cell.yaml"
             path.write_text(text)
