@@ -20,27 +20,31 @@ place only to arrays it made itself, in the operation order of its plain
 formula. Prediction maximizes the log joint density with a per-feature
 variance floor; the kernel's constants (log priors, means, doubled floored
 variances and log normalizers) are built once per state. Every model, the
-primary or a race candidate, scores a chunk through :func:`evaluate` and
-``predict``. Features are plain float64: a chunk whose class statistics
-overflow is rejected when a model trains on it, and a row that has no finite
-best class score raises instead of taking class 0.
+primary or a race candidate, scores a chunk through :func:`evaluate`: a
+window chunk through ``window_hits``, any other through ``predict``.
+Features are plain float64: a chunk whose class statistics overflow is
+rejected when a model trains on it, and a row that has no finite best class
+score raises instead of taking class 0.
 
 A stream builds its chunks a :class:`~drifttune.stream.Window` at a time, as
-row views of one feature block. The caller of :func:`evaluate` states how many
-more chunks it will score with the model as it is (the threshold policy knows:
-see :mod:`drifttune.dtd`); a state predicts exactly those chunks, clipped at
-the window's end, in one kernel call, keeps their labels, and serves any model
-that holds it a chunk they cover. Each label depends only on its own row and
-the state's constants, so the labels are the ones per-chunk calls give.
+row views of one feature block and one label block. The caller of
+:func:`evaluate` states how many more chunks it will score with the model as
+it is (the threshold policy knows: see :mod:`drifttune.dtd`); a state predicts
+exactly those chunks, clipped at the window's end, in one kernel call, keeps
+each chunk's count of correct labels, and serves any model that holds it a
+chunk they cover as that count over the chunk's rows. Each label depends only
+on its own row and the state's constants, so the counts are the ones
+per-chunk calls give.
 
-Module-level operation counters record how many instances were pushed
-through predict and train calls, per call, whether its labels or state were
-computed for it or served. The adaptation logic is bounded to a fixed small
-multiple of the chunk size per step, and tests read these counters to check
-that bound.
+Module-level operation counters record how many instances were scored and
+trained, per call, whether its count or state was computed for it or served.
+The adaptation logic is bounded to a fixed small multiple of the chunk size
+per step, and tests read these counters to check that bound.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -95,18 +99,18 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 class _State:
     """One model state: the sorted classes with their counts, means and M2,
     all read-only arrays, plus what is computed from them alone: the predict
-    constants, built on the first score, and the labels of the last window
-    rows scored. Models that trained on the same chunks in the same order
-    share one state, so each is computed once whichever model asks."""
+    constants, built on the first score, and the correct-label counts of the
+    last window chunks scored. Models that trained on the same chunks in the
+    same order share one state, so each is computed once whichever model asks."""
 
     __slots__ = ("classes", "counts", "means", "m2", "params", "ahead", "__weakref__")
 
     def __init__(self, classes, counts, means, m2):
         self.classes, self.counts, self.means, self.m2 = classes, counts, means, m2
         self.params: tuple[np.ndarray, ...] | None = None
-        # (window, position, labels): read-only labels of the window's rows
-        # from chunk ``position`` on, covering as many chunks as they have rows for
-        self.ahead: tuple[Window, int, np.ndarray] | None = None
+        # (window, position, hits): hits[k] is the number of correctly
+        # labelled rows of the window's chunk ``position + k``, an int64
+        self.ahead: tuple[Window, int, Sequence[np.int64]] | None = None
 
 
 _EMPTY = _State(*_read_only(np.empty(0, dtype=np.int64), np.empty(0), np.empty((0, 0)), np.empty((0, 0))))
@@ -240,41 +244,42 @@ class GaussianNB:
             state.params = kernels.predict_params(log_priors, state.means, variances)
         return state.params
 
-    def predict(self, X: np.ndarray, window: tuple[Window, int, int] | None = None) -> np.ndarray:
-        """Class labels of the rows of ``X``.
-
-        ``window`` is ``(window, position, stop)`` when ``X`` holds chunk
-        ``position`` of the window and the caller will score chunks
-        ``position`` to ``stop - 1`` with the model as it is. The state serves
-        the chunk from labels it keeps, or predicts those chunks' rows in one
-        kernel call and keeps their labels (read-only) for any model that
-        holds it to slice for a chunk they cover.
-        """
-        state = self._state
-        n_rows = X.shape[0]
-        if window is not None and state.ahead is not None:
-            kept, start, labels = state.ahead
-            if window[0] is kept and window[1] >= start:
-                lo = kept.starts[window[1]] - kept.starts[start]
-                if lo + n_rows <= labels.shape[0]:
-                    op_counts.predict_instances += n_rows
-                    return labels[lo:lo + n_rows]
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """Class labels of the rows of ``X``."""
         X = np.ascontiguousarray(X, dtype=np.float64)
-        params = self._params_for(X)
-        if window is None:
-            labels = state.classes[kernels.predict_indices(X, params)]
-        else:
-            block, position, stop = window
-            rows = X if stop <= position + 1 else block.rows_from(position, stop)
-            labels = state.classes[kernels.predict_indices(rows, params)]
-            labels.setflags(write=False)
-            state.ahead = (block, position, labels)
-            labels = labels[:n_rows]
-        op_counts.predict_instances += n_rows
+        labels = self._state.classes[kernels.predict_indices(X, self._params_for(X))]
+        op_counts.predict_instances += X.shape[0]
         return labels
 
+    def window_hits(self, window: Window, position: int, stop: int) -> np.int64:
+        """The number of rows of chunk ``position`` of ``window`` whose label
+        the model predicts, when the caller will score chunks ``position`` to
+        ``stop - 1`` with the model as it is.
+
+        The state serves the count it keeps, or predicts those chunks' rows
+        in one kernel call, compares them with the window's labels once and
+        keeps each chunk's count for any model that holds it.
+        """
+        state, starts = self._state, window.starts
+        n_rows = starts[position + 1] - starts[position]
+        if state.ahead is not None:
+            kept, first, hits = state.ahead
+            if kept is window and 0 <= position - first < len(hits):
+                op_counts.predict_instances += n_rows
+                return hits[position - first]
+        rows = np.ascontiguousarray(window.rows_from(position, stop), dtype=np.float64)
+        labels = state.classes[kernels.predict_indices(rows, self._params_for(rows))]
+        correct = labels == window.y[starts[position]:starts[stop]]
+        if stop == position + 1:
+            hits = (np.count_nonzero(correct),)
+        else:
+            hits = np.add.reduceat(correct, np.subtract(starts[position:stop], starts[position]))
+        state.ahead = (window, position, hits)
+        op_counts.predict_instances += n_rows
+        return hits[0]
+
     def copy(self) -> "GaussianNB":
-        # a copy shares the read-only state, its constants and its kept labels
+        # a copy shares the read-only state, its constants and its kept counts
         twin = type(self).__new__(type(self))
         twin.__dict__.update(self.__dict__)
         return twin
@@ -291,19 +296,24 @@ def evaluate(model: GaussianNB, chunk: Chunk, detector, ahead: int | None = 0) -
 
     The model is not trained here. ``ahead`` counts the chunks after this one
     that the caller will score with the model unchanged, ``None`` for all to
-    the window's end; a chunk that a stream built gives the model the tag
-    ``(window, position, stop)`` of those chunks, clipped at the window's end.
-    The detector sees exactly one update, the chunk error rate; callers read
-    its statistic from the detector.
+    the window's end; a chunk that a stream built is scored through
+    :meth:`GaussianNB.window_hits` on those chunks, clipped at the window's
+    end, and any other chunk through ``predict``. The detector sees exactly
+    one update, the chunk error rate; callers read its statistic from the
+    detector.
     """
-    if len(chunk) == 0:
+    n = len(chunk)
+    if n == 0:
         raise ModelError(f"cannot evaluate on an empty chunk (chunk {chunk.index})")
     tag = chunk.cache.get("window")
-    if tag is not None:
-        last = len(tag[0].starts) - 1
-        tag = (*tag, last if ahead is None else min(tag[1] + 1 + ahead, last))
-    predicted = model.predict(chunk.X, tag)
-    # count / n is correctly rounded, as np.mean of the bool array is
-    accuracy = np.count_nonzero(predicted == chunk.y) / len(chunk)
+    if tag is None:
+        hits = np.count_nonzero(model.predict(chunk.X) == chunk.y)
+    else:
+        window, position = tag
+        last = len(window.starts) - 1
+        hits = model.window_hits(window, position,
+                                 last if ahead is None else min(position + 1 + ahead, last))
+    # a count over n is correctly rounded, as np.mean of the bool array is
+    accuracy = hits / n
     detector.update(1.0 - accuracy)
     return accuracy

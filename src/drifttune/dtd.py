@@ -28,8 +28,10 @@ Every evaluation passes the model the number of chunks after this one that
 it scores unchanged, from one rule, :func:`_ahead`: none for a continual
 model, which trains after every chunk. A sporadic race candidate scores its
 race's chunks left, ``race_len`` less the length of its log (EDM's first score
-also covers the alarm chunk); a sporadic primary scores to the window's end,
-unless its threshold is negative: statistics are not, so it adapts on each chunk.
+also covers the alarm chunk), and a sporadic primary scores to the window's
+end; but a model whose monitor threshold is negative, a primary or the RDM
+candidate that keeps its threshold, scores its chunk alone: statistics are
+never negative, so it adapts on each chunk.
 """
 
 from __future__ import annotations
@@ -119,9 +121,10 @@ class DtdState:
 def _ahead(state: DtdState, candidate: Candidate | None = None) -> int | None:
     """The chunks after the next one that the primary, or ``candidate``,
     scores unchanged; None: to the window's end."""
-    if candidate is None and not state.continual:
-        return 0 if state.primary_detector.threshold < 0 else None
-    return 0 if state.continual else state.race_len - len(candidate.accuracy_log)
+    detector = state.primary_detector if candidate is None else candidate.detector
+    if state.continual or detector.threshold < 0:
+        return 0
+    return None if candidate is None else state.race_len - len(candidate.accuracy_log)
 
 
 def respond(model: GaussianNB, chunk: Chunk, detector: DriftMonitor,

@@ -21,8 +21,8 @@ included: this process runs one share and each other share runs in a
 forked child. When processes outnumber the passes, each pass's configs
 are split round-robin into ceil(parallel / passes) parts, one pass each.
 Every pass walks the stream in windows of about ``WINDOW_ROWS`` rows (at
-least one chunk), each built as views of one feature block
-(:class:`~drifttune.stream.Window`), so a model that its policy will score
+least one chunk), each built as views of one feature block and one label
+block (:class:`~drifttune.stream.Window`), so a model that its policy will score
 unchanged for several chunks scores them in one kernel call; the policy states
 how many (:mod:`drifttune.dtd`). Run seed k replaces the stream seed, which
 every trace of the pass records, and, for monitors that subsample (kswin), the

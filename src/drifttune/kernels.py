@@ -5,10 +5,10 @@ per-chunk class statistics, in numpy.
 classifier caches the result on the chunk and merges it once per model
 state that trains on that chunk. ``predict_params`` runs once per model
 state, which every model that trained on the same chunks shares.
-``predict_indices`` runs once per predict call that the classifier cannot
-serve from labels the state keeps, over every chunk of the window that the
-threshold policy will score with the model unchanged; every model scores
-through it.
+``predict_indices`` runs once per score that the classifier cannot serve
+from the correct-label counts a state keeps, over every chunk of the window
+that the threshold policy will score with the model unchanged; every model
+scores through it.
 
 These run on every chunk, so they keep the number of numpy calls small:
 predict keeps its log-densities in a feature-major (features, classes,

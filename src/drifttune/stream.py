@@ -7,9 +7,10 @@ matrix and integer labels. Synthetic chunk content depends only on
 independently of consumption order and repeated runs see identical data.
 
 Seeding builds no numpy objects per chunk: a stream runs SeedSequence's
-uint32 hash steps on ``SEED_BLOCK`` indices at once and sets each chunk's
-seeded PCG64 state on the one generator it owns, so do not share a stream
-across threads. Memory does not grow with ``n_chunks``.
+uint32 hash steps on ``SEED_BLOCK`` indices at once, turns each index's words
+into its PCG64 (state, increment) pair in the same pass, and sets each chunk's
+pair on the one generator it owns through one reused state mapping, so do not
+share a stream across threads. Memory does not grow with ``n_chunks``.
 
 Drift layout: the active concept advances every ``drift_period`` chunks. SEA
 cycles four boundary thresholds, Sine and Mixed alternate between a labeling
@@ -18,10 +19,11 @@ drifts per stream.
 
 A stream builds a window of consecutive chunks at once: one feature block
 that each chunk's generator state draws its own rows into, one label pass
-over the block, and each chunk a read-only row view of it. The bits stay
-per chunk; only the bookkeeping around them is batched. Features are drawn
-with ``Generator.random(out=...)`` and scaled in place where the range is
-not [0, 1). numpy computes ``uniform(low, high)`` as
+over the block, and each chunk a read-only row view of both blocks, made
+without checking again what the blocks passed. The bits stay per chunk;
+only the bookkeeping around them is batched. Features are drawn with
+``Generator.random(out=...)`` and scaled in place where the range is not
+[0, 1). numpy computes ``uniform(low, high)`` as
 ``low + (high - low) * next_double``, the double ``random`` returns, so the
 bits are those of ``uniform(0, high)`` at a lower cost. A complement concept
 flips the rule's boolean on its chunks' rows, which is ``1 - y``.
@@ -58,6 +60,16 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK_128 = 2**128 - 1
 
 
+def _freeze_rows(owner: str, X: np.ndarray, y: np.ndarray) -> None:
+    """Make ``X`` and ``y`` read-only, after checking that they are a 2-d
+    feature matrix and one integer (or bool) label per row."""
+    if X.ndim != 2 or y.ndim != 1 or y.dtype.kind not in "biu" or X.shape[0] != y.shape[0]:
+        raise ModelError(f"{owner} needs a 2-d feature matrix and a 1-d integer "
+                         f"label per row, got X {X.shape} and y {y.shape} {y.dtype}")
+    X.setflags(write=False)
+    y.setflags(write=False)
+
+
 class Chunk:
     """One batch of instances: a 2-d feature matrix and one integer (or bool)
     label per row. Arrays are read-only views. An empty chunk can be built,
@@ -72,11 +84,7 @@ class Chunk:
     __slots__ = ("index", "X", "y", "cache", "__weakref__")
 
     def __init__(self, index: int, X: np.ndarray, y: np.ndarray):
-        if X.ndim != 2 or y.ndim != 1 or y.dtype.kind not in "biu" or X.shape[0] != y.shape[0]:
-            raise ModelError(f"chunk {index} needs a 2-d feature matrix and a 1-d integer "
-                             f"label per row, got X {X.shape} and y {y.shape} {y.dtype}")
-        X.setflags(write=False)
-        y.setflags(write=False)
+        _freeze_rows(f"chunk {index}", X, y)
         self.index, self.X, self.y = index, X, y
         self.cache: dict = {}
 
@@ -89,20 +97,23 @@ class Chunk:
 
 class Window:
     """Consecutive chunks of one stream pass, built as one block of rows:
-    ``X`` holds their features, and chunk ``position`` of the window is rows
-    ``starts[position]`` to ``starts[position + 1] - 1``, a read-only view.
+    ``X`` holds their features and ``y`` their labels, both read-only and
+    checked once, and chunk ``position`` of the window is rows
+    ``starts[position]`` to ``starts[position + 1] - 1``, row views of both.
 
     The stream tags each chunk it builds with ``chunk.cache["window"] =
     (window, position)``, so a model that has stopped training can score
-    the rows of several chunks in one kernel call. A window refers to its
-    block, not to its chunks, so the tags make no reference cycle and a
-    pass's chunks are freed as soon as nothing uses them.
+    the rows of several chunks in one kernel call and count each chunk's
+    correct labels against ``y``. A window refers to its blocks, not to its
+    chunks, so the tags make no reference cycle and a pass's chunks are
+    freed as soon as nothing uses them.
     """
 
-    __slots__ = ("X", "starts")
+    __slots__ = ("X", "y", "starts")
 
-    def __init__(self, X: np.ndarray, starts: list[int]):
-        self.X, self.starts = X, starts
+    def __init__(self, X: np.ndarray, y: np.ndarray, starts: list[int]):
+        _freeze_rows("a window", X, y)
+        self.X, self.y, self.starts = X, y, starts
 
     def rows_from(self, position: int, stop: int) -> np.ndarray:
         """The features of the rows of chunks ``position`` to ``stop - 1``, a view of the block."""
@@ -185,6 +196,15 @@ def _block_words(seed: int, start: int, n: int) -> np.ndarray:
     hashmix = _hashmix(_INIT_B, _MULT_B)
     words = np.stack([hashmix(pool[i % _POOL_SIZE]) for i in range(2 * _POOL_SIZE)], axis=1)
     return words.astype("<u4").view("<u8").astype(np.uint64)  # low word first, as numpy does
+
+
+def _block_states(seed: int, start: int, n: int) -> list[tuple[int, int]]:
+    """``(state, inc)`` that ``PCG64(SeedSequence((seed, i)))`` starts in, i in [start, start + n)."""
+    states = []
+    for w0, w1, w2, w3 in _block_words(seed, start, n).tolist():
+        inc = (w2 << 65 | w3 << 1 | 1) & _MASK_128
+        states.append((((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK_128, inc))
+    return states
 
 
 def sea_concept(index: int, drift_period: int) -> int:
@@ -315,10 +335,10 @@ class Stream:
     chunks are generated on request; not thread-safe.
 
     :meth:`window` builds consecutive chunks as row views of one feature
-    block: a synthetic stream draws each chunk's rows into the block from
-    that chunk's seeded generator state and labels the whole block in one
-    pass; a CSV stream hands out a slice of the array it loaded. A chunk
-    from :meth:`chunk` or from iteration is a one-chunk window.
+    block and one label block: a synthetic stream draws each chunk's rows
+    into the block from that chunk's seeded generator state and labels the
+    whole block in one pass; a CSV stream hands out slices of the arrays it
+    loaded. A chunk from :meth:`chunk` or from iteration is a one-chunk window.
     """
 
     def __init__(self, config: StreamConfig):
@@ -327,7 +347,11 @@ class Stream:
         self._n_chunks = (config.n_chunks if self._csv is None
                           else -(-self._csv[1].shape[0] // config.chunk_size))
         self._rng = np.random.Generator(np.random.PCG64(0))  # reseeded before every chunk
-        self._words_start = -1
+        # the one state mapping the generator is set from, with each chunk's pair in it
+        self._pcg = {"bit_generator": "PCG64", "state": {"state": 0, "inc": 0},
+                     "has_uint32": 0, "uinteger": 0}
+        self._seed_start = -1
+        self._seed_states: list[tuple[int, int]] = []
 
     def __len__(self) -> int:
         return self._n_chunks
@@ -335,42 +359,46 @@ class Stream:
     def _seeded(self, first: int, stop: int) -> Iterator[np.random.Generator]:
         """This stream's generator once per chunk index in [first, stop), each
         time in the state that PCG64(SeedSequence((seed, index))) starts in."""
-        bit_generator = self._rng.bit_generator
+        bit_generator, mapping = self._rng.bit_generator, self._pcg
+        pair = mapping["state"]
         for index in range(first, stop):
             start = index - index % SEED_BLOCK
-            if start != self._words_start:
-                self._seed_words = _block_words(self.config.seed, start, min(SEED_BLOCK, len(self) - start))
-                self._words_start = start
-            w0, w1, w2, w3 = self._seed_words[index - start].tolist()
-            inc = (w2 << 65 | w3 << 1 | 1) & _MASK_128
-            state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK_128
-            bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                                   "has_uint32": 0, "uinteger": 0}
+            if start != self._seed_start:
+                self._seed_states = _block_states(self.config.seed, start,
+                                                  min(SEED_BLOCK, len(self) - start))
+                self._seed_start = start
+            pair["state"], pair["inc"] = self._seed_states[index - start]
+            bit_generator.state = mapping
             yield self._rng
 
-    def window(self, first: int, stop: int) -> list[Chunk]:
-        """Chunks ``first`` to ``stop - 1``: read-only row views of one
-        feature block, each tagged with their :class:`Window` and position."""
-        if not 0 <= first < stop <= len(self):
-            raise ConfigError(f"window [{first}, {stop}) out of range [0, {len(self)})")
+    def _block(self, first: int, stop: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """The features and labels of chunks ``first`` to ``stop - 1``, and
+        where each chunk's rows start in them, ending with the row count."""
         size = self.config.chunk_size
         if self._csv is not None:
             X, y = self._csv
             lo = first * size
             # the final chunk may be shorter than chunk_size; empty tails never occur
             starts = [min(i * size, y.shape[0]) - lo for i in range(first, stop + 1)]
-            X, y = X[lo:lo + starts[-1]], y[lo:lo + starts[-1]]
-        else:
-            X, y = _BLOCKS[self.config.kind](self.config, first, stop, self._seeded(first, stop))
-            X.setflags(write=False)
-            y.setflags(write=False)
-            starts = list(range(0, X.shape[0] + 1, size))
-        window = Window(X, starts)
+            return X[lo:lo + starts[-1]], y[lo:lo + starts[-1]], starts
+        X, y = _BLOCKS[self.config.kind](self.config, first, stop, self._seeded(first, stop))
+        return X, y, list(range(0, X.shape[0] + 1, size))
+
+    def window(self, first: int, stop: int) -> list[Chunk]:
+        """Chunks ``first`` to ``stop - 1``: read-only row views of one
+        feature block and one label block, each tagged with their
+        :class:`Window` and position."""
+        if not 0 <= first < stop <= len(self):
+            raise ConfigError(f"window [{first}, {stop}) out of range [0, {len(self)})")
+        X, y, starts = self._block(first, stop)
+        window = Window(X, y, starts)
         chunks = []
         for position in range(stop - first):
             a, b = starts[position], starts[position + 1]
-            chunk = Chunk(first + position, X[a:b], y[a:b])
-            chunk.cache["window"] = (window, position)
+            # the window checked its blocks, so its row views skip Chunk's checks
+            chunk = Chunk.__new__(Chunk)
+            chunk.index, chunk.X, chunk.y = first + position, X[a:b], y[a:b]
+            chunk.cache = {"window": (window, position)}
             chunks.append(chunk)
         return chunks
 

@@ -340,19 +340,22 @@ def validate_theorem3_analytic(n_configs: int = 100, seed: int = 11) -> dict:
 
 
 class _FlippedStream(Stream):
-    """The stream with chunk ``flip_index`` served with labels reversed."""
+    """The stream with chunk ``flip_index`` served with labels reversed.
+
+    The labels are reversed in the window's label block, so the chunk's
+    labels stay a view of the block a window score counts against."""
 
     def __init__(self, config: StreamConfig, flip_index: int):
         super().__init__(config)
         self.flip_index = flip_index
 
-    def window(self, first: int, stop: int) -> list[Chunk]:
-        chunks = super().window(first, stop)
+    def _block(self, first: int, stop: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        X, y, starts = super()._block(first, stop)
         if first <= self.flip_index < stop:
-            chunk = chunks[self.flip_index - first]
-            flipped = chunks[self.flip_index - first] = Chunk(chunk.index, chunk.X, 1 - chunk.y)
-            flipped.cache["window"] = chunk.cache["window"]
-        return chunks
+            rows = slice(starts[self.flip_index - first], starts[self.flip_index - first + 1])
+            y = y.copy()
+            y[rows] = 1 - y[rows]
+        return X, y, starts
 
 
 def simulate_recurrent_drift(t_eval: int = 100, t_d: int = 50, t_incre1: int = 10,

@@ -9,13 +9,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from drifttune import classifier, kernels
+from drifttune import classifier, harness, kernels
 from drifttune.classifier import GaussianNB, Window, _relabel, _State, adapt, evaluate, op_counts
 from drifttune.detectors import DETECTOR_KINDS, make_monitor
-from drifttune.dtd import Candidate, DtdState, baseline_step, dtd_step, eval_candidates, respond
+from drifttune.dtd import (Candidate, DtdState, StepOutcome, baseline_step, dtd_step,
+                           eval_candidates, respond)
 from drifttune.errors import ModelError
 from drifttune.harness import run_policies
-from drifttune.stream import Chunk, StreamConfig, make_stream
+from drifttune.stream import SYNTHETIC_KINDS, Chunk, StreamConfig, make_stream
+from drifttune.theory import _FlippedStream
 
 
 def chunk_of(X, y, index=0):
@@ -701,6 +703,11 @@ def to_end(chunk):
     return window, position, len(window.starts) - 1
 
 
+def correct(model, chunk):
+    """The number of the chunk's rows that ``model.predict`` labels right."""
+    return np.count_nonzero(model.predict(chunk.X) == chunk.y)
+
+
 class TestScoringAhead:
     def test_a_stopped_model_scores_the_rest_of_the_window_in_one_call(self, kernel_rows):
         warmup, chunks = window_of()
@@ -739,7 +746,7 @@ class TestScoringAhead:
             warmup, chunks = window_of()
             model = GaussianNB().train(warmup)
             for chunk in chunks:
-                model.predict(chunk.X, to_end(chunk))
+                model.window_hits(*to_end(chunk))
             refs = [weakref.ref(chunk) for chunk in chunks]
             del chunk, chunks
             assert all(ref() is None for ref in refs)
@@ -773,49 +780,51 @@ class TestScoringAhead:
         finally:
             gc.enable()
 
-    def test_served_labels_equal_fresh_predictions_and_are_read_only(self, kernel_rows):
+    def test_served_counts_equal_fresh_predictions_and_no_labels_are_kept(self, kernel_rows):
         warmup, chunks = window_of()
         model = GaussianNB().train(warmup)
-        model.predict(chunks[0].X, to_end(chunks[0]))
+        model.window_hits(*to_end(chunks[0]))
         for chunk in chunks[1:]:
-            served = model.predict(chunk.X, to_end(chunk))
-            assert not served.flags.writeable
-            assert np.array_equal(served, model.predict(chunk.X))
+            served = model.window_hits(*to_end(chunk))
+            assert served == correct(model, chunk)
         assert kernel_rows[:2] == [100, 25]
+        # the state keeps one count per chunk, not the window's labels
+        window, position, kept = model._state.ahead
+        assert position == 0 and kept.shape == (4,) and kept.dtype == np.int64
 
-    def test_train_drops_the_kept_labels(self, kernel_rows):
+    def test_train_drops_the_kept_counts(self, kernel_rows):
         warmup, chunks = window_of()
         model = GaussianNB().train(warmup)
         for chunk in chunks[:2]:
-            model.predict(chunk.X, to_end(chunk))
+            model.window_hits(*to_end(chunk))
         kept = model._state
         assert kept.ahead is not None
         model.train(chunks[1])
-        # a trained model holds a new state; the old one keeps its labels
+        # a trained model holds a new state; the old one keeps its counts
         assert model._state.ahead is None and model._state.params is None
         assert kept.ahead is not None
-        got = model.predict(chunks[2].X, (*chunks[2].cache["window"], 3))
+        got = model.window_hits(*chunks[2].cache["window"], 3)
         # retrained: scored with the new constants, as far as its bound
         assert kernel_rows == [100, 25]
-        assert np.array_equal(got, GaussianNB().train(warmup).train(chunks[1]).predict(chunks[2].X))
+        assert got == correct(GaussianNB().train(warmup).train(chunks[1]), chunks[2])
 
-    def test_copy_shares_the_kept_labels(self, kernel_rows):
+    def test_copy_shares_the_kept_counts(self, kernel_rows):
         warmup, chunks = window_of()
         model = GaussianNB().train(warmup)
         for chunk in chunks[:2]:
-            model.predict(chunk.X, to_end(chunk))
+            model.window_hits(*to_end(chunk))
         twin = model.copy()
         assert twin._state is model._state
-        twin.predict(chunks[2].X, to_end(chunks[2]))
+        twin.window_hits(*to_end(chunks[2]))
         assert kernel_rows == [100]
         twin.train(chunks[2])
         assert twin._state.ahead is None and model._state.ahead is not None
 
-    def test_an_untagged_chunk_is_never_served_from_kept_labels(self, kernel_rows):
+    def test_an_untagged_chunk_is_never_served_from_kept_counts(self, kernel_rows):
         warmup, chunks = window_of()
         model = GaussianNB().train(warmup)
         for chunk in chunks[:2]:
-            model.predict(chunk.X, to_end(chunk))
+            model.window_hits(*to_end(chunk))
         untagged = Chunk(chunks[2].index, chunks[2].X, chunks[2].y)
         for _ in range(2):
             evaluate(model, untagged, RecordingDetector(), ahead=None)
@@ -826,8 +835,8 @@ class TestScoringAhead:
         warmup, chunks = stream.chunk(0), stream.window(1, 4) + stream.window(4, 7)
         model = GaussianNB().train(warmup)
         for chunk in chunks:
-            got = model.predict(chunk.X, to_end(chunk))
-            assert np.array_equal(got, model.predict(chunk.X))
+            got = model.window_hits(*to_end(chunk))
+            assert got == correct(model, chunk)
         ahead = [n for n in kernel_rows if n != 25]
         assert ahead == [75, 75]
 
@@ -846,17 +855,17 @@ class TestScoringAhead:
         fresh = GaussianNB().train(warmup)
         assert accuracies == [float(np.mean(fresh.predict(c.X) == c.y)) for c in chunks[1:3]]
 
-    def test_a_chunk_past_the_kept_labels_is_scored_again(self, kernel_rows):
+    def test_a_chunk_past_the_kept_counts_is_scored_again(self, kernel_rows):
         warmup, chunks = window_of()
         fresh = GaussianNB().train(warmup)
-        expected = [fresh.predict(c.X) for c in chunks]
+        expected = [correct(fresh, c) for c in chunks]
         kernel_rows.clear()
         model = GaussianNB().train(warmup)
         window, _ = chunks[0].cache["window"]
-        assert np.array_equal(model.predict(chunks[0].X, (window, 0, 2)), expected[0])
+        assert model.window_hits(window, 0, 2) == expected[0]
         for chunk, want in zip(chunks[1:], expected[1:]):
-            assert np.array_equal(model.predict(chunk.X, to_end(chunk)), want)
-        # chunk 2 lies past the kept labels of chunks 0 and 1: the model
+            assert model.window_hits(*to_end(chunk)) == want
+        # chunk 2 lies past the kept counts of chunks 0 and 1: the model
         # scores it again, to its bound at the window's end
         assert kernel_rows == [50, 50]
 
@@ -867,6 +876,73 @@ class TestScoringAhead:
         for chunk in chunks:
             evaluate(model, chunk, RecordingDetector())
         assert op_counts.snapshot() == (100, 0)
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("served")
+
+
+@st.composite
+def scored_streams(draw, csv_dir):
+    """A small stream of any kind: synthetic, a CSV file whose last chunk
+    may be short, or a synthetic stream with one label-reversed chunk."""
+    kind = draw(st.sampled_from(SYNTHETIC_KINDS + ("csv", "flipped")))
+    chunk_size, n_chunks = draw(st.integers(1, 30)), draw(st.integers(2, 12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "csv":
+        rng = np.random.default_rng(seed)
+        n_rows = draw(st.integers(chunk_size + 1, chunk_size * n_chunks))
+        features = rng.integers(-3, 4, size=(n_rows, draw(st.integers(1, 3))))
+        labels = rng.choice(draw(st.lists(st.integers(-2, 5), min_size=1, max_size=4, unique=True)),
+                            size=n_rows)
+        path = csv_dir / "stream.csv"
+        path.write_text("".join(",".join(map(str, [*row, label])) + "\n"
+                                for row, label in zip(features.tolist(), labels.tolist())))
+        return make_stream(StreamConfig(kind="csv", chunk_size=chunk_size, csv_path=str(path)))
+    config = StreamConfig(kind=draw(st.sampled_from(SYNTHETIC_KINDS)) if kind == "flipped" else kind,
+                          seed=seed, n_chunks=n_chunks, chunk_size=chunk_size,
+                          drift_period=draw(st.integers(1, 5)))
+    if kind == "flipped":
+        return _FlippedStream(config, draw(st.integers(1, n_chunks - 1)))
+    return make_stream(config)
+
+
+class TestServedAccuracy:
+    """A window score, computed or served from a count the state keeps,
+    against a fresh predict on the chunk's own rows."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_every_window_score_equals_a_fresh_count(self, data, csv_dir):
+        stream = data.draw(scored_streams(csv_dir))
+        checked = []
+
+        def step(state, chunk):
+            window, position = chunk.cache["window"]
+            assert np.shares_memory(chunk.y, window.y)
+            model = state.primary_model
+            expected = np.count_nonzero(model.predict(chunk.X) == chunk.y) / len(chunk)
+            detector = RecordingDetector()
+            before = op_counts.snapshot()
+            accuracy = evaluate(model, chunk, detector, data.draw(st.none() | st.integers(0, 4)))
+            assert op_counts.predict_instances - before[0] == len(chunk)
+            assert type(accuracy) is type(expected) and accuracy == expected
+            assert detector.values == [1.0 - expected]
+            action = data.draw(st.sampled_from(("keep", "train", "adapt")))
+            if action == "train":
+                model.train(chunk)
+            elif action == "adapt":
+                state.primary_model = adapt(model, chunk)
+            checked.append(chunk.index)
+            return StepOutcome(accuracy, 0.0, 0.0, False, "normal")
+
+        # both models train on the same warm-up chunk, so they share one state
+        policies = [(step, DtdState(GaussianNB(), make_monitor("ddm"))) for _ in range(2)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harness, "WINDOW_ROWS", data.draw(st.integers(1, 200)))
+            run_policies(stream, policies)
+        assert checked == [i for i in range(1, len(stream)) for _ in policies]
 
 
 class TestOpCounts:

@@ -56,7 +56,7 @@ class FirstLabelModel:
         self.c = int(chunk.y[0])
         return self
 
-    def predict(self, X, window=None):
+    def predict(self, X):
         if self.c is None:
             raise ModelError("predict called before any training data")
         return np.full(X.shape[0], self.c, dtype=np.int64)

@@ -293,6 +293,20 @@ class TestRunPolicies:
             assert [t.seed for t in policy_traces(stream, [strategy])] == [5]
 
 
+class TestRowsAhead:
+    def test_a_sporadic_race_under_a_negative_threshold_computes_no_rows_ahead(self, kernel_rows):
+        """Statistics are never negative, so under a negative threshold RDM,
+        which keeps the primary's threshold, alarms and adapts on every race
+        chunk as the primary does: dtd scores exactly the rows it reports."""
+        config = small_config(n_chunks=30, chunk_size=100, mode="sporadic", seeds=(0,),
+                              detector_overrides={"threshold": -1.0})
+        config = dataclasses.replace(config, stream=dataclasses.replace(config.stream, kind="sine"))
+        op_counts.reset()
+        trace = run_experiment(config, method="dtd", write=False)["dtd"].traces[0]
+        assert "comparison" in trace.phase
+        assert sum(kernel_rows) == op_counts.predict_instances > 0
+
+
 class TestRunSingle:
     def test_seed_replaces_stream_seed(self):
         config = small_config(seeds=(0, 7), method="baseline")

@@ -196,6 +196,9 @@ class TestChunkObject:
     def test_arrays_that_do_not_fit_together_rejected(self, X, y):
         with pytest.raises(ModelError):
             Chunk(0, X, y)
+        # a window's chunks skip these checks, so the window makes them once
+        with pytest.raises(ModelError):
+            stream_module.Window(X, y, [0, X.shape[0]])
 
     @pytest.mark.parametrize("y", [np.array([0, 1, 1], dtype=np.uint8), np.array([True, False, True])],
                              ids=["uint8", "bool"])
@@ -392,8 +395,10 @@ class TestBlockSeeding:
             stacked = np.vstack([c.X for c in chunks])
             assert window.X.tobytes() == stacked.tobytes() and not window.X.flags.writeable
             assert window.starts == [p * cfg.chunk_size for p in range(stop - first + 1)]
+            stacked = np.concatenate([c.y for c in chunks])
+            assert window.y.tobytes() == stacked.tobytes() and not window.y.flags.writeable
             for chunk in chunks:
-                assert np.shares_memory(chunk.X, window.X)
+                assert np.shares_memory(chunk.X, window.X) and np.shares_memory(chunk.y, window.y)
                 assert_same_bytes(chunk, reference_chunk(cfg, chunk.index))
 
     @settings(max_examples=30, deadline=None)
@@ -420,7 +425,7 @@ class TestBlockSeeding:
         stream = make_stream(cfg)
         for index in (2**32 - 2, 0, 2**31, 2**32 - 2):
             assert_same_bytes(stream.chunk(index), reference_chunk(cfg, index))
-            assert stream._seed_words.shape[0] <= SEED_BLOCK
+            assert len(stream._seed_states) <= SEED_BLOCK
 
 
 class TestCsv:
