@@ -22,9 +22,19 @@ variance floor; the kernel's constants (log priors, means, doubled floored
 variances and log normalizers) are built once per state. Every model, the
 primary or a race candidate, scores a chunk through :func:`evaluate`: a
 window chunk through ``window_hits``, any other through ``predict``.
+
 Features are plain float64: a chunk whose class statistics overflow is
 rejected when a model trains on it, and a row that has no finite best class
 score raises instead of taking class 0.
+
+Classes that are every label ``0..k-1``, as every stream chunk's are, are one
+shared read-only ``arange(k)`` (:func:`_class_range`). The kernel's class
+indices are then the labels, so ``window_hits`` compares them with the
+window's labels without a gather, and ``_merge`` takes two such sets as equal
+by identity. A class set that a merge made as a union, or labels that are not
+``0..k-1``, keep the gather and the elementwise compare; ``predict`` always
+returns labels. A new state costs few numpy calls: the relabel pass takes one
+reduction, and the finiteness checks count instead of reducing.
 
 A stream builds its chunks a :class:`~drifttune.stream.Window` at a time, as
 row views of one feature block and one label block. The caller of
@@ -75,17 +85,33 @@ class OpCounts:
 op_counts = OpCounts()
 
 
+_CLASS_RANGES: dict[int, np.ndarray] = {}  # k -> the shared read-only arange(k)
+
+
+def _class_range(k: int) -> np.ndarray:
+    """The one read-only ``arange(k)`` that every state with classes ``0..k-1`` holds."""
+    classes = _CLASS_RANGES.get(k)
+    if classes is None:
+        classes = _CLASS_RANGES[k] = np.arange(k)
+        classes.setflags(write=False)
+    return classes
+
+
 def _relabel(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``np.unique(y, return_inverse=True, return_counts=True)``, by
     ``bincount`` when the labels are non-negative and below the row count,
     which bounds its table. When every label ``0..k-1`` is present, ``y`` is
-    its own inverse."""
-    if y.shape[0] and y.min() >= 0 and y.max() < y.shape[0]:
-        counts = np.bincount(y)
-        present = counts > 0
-        if present.all():
-            return np.arange(present.shape[0]), y, counts
-        return np.flatnonzero(present), (np.cumsum(present) - 1)[y], counts[present]
+    its own inverse and the classes are the shared :func:`_class_range`."""
+    if y.shape[0] and np.maximum.reduce(y) < y.shape[0]:
+        try:
+            counts = np.bincount(y)
+        except ValueError:  # a negative label
+            pass
+        else:
+            if np.count_nonzero(counts) == counts.shape[0]:
+                return _class_range(counts.shape[0]), y, counts
+            present = counts > 0
+            return np.flatnonzero(present), (np.cumsum(present) - 1)[y], counts[present]
     return np.unique(y, return_inverse=True, return_counts=True)
 
 
@@ -127,7 +153,7 @@ def _chunk_state(chunk: Chunk) -> _State:
     state = memo.get(_EMPTY)
     if state is None:
         X = np.ascontiguousarray(chunk.X, dtype=np.float64)
-        if not np.isfinite(X).all():
+        if np.count_nonzero(np.isfinite(X)) != X.size:
             raise ModelError(f"chunk {chunk.index} has non-finite feature values")
         # int64 would wrap a uint64 label at or above 2**63 to a negative class
         if chunk.y.dtype == np.uint64 and chunk.y.shape[0] and chunk.y.max() >= 2**63:
@@ -135,7 +161,7 @@ def _chunk_state(chunk: Chunk) -> _State:
         labels, y_idx, counts = _relabel(np.asarray(chunk.y, dtype=np.int64))
         stats = kernels.class_stats(X, y_idx.astype(np.int64, copy=False), counts)
         # a mean that overflows makes its class's M2 inf or NaN as well
-        if not np.isfinite(stats[2]).all():
+        if np.count_nonzero(np.isfinite(stats[2])) != stats[2].size:
             raise ModelError(f"chunk {chunk.index} has non-finite class statistics: "
                              "its features are outside the supported range")
         state = memo[_EMPTY] = _State(*_read_only(labels, *stats))
@@ -158,7 +184,9 @@ def _on_classes(classes, state: _State):
 def _merge(a: _State, b: _State) -> _State:
     """The state ``a`` becomes after a chunk whose own state is ``b``."""
     classes = a.classes
-    if b.classes.shape != classes.shape or (b.classes != classes).any():
+    # two shared 0..k-1 class sets are equal by identity
+    if b.classes is not classes and (b.classes.shape != classes.shape
+                                     or (b.classes != classes).any()):
         classes = np.union1d(classes, b.classes)
         classes.setflags(write=False)
     (n_a, a_means, a_m2), (n_b, b_means, b_m2) = _on_classes(classes, a), _on_classes(classes, b)
@@ -232,10 +260,11 @@ class GaussianNB:
         self._require_width(X)
         state = self._state
         if state.params is None:
-            log_priors = state.counts / state.counts.sum()
+            counts = state.counts
+            log_priors = counts / np.add.reduce(counts)
             np.log(log_priors, out=log_priors)
-            variances = state.m2 / state.counts[:, None]
-            top = variances.max(axis=0)
+            variances = state.m2 / counts[:, None]
+            top = np.maximum.reduce(variances, axis=0)
             floor = np.where(top > 0.0, top, 1.0)
             floor *= VARIANCE_FLOOR_SCALE
             # a subnormal top variance would scale the floor down to zero
@@ -268,7 +297,11 @@ class GaussianNB:
                 op_counts.predict_instances += n_rows
                 return hits[position - first]
         rows = np.ascontiguousarray(window.rows_from(position, stop), dtype=np.float64)
-        labels = state.classes[kernels.predict_indices(rows, self._params_for(rows))]
+        labels = kernels.predict_indices(rows, self._params_for(rows))
+        # class indices are their own labels when the classes are the shared 0..k-1
+        classes = state.classes
+        if classes is not _CLASS_RANGES.get(classes.shape[0]):
+            labels = classes[labels]
         correct = labels == window.y[starts[position]:starts[stop]]
         if stop == position + 1:
             hits = (np.count_nonzero(correct),)
@@ -296,12 +329,15 @@ def evaluate(model: GaussianNB, chunk: Chunk, detector, ahead: int | None = 0) -
 
     The model is not trained here. ``ahead`` counts the chunks after this one
     that the caller will score with the model unchanged, ``None`` for all to
-    the window's end; a chunk that a stream built is scored through
+    the window's end; any other value than ``None`` or an int >= 0 raises
+    ModelError. A chunk that a stream built is scored through
     :meth:`GaussianNB.window_hits` on those chunks, clipped at the window's
     end, and any other chunk through ``predict``. The detector sees exactly
     one update, the chunk error rate; callers read its statistic from the
     detector.
     """
+    if ahead is not None and (not isinstance(ahead, int) or isinstance(ahead, bool) or ahead < 0):
+        raise ModelError(f"ahead must be None or an int >= 0, got {ahead!r}")
     n = len(chunk)
     if n == 0:
         raise ModelError(f"cannot evaluate on an empty chunk (chunk {chunk.index})")

@@ -146,12 +146,14 @@ class DriftMonitor:
 
     @threshold.setter
     def threshold(self, value: float) -> None:
-        value = float(value)
         # +inf is a legitimate never-alarm setting; NaN would make the alarm
-        # predicate silently constant-false, so it is rejected.
-        if math.isnan(value):
-            raise DetectorError("threshold must not be NaN")
-        self._threshold = value
+        # predicate silently constant-false, and a str or bool would be read
+        # as a number, so they are rejected as Params fields are.
+        try:
+            check_real("threshold", value)
+        except ConfigError as error:
+            raise DetectorError(str(error)) from None
+        self._threshold = float(value)
 
     @property
     def alarm(self) -> bool:

@@ -16,7 +16,10 @@ rows) block instead of a broadcast (rows, classes, features) one and
 takes the best class with one pass per class (``argmax_classes``),
 ``class_stats`` takes its class counts from the caller and makes two
 weighted ``bincount`` calls over all features, and both write their
-temporaries in place. Every floating-point operation, and the order of every sum, is the one
+temporaries in place: predict adds its feature slabs into the first sum it
+makes and its log priors into that total (float addition commutes exactly),
+and checks the joint block with one add-reduce. Every floating-point
+operation, and the order of every sum, is the one
 the broadcast formulation uses, so their outputs are bit-identical to it:
 predict adds the per-feature slabs in the order of numpy's contiguous
 add-reduce (``_pairwise_sum``), and ``class_stats`` sums each class's
@@ -46,13 +49,17 @@ def _pairwise_sum(terms):
 
     ``np.stack(terms, axis=-1).sum(axis=-1)`` gives the same bits: left to
     right below 8 terms, eight lanes combined pairwise up to 128 terms, and
-    halves (the first rounded down to a multiple of 8) above that.
+    halves (the first rounded down to a multiple of 8) above that. Only
+    arrays it made are written: below 8 terms it adds into the first sum, and
+    a single term comes back as a copy.
     """
     n = len(terms)
     if n < 8:
-        total = terms[0]
-        for term in terms[1:]:
-            total = total + term
+        if n == 1:
+            return terms[0].copy()
+        total = terms[0] + terms[1]
+        for term in terms[2:]:
+            total += term
         return total
     if n <= _PAIRWISE_BLOCK:
         lanes = list(terms[:8])
@@ -62,11 +69,13 @@ def _pairwise_sum(terms):
         total = (((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
                  + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7])))
         for term in terms[stop:]:
-            total = total + term
+            total += term
         return total
     half = n // 2
     half -= half % 8
-    return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+    total = _pairwise_sum(terms[:half])
+    total += _pairwise_sum(terms[half:])
+    return total
 
 
 def predict_params(log_priors, means, variances):
@@ -129,8 +138,9 @@ def predict_indices(X, params):
     log_like *= log_like
     log_like /= two_variances
     np.subtract(log_norms, log_like, out=log_like)
-    joint = log_priors + _pairwise_sum(log_like)
-    if not math.isfinite(joint.sum()):
+    joint = _pairwise_sum(log_like)
+    joint += log_priors  # float addition commutes exactly
+    if not math.isfinite(np.add.reduce(joint, axis=None)):
         bad = np.flatnonzero(~(joint.max(axis=0) > -math.inf))
         if bad.shape[0]:
             raise ModelError(f"row {bad[0]} has no finite best class score: a class scores "

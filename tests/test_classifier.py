@@ -572,6 +572,21 @@ class TestEvaluate:
         evaluate(model, c, RecordingDetector())
         assert np.array_equal(model._state.counts, counts_before)
 
+    @pytest.mark.parametrize("bad", [-5, -1, 2.5, True, False, "1", np.int64(1)])
+    def test_ahead_must_be_none_or_a_non_negative_int(self, bad):
+        warmup, chunks = window_of()
+        model = GaussianNB().train(warmup)
+        untagged = Chunk(chunks[0].index, chunks[0].X, chunks[0].y)
+        for chunk in (chunks[0], untagged):
+            det = RecordingDetector()
+            op_counts.reset()
+            with pytest.raises(ModelError, match="ahead must be None or an int >= 0"):
+                evaluate(model, chunk, det, bad)
+            assert det.values == [] and op_counts.snapshot() == (0, 0)
+        assert model._state.ahead is None
+        for good in (None, 0, 3, 10**20):
+            assert evaluate(model, chunks[0], RecordingDetector(), good) == correct(model, chunks[0]) / 25
+
 
     def test_empty_chunk_rejected_before_predicting(self):
         model = GaussianNB().train(chunk_of([[0.0], [10.0]], [0, 1]))
@@ -677,6 +692,9 @@ class TestRelabel:
             lambda labels: st.lists(st.integers(0, k - 1), max_size=30).map(
                 lambda rest: [*labels, *rest]))),  # every label 0..k-1: fast path
     ))
+    @example([-1, 0, 1, 1])  # negative, yet every label below the row count
+    @example([2, 2, 2])  # a single nonzero label
+    @example([1])
     def test_matches_unique(self, values):
         y = np.array(values, dtype=np.int64)
         got = _relabel(y)
@@ -684,6 +702,9 @@ class TestRelabel:
         for array, want in zip(got, expected, strict=True):
             assert array.dtype == want.dtype
             assert np.array_equal(array, want)
+        if np.array_equal(expected[0], np.arange(expected[0].shape[0])):
+            # every label 0..k-1 present: one shared read-only class array per k
+            assert _relabel(y.copy())[0] is got[0] and not got[0].flags.writeable
 
 
 def sine_stream(n_chunks=5, rows=25, seed=0):
@@ -894,8 +915,9 @@ def scored_streams(draw, csv_dir):
         rng = np.random.default_rng(seed)
         n_rows = draw(st.integers(chunk_size + 1, chunk_size * n_chunks))
         features = rng.integers(-3, 4, size=(n_rows, draw(st.integers(1, 3))))
-        labels = rng.choice(draw(st.lists(st.integers(-2, 5), min_size=1, max_size=4, unique=True)),
-                            size=n_rows)
+        label_set = draw(st.just([3, 7]) | st.lists(st.integers(-2, 5), min_size=1, max_size=4,
+                                                     unique=True))
+        labels = rng.choice(label_set, size=n_rows)
         path = csv_dir / "stream.csv"
         path.write_text("".join(",".join(map(str, [*row, label])) + "\n"
                                 for row, label in zip(features.tolist(), labels.tolist())))
@@ -929,9 +951,13 @@ class TestServedAccuracy:
             assert op_counts.predict_instances - before[0] == len(chunk)
             assert type(accuracy) is type(expected) and accuracy == expected
             assert detector.values == [1.0 - expected]
-            action = data.draw(st.sampled_from(("keep", "train", "adapt")))
+            action = data.draw(st.sampled_from(("keep", "train", "adapt", "union")))
             if action == "train":
                 model.train(chunk)
+            elif action == "union":
+                # a one-row chunk's class set differs from the model's, so the
+                # merge makes a union class array, also when it is 0..k-1
+                model.train(Chunk(chunk.index, chunk.X[:1], chunk.y[:1]))
             elif action == "adapt":
                 state.primary_model = adapt(model, chunk)
             checked.append(chunk.index)

@@ -388,6 +388,17 @@ class TestMonitorContract:
         monitor.threshold = -math.inf
         assert monitor.alarm
 
+    @pytest.mark.parametrize("bad", ["1", "inf", True, False, np.True_, None, b"1"])
+    def test_threshold_rejects_what_is_not_a_real_number(self, monitor, bad):
+        monitor.threshold = 2.5
+        with pytest.raises(DetectorError, match="threshold must be a number"):
+            monitor.threshold = bad
+        assert monitor.threshold == 2.5
+        # numpy scalars and ints are real numbers and are taken as floats
+        for good, want in ((np.float64(0.25), 0.25), (np.int64(3), 3.0), (2, 2.0)):
+            monitor.threshold = good
+            assert type(monitor.threshold) is float and monitor.threshold == want
+
     def test_reset_clears_state_keeps_threshold(self, monitor):
         monitor.threshold = 7.25
         run(monitor, DRIFT_INPUT)

@@ -208,3 +208,20 @@ def test_pairwise_sum_matches_numpy_reduce():
         differs_from_left_to_right += not np.array_equal(left_to_right, want)
     # the check has teeth: plain left-to-right order would fail it
     assert differs_from_left_to_right > 0
+
+
+def test_pairwise_sum_matches_a_stacked_sum_and_writes_no_term():
+    rng = np.random.default_rng(11)
+    for n in [*range(1, 21), 131]:
+        # magnitudes spread widely, so a different summation order shows
+        block = rng.normal(size=(n, 3, 5)) * 10.0 ** rng.uniform(-6, 6, size=(n, 3, 5))
+        block.setflags(write=False)  # a write into a term raises
+        terms = [term.copy() for term in block]
+        for term in terms:
+            term.setflags(write=False)
+        want = np.stack(terms, axis=-1).sum(axis=-1)
+        for given_terms in (terms, block):
+            got = kernels._pairwise_sum(given_terms)
+            assert np.array_equal(got, want), n
+            assert got.flags.writeable and not np.shares_memory(got, block)
+            assert not any(np.shares_memory(got, term) for term in terms)
