@@ -41,10 +41,10 @@ row views of one feature block and one label block. The caller of
 :func:`evaluate` states how many more chunks it will score with the model as
 it is (the threshold policy knows: see :mod:`drifttune.dtd`); a state predicts
 exactly those chunks, clipped at the window's end, in one kernel call, keeps
-each chunk's count of correct labels, and serves any model that holds it a
-chunk they cover as that count over the chunk's rows. Each label depends only
-on its own row and the state's constants, so the counts are the ones
-per-chunk calls give.
+each chunk's count of correct labels as a Python int, and serves any model
+that holds it a chunk they cover as that count over the chunk's rows, a
+Python float. Each label depends only on its own row and the state's
+constants, so the counts are the ones per-chunk calls give.
 
 Module-level operation counters record how many instances were scored and
 trained, per call, whether its count or state was computed for it or served.
@@ -135,8 +135,8 @@ class _State:
         self.classes, self.counts, self.means, self.m2 = classes, counts, means, m2
         self.params: tuple[np.ndarray, ...] | None = None
         # (window, position, hits): hits[k] is the number of correctly
-        # labelled rows of the window's chunk ``position + k``, an int64
-        self.ahead: tuple[Window, int, Sequence[np.int64]] | None = None
+        # labelled rows of the window's chunk ``position + k``, a Python int
+        self.ahead: tuple[Window, int, Sequence[int]] | None = None
 
 
 _EMPTY = _State(*_read_only(np.empty(0, dtype=np.int64), np.empty(0), np.empty((0, 0)), np.empty((0, 0))))
@@ -280,14 +280,14 @@ class GaussianNB:
         op_counts.predict_instances += X.shape[0]
         return labels
 
-    def window_hits(self, window: Window, position: int, stop: int) -> np.int64:
+    def window_hits(self, window: Window, position: int, stop: int) -> int:
         """The number of rows of chunk ``position`` of ``window`` whose label
         the model predicts, when the caller will score chunks ``position`` to
         ``stop - 1`` with the model as it is.
 
         The state serves the count it keeps, or predicts those chunks' rows
         in one kernel call, compares them with the window's labels once and
-        keeps each chunk's count for any model that holds it.
+        keeps each chunk's count, a Python int, for any model that holds it.
         """
         state, starts = self._state, window.starts
         n_rows = starts[position + 1] - starts[position]
@@ -304,9 +304,9 @@ class GaussianNB:
             labels = classes[labels]
         correct = labels == window.y[starts[position]:starts[stop]]
         if stop == position + 1:
-            hits = (np.count_nonzero(correct),)
+            hits = (int(np.count_nonzero(correct)),)
         else:
-            hits = np.add.reduceat(correct, np.subtract(starts[position:stop], starts[position]))
+            hits = np.add.reduceat(correct, np.subtract(starts[position:stop], starts[position])).tolist()
         state.ahead = (window, position, hits)
         op_counts.predict_instances += n_rows
         return hits[0]
@@ -325,7 +325,8 @@ def adapt(model: GaussianNB, chunk: Chunk) -> GaussianNB:
 
 def evaluate(model: GaussianNB, chunk: Chunk, detector, ahead: int | None = 0) -> float:
     """Score a frozen model on a chunk, push the error rate to a detector and
-    return the accuracy.
+    return the accuracy, a Python float: the chunk's int count of correct
+    labels over its rows.
 
     The model is not trained here. ``ahead`` counts the chunks after this one
     that the caller will score with the model unchanged, ``None`` for all to
@@ -336,20 +337,23 @@ def evaluate(model: GaussianNB, chunk: Chunk, detector, ahead: int | None = 0) -
     one update, the chunk error rate; callers read its statistic from the
     detector.
     """
-    if ahead is not None and (not isinstance(ahead, int) or isinstance(ahead, bool) or ahead < 0):
+    # an exact int needs only the sign check
+    if (ahead < 0 if type(ahead) is int else ahead is not None and (
+            not isinstance(ahead, int) or isinstance(ahead, bool) or ahead < 0)):
         raise ModelError(f"ahead must be None or an int >= 0, got {ahead!r}")
     n = len(chunk)
     if n == 0:
         raise ModelError(f"cannot evaluate on an empty chunk (chunk {chunk.index})")
     tag = chunk.cache.get("window")
     if tag is None:
-        hits = np.count_nonzero(model.predict(chunk.X) == chunk.y)
+        hits = int(np.count_nonzero(model.predict(chunk.X) == chunk.y))
     else:
         window, position = tag
         last = len(window.starts) - 1
         hits = model.window_hits(window, position,
                                  last if ahead is None else min(position + 1 + ahead, last))
-    # a count over n is correctly rounded, as np.mean of the bool array is
+    # an int count over n is a correctly rounded Python float, as np.mean of
+    # the bool array is: both are exact integers below 2**53
     accuracy = hits / n
     detector.update(1.0 - accuracy)
     return accuracy

@@ -9,7 +9,9 @@ report. Exit codes: 0 success, 1 configuration error, 2 runtime error
 The flags of ``run`` and ``suite`` other than ``--parallel`` each replace
 one field of every loaded config (``--out``, ``--seeds``, ``--method``);
 a flag left out keeps the config's value. The harness then reads only
-the configs.
+the configs. Before running, ``run`` and ``suite`` print one line to stderr
+for each cell whose monitor can never alarm on its stream
+(:func:`~drifttune.harness.inert_cells`); the cell still runs.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, DriftTuneError
-from .harness import (METHODS, load_config, load_config_dir, render_table, run_experiment,
-                      run_suite, summarize, summarize_stored, write_suite_summary)
+from .harness import (METHODS, inert_cells, load_config, load_config_dir, render_table,
+                      run_experiment, run_suite, summarize, summarize_stored, write_suite_summary)
 from .theory import validate_theory
 
 
@@ -63,8 +65,14 @@ def _override(config, args):
     return dataclasses.replace(config, **{k: v for k, v in given.items() if v is not None})
 
 
+def _warn_inert(configs) -> None:
+    for line in inert_cells(configs):
+        print(line, file=sys.stderr)
+
+
 def _cmd_run(args) -> int:
     config = _override(load_config(args.config), args)
+    _warn_inert([config])
     results = run_experiment(config, parallel=args.parallel)
     print(render_table(summarize(list(results.values()))), end="")
     return 0
@@ -72,6 +80,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_suite(args) -> int:
     configs = [_override(c, args) for c in load_config_dir(args.config)]
+    _warn_inert(configs)
     _, report = run_suite(configs, parallel=args.parallel)
     print(render_table(report), end="")
     return 0

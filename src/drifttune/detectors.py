@@ -16,7 +16,12 @@ scale-free in this sense and take no such parameter.
 Each monitor class declares its ``kind`` and its ``Params`` dataclass;
 ``MONITOR_TYPES`` (kind -> class) is the one table of monitor kinds. Params
 fields are checked against their annotations when built: an ``int`` takes
-an integer, a ``float`` a number, and a bool is neither.
+an integer, a ``float`` a number, and a bool is neither. Each ``Params``
+also states ``updates_needed``, how many updates its monitor takes before its
+statistic can leave 0, so a stream too short to give them is known before
+a run. An update takes a real number in [0, 1]; an exact float skips the
+type check, and whatever a monitor computes from its params alone, such as
+an HDDM bound's constant, it computes once.
 """
 
 from __future__ import annotations
@@ -61,6 +66,11 @@ class DdmParams:
     def __post_init__(self):
         _check_fields(self, ("min_samples", "samples_per_update"))
 
+    @property
+    def updates_needed(self) -> int:
+        # the first update sets the minimum to itself, so it scores 0 too
+        return max(2, self.min_samples)
+
 
 @dataclass(frozen=True)
 class PhParams:
@@ -69,6 +79,9 @@ class PhParams:
 
     def __post_init__(self):
         _check_fields(self, ("delta",))
+
+    # the first value is its own running mean
+    updates_needed = 2
 
 
 @dataclass(frozen=True)
@@ -91,6 +104,10 @@ class KswinParams:
         if self.threshold is None:
             object.__setattr__(self, "threshold", math.sqrt(-math.log(self.alpha) / self.recent))
 
+    @property
+    def updates_needed(self) -> int:
+        return self.window
+
 
 @dataclass(frozen=True)
 class HddmAParams:
@@ -102,6 +119,9 @@ class HddmAParams:
         _check_fields(self, ("alpha", "samples_per_update"))
         if not self.alpha < 1.0:
             raise ConfigError("HddmAParams.alpha must lie in (0, 1)")
+
+    # the test needs a value on each side of its cut
+    updates_needed = 2
 
 
 @dataclass(frozen=True)
@@ -117,6 +137,9 @@ class HddmWParams:
             raise ConfigError("HddmWParams.ewma_weight must lie in (0, 1]")
         if not self.alpha < 1.0:
             raise ConfigError("HddmWParams.alpha must lie in (0, 1)")
+
+    # the first value is its own EWMA and minimum
+    updates_needed = 2
 
 
 class DriftMonitor:
@@ -160,11 +183,19 @@ class DriftMonitor:
         return self._statistic > self._threshold
 
     def update(self, error_rate: float) -> float:
-        value = float(error_rate)
-        if not math.isfinite(value) or not 0.0 <= value <= 1.0:
+        value = error_rate
+        if type(value) is not float:
+            # a str, bytes or bool would be read as a number: rejected as a threshold is
+            try:
+                check_real("error rate", value)
+            except ConfigError as error:
+                raise DetectorError(str(error)) from None
+            value = float(value)
+        # the chained comparison is false for NaN and for either infinity
+        if not 0.0 <= value <= 1.0:
             raise DetectorError(f"error rate must lie in [0, 1], got {error_rate!r}")
-        self._statistic = self._consume(value)
-        return self._statistic
+        self._statistic = statistic = self._consume(value)
+        return statistic
 
     def reset(self) -> None:
         """Clear history and statistic; the threshold is kept."""
@@ -281,6 +312,7 @@ class HddmA(DriftMonitor):
     Params = HddmAParams
 
     def _init_state(self):
+        self._log_term = math.log(1.0 / self.params.alpha)
         self._count = 0
         self._total = 0.0
         self._cut_count = 0
@@ -288,8 +320,7 @@ class HddmA(DriftMonitor):
         self._cut_score = math.inf
 
     def _consume(self, value):
-        m = self.params.samples_per_update
-        log_term = math.log(1.0 / self.params.alpha)
+        m, log_term = self.params.samples_per_update, self._log_term
         self._count += 1
         self._total += value
         mean = self._total / self._count
@@ -319,6 +350,10 @@ class HddmW(DriftMonitor):
     Params = HddmWParams
 
     def _init_state(self):
+        lam = self.params.ewma_weight
+        self._eps = math.sqrt(
+            (lam / (2.0 - lam)) * math.log(1.0 / self.params.alpha) / (2.0 * self.params.samples_per_update)
+        )
         self._ewma = None
         self._ewma_min = math.inf
 
@@ -329,10 +364,7 @@ class HddmW(DriftMonitor):
         else:
             self._ewma = (1.0 - lam) * self._ewma + lam * value
         self._ewma_min = min(self._ewma_min, self._ewma)
-        eps = math.sqrt(
-            (lam / (2.0 - lam)) * math.log(1.0 / self.params.alpha) / (2.0 * self.params.samples_per_update)
-        )
-        return max(0.0, (self._ewma - self._ewma_min) / eps)
+        return max(0.0, (self._ewma - self._ewma_min) / self._eps)
 
 
 MONITOR_TYPES = {cls.kind: cls for cls in (Ddm, PageHinkley, Kswin, HddmA, HddmW)}

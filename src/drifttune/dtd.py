@@ -23,6 +23,9 @@ the first); the race's place and leader are read from the candidates' logs.
 A threshold policy is a step ``step(state, chunk) -> StepOutcome`` over one
 :class:`DtdState`: :func:`baseline_step` keeps its threshold, :func:`dtd_step`
 races. Both, and every race candidate, react to a chunk through :func:`respond`.
+A step reads each fact of its monitor once, after scoring the chunk, and
+reports those values: reacting resets a monitor but keeps its threshold, and
+building candidates only clones the primary's.
 
 Every evaluation passes the model the number of chunks after this one that
 it scores unchanged, from one rule, :func:`_ahead`: none for a continual
@@ -72,7 +75,7 @@ def check_policy(race_len: int, eta: float, training_mode: str) -> None:
         raise ConfigError(f"training_mode must be one of {TRAINING_MODES}, got {training_mode!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class Candidate:
     """One race hypothesis; a race holds three, in ``CandidateKind`` order."""
 
@@ -81,7 +84,7 @@ class Candidate:
     accuracy_log: list[float]
 
 
-@dataclass
+@dataclass(slots=True)
 class StepOutcome:
     """What one chunk contributed to the run trace."""
 
@@ -172,55 +175,70 @@ def eval_candidates(state: DtdState, chunk: Chunk) -> list[float]:
     candidate scores the race's later chunks in the same kernel call."""
     if state.candidates is None:
         raise PhaseError("no comparison phase is active")
+    continual, accuracies = state.continual, []
     for c in state.candidates:
-        c.accuracy_log.append(evaluate(c.model, chunk, c.detector, _ahead(state, c)))
-        c.model = respond(c.model, chunk, c.detector, state.continual)
-    return [c.accuracy_log[-1] for c in state.candidates]
+        accuracy = evaluate(c.model, chunk, c.detector, _ahead(state, c))
+        c.accuracy_log.append(accuracy)
+        c.model = respond(c.model, chunk, c.detector, continual)
+        accuracies.append(accuracy)
+    return accuracies
+
+
+def _mean(log: list[float]) -> float:
+    # summed left to right: from Python 3.12 on, sum() compensates the
+    # rounding of exact floats, which would make the winner depend on the interpreter
+    total = 0.0
+    for accuracy in log:
+        total += accuracy
+    return total / len(log)
 
 
 def finalize_comparison(candidates: list[Candidate] | None) -> CandidateKind:
     """Pick the race winner by mean logged accuracy (seed entry included)."""
     if candidates is None or not all(c.accuracy_log for c in candidates):
         raise PhaseError("finalize called without complete candidate logs")
-    return _best([sum(c.accuracy_log) / len(c.accuracy_log) for c in candidates])
+    return _best([_mean(c.accuracy_log) for c in candidates])
 
 
 def baseline_step(state: DtdState, chunk: Chunk) -> StepOutcome:
     """Fixed threshold: an alarm adapts on the chunk and resets the monitor."""
-    accuracy = evaluate(state.primary_model, chunk, state.primary_detector, _ahead(state))
-    statistic, alarm = state.primary_detector.statistic, state.primary_detector.alarm
-    state.primary_model = respond(state.primary_model, chunk, state.primary_detector,
-                                  state.continual)
-    return StepOutcome(accuracy=accuracy, statistic=statistic,
-                       threshold=state.primary_detector.threshold, alarm=alarm, phase="normal")
+    detector = state.primary_detector
+    accuracy = evaluate(state.primary_model, chunk, detector, _ahead(state))
+    # a reset keeps the threshold, so respond leaves all three facts as read
+    statistic, threshold, alarm = detector.statistic, detector.threshold, detector.alarm
+    state.primary_model = respond(state.primary_model, chunk, detector, state.continual)
+    return StepOutcome(accuracy, statistic, threshold, alarm, "normal")
 
 
 def dtd_step(state: DtdState, chunk: Chunk) -> StepOutcome:
     """Process one chunk; returns the reported accuracy and trace fields."""
-    if state.in_comparison:
-        logs = [candidate.accuracy_log for candidate in state.candidates]
-        leader = CandidateKind.RDM if len(logs[0]) == 1 else _best([log[-1] for log in logs])
+    candidates = state.candidates
+    if candidates is not None:
+        first = candidates[0].accuracy_log  # the three logs grow together
+        leader = (CandidateKind.RDM if len(first) == 1
+                  else _best([c.accuracy_log[-1] for c in candidates]))
         reported = eval_candidates(state, chunk)[leader]
         winner = None
-        if len(logs[0]) > state.race_len:
-            winner = finalize_comparison(state.candidates)
-            chosen = state.candidates[winner]
+        if len(first) > state.race_len:
+            winner = finalize_comparison(candidates)
+            chosen = candidates[winner]
             state.primary_model, state.primary_detector = chosen.model, chosen.detector
             state.candidates = None
-        return StepOutcome(accuracy=reported, statistic=state.primary_detector.statistic,
-                           threshold=state.primary_detector.threshold, alarm=False,
-                           phase="comparison", winner=winner)
+        detector = state.primary_detector
+        return StepOutcome(reported, detector.statistic, detector.threshold, False,
+                           "comparison", winner)
 
-    accuracy = evaluate(state.primary_model, chunk, state.primary_detector, _ahead(state))
-    statistic, alarm = state.primary_detector.statistic, state.primary_detector.alarm
+    detector = state.primary_detector
+    accuracy = evaluate(state.primary_model, chunk, detector, _ahead(state))
+    # building candidates only clones the primary monitor, and a reset keeps
+    # the threshold, so all three facts hold as read
+    statistic, threshold, alarm = detector.statistic, detector.threshold, detector.alarm
     if alarm and state.prev_chunk is not None:
         # the primary model is not trained: the race winner replaces it
         state.candidates = create_candidates(state, chunk, accuracy)
     else:
         # quiet, or an alarm before any history, where no race is possible
-        state.primary_model = respond(state.primary_model, chunk, state.primary_detector,
-                                      state.continual)
+        state.primary_model = respond(state.primary_model, chunk, detector, state.continual)
     state.prev_statistic = statistic
     state.prev_chunk = chunk
-    return StepOutcome(accuracy=accuracy, statistic=statistic,
-                       threshold=state.primary_detector.threshold, alarm=alarm, phase="normal")
+    return StepOutcome(accuracy, statistic, threshold, alarm, "normal")

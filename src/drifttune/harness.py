@@ -108,6 +108,22 @@ class ExperimentConfig:
         return METHODS if self.method == "both" else (self.method,)
 
 
+def inert_cells(configs: Sequence[ExperimentConfig]) -> list[str]:
+    """One line for each config whose monitor can never alarm: its synthetic
+    stream gives fewer evaluated chunks than the updates the monitor takes
+    before its statistic can leave 0. A CSV stream's chunk count is known
+    only once it is loaded, so CSV cells are not checked."""
+    lines = []
+    for config in configs:
+        needed = params_from_dict(config.detector, config.detector_overrides).updates_needed
+        evaluated = config.stream.n_chunks - 1
+        if config.stream.kind != "csv" and evaluated < needed:
+            lines.append(f"inert cell {config.name}: its {config.detector} monitor needs "
+                         f"{needed} updates before its statistic can leave 0, and its stream "
+                         f"gives {evaluated}, so it can never alarm")
+    return lines
+
+
 def detector_for_run(config: ExperimentConfig, seed: int) -> DriftMonitor:
     """Build the monitor for one run, filling the per-run fields.
 

@@ -33,6 +33,25 @@ def write_config(tmp_path, name="cell.yaml", text=CONFIG):
     return path
 
 
+class TestInertCells:
+    def test_run_names_an_inert_cell_on_stderr_and_runs_it(self, tmp_path, capsys):
+        text = "stream:\n  kind: mixed\n  chunk_size: 20\ndetector:\n  kind: kswin\nseeds: 1\n"
+        config = write_config(tmp_path, "mixed_kswin.yaml", text)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "r")]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [harness.inert_cells([harness.load_config(config)])[0]]
+        assert "mixed_kswin: its kswin monitor needs 100 updates" in captured.err
+        assert "gives 99" in captured.err and "inert" not in captured.out
+        assert sorted(p.name for p in (tmp_path / "r").iterdir()) == [
+            "mixed_kswin__baseline", "mixed_kswin__dtd"]
+
+    def test_suite_prints_nothing_for_a_window_that_fills(self, tmp_path, capsys):
+        config = SRC.parent / "configs" / "sea_kswin_tuned.yaml"
+        assert main(["suite", "--config", str(config), "--seeds", "1",
+                     "--out", str(tmp_path / "r")]) == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestRun:
     def test_runs_and_prints_table(self, tmp_path, capsys):
         config = write_config(tmp_path)

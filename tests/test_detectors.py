@@ -3,6 +3,7 @@
 import dataclasses
 import math
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -58,10 +59,13 @@ def ph_oracle(values, delta=0.005):
     return out
 
 
+# The two HDDM oracles recompute their constants on every update; the
+# monitors compute them once, from the same expressions.
+
 def hddm_a_oracle(values, alpha=0.001, m=1):
-    log_term = math.log(1.0 / alpha)
     total, cut_n, cut_total, cut_score, out = 0.0, 0, 0.0, math.inf, []
     for n, v in enumerate(values, start=1):
+        log_term = math.log(1.0 / alpha)
         total += v
         mean = total / n
         bound = math.sqrt(log_term / (2.0 * n * m))
@@ -79,9 +83,9 @@ def hddm_a_oracle(values, alpha=0.001, m=1):
 
 
 def hddm_w_oracle(values, lam=0.05, alpha=0.005, m=1):
-    eps = math.sqrt((lam / (2.0 - lam)) * math.log(1.0 / alpha) / (2.0 * m))
     ewma, ewma_min, out = None, math.inf, []
     for v in values:
+        eps = math.sqrt((lam / (2.0 - lam)) * math.log(1.0 / alpha) / (2.0 * m))
         ewma = v if ewma is None else (1.0 - lam) * ewma + lam * v
         ewma_min = min(ewma_min, ewma)
         out.append(max(0.0, (ewma - ewma_min) / eps))
@@ -292,6 +296,58 @@ class TestHddmA:
         assert HddmA().threshold == 1.0
 
 
+unit_values = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=80)
+open_unit = st.floats(1e-9, 1.0, exclude_max=True)
+
+
+class TestUpdatesNeeded:
+    @pytest.mark.parametrize("params, needed", [
+        (DdmParams(), 2), (DdmParams(min_samples=7), 7), (DdmParams(min_samples=1), 2),
+        (PhParams(), 2), (KswinParams(), 100), (KswinParams(window=40, recent=10), 40),
+        (HddmAParams(), 2), (HddmWParams(), 2)])
+    def test_each_kind_declares_it(self, params, needed):
+        assert params.updates_needed == needed
+        assert "updates_needed" not in {f.name for f in dataclasses.fields(params)}
+
+    @settings(max_examples=150, deadline=None)
+    @given(params=st.sampled_from([DdmParams(min_samples=1), DdmParams(min_samples=5), PhParams(),
+                                   KswinParams(window=12, recent=4), HddmAParams(samples_per_update=500),
+                                   HddmWParams(ewma_weight=1.0)]),
+           values=unit_values)
+    def test_the_statistic_stays_zero_before_it(self, params, values):
+        monitor = make_monitor(MONITOR_TYPES_BY_PARAMS[type(params)], params)
+        head = values[:params.updates_needed - 1]
+        assert run(monitor, head) == [0.0] * len(head)
+
+
+MONITOR_TYPES_BY_PARAMS = {cls.Params: kind for kind, cls in MONITOR_TYPES.items()}
+
+
+class TestHddmConstantsOncePerMonitor:
+    @settings(max_examples=150, deadline=None)
+    @given(values=unit_values, alpha=open_unit, m=st.integers(1, 5000),
+           reset_at=st.integers(0, 80))
+    def test_hddm_a_equals_the_per_update_oracle_bit_for_bit(self, values, alpha, m, reset_at):
+        monitor = HddmA(HddmAParams(alpha=alpha, samples_per_update=m))
+        assert run(monitor, values) == hddm_a_oracle(values, alpha=alpha, m=m)
+        # a reset monitor and its clone replay like a fresh one
+        monitor.reset()
+        twin = monitor.clone()
+        tail = values[reset_at:]
+        assert run(monitor, tail) == run(twin, tail) == hddm_a_oracle(tail, alpha=alpha, m=m)
+
+    @settings(max_examples=150, deadline=None)
+    @given(values=unit_values, alpha=open_unit, m=st.integers(1, 5000),
+           lam=st.floats(1e-6, 1.0), reset_at=st.integers(0, 80))
+    def test_hddm_w_equals_the_per_update_oracle_bit_for_bit(self, values, alpha, m, lam, reset_at):
+        monitor = HddmW(HddmWParams(ewma_weight=lam, alpha=alpha, samples_per_update=m))
+        assert run(monitor, values) == hddm_w_oracle(values, lam=lam, alpha=alpha, m=m)
+        monitor.reset()
+        twin = monitor.clone()
+        tail = values[reset_at:]
+        assert run(monitor, tail) == run(twin, tail) == hddm_w_oracle(tail, lam, alpha, m)
+
+
 class TestHddmW:
     def test_matches_oracle_and_frozen_value(self):
         values = [0.0] * 50 + [0.6] * 50
@@ -346,6 +402,19 @@ class TestMonitorContract:
     def test_update_accepts_bounds(self, monitor):
         monitor.update(0.0)
         monitor.update(1.0)
+
+    @pytest.mark.parametrize("bad", ["0.5", b"0.5", "abc", True, False, np.True_, None, [0.5],
+                                     pytest.param(10**400, id="int-beyond-float")])
+    def test_update_rejects_what_is_not_a_real_number(self, monitor, bad):
+        with pytest.raises(DetectorError, match="error rate"):
+            monitor.update(bad)
+        assert monitor.statistic == 0.0
+
+    def test_update_takes_any_real_number_as_a_float(self, monitor):
+        plain, other = monitor.fresh(), monitor.fresh()
+        for good, value in ((np.float64(0.25), 0.25), (np.float32(0.5), 0.5),
+                            (np.int64(1), 1.0), (0, 0.0), (Fraction(3, 4), 0.75)):
+            assert other.update(good) == plain.update(value)
 
     def test_statistic_non_negative(self, monitor):
         rng = np.random.default_rng(1)

@@ -293,6 +293,54 @@ class TestRunPolicies:
             assert [t.seed for t in policy_traces(stream, [strategy])] == [5]
 
 
+class TestExactFloats:
+    @pytest.mark.parametrize("mode", TRAINING_MODES)
+    def test_every_accuracy_and_race_log_entry_is_an_exact_float(self, mode):
+        stream = make_stream(StreamConfig(kind="sine", n_chunks=200, chunk_size=100))
+        state, races, outcomes = DtdState(GaussianNB(), make_monitor("ph"), training_mode=mode), [], []
+
+        def step(state, chunk):
+            outcomes.append(dtd_step(state, chunk))
+            if state.candidates is not None and (not races or races[-1] is not state.candidates):
+                races.append(state.candidates)  # its logs fill as the race goes on
+            return outcomes[-1]
+
+        trace = run_policies(stream, [(step, state)])[0]
+        logged = [a for race in races for c in race for a in c.accuracy_log]
+        assert len(races) >= 3 and len(logged) >= 3 * len(races) * (state.race_len + 1) - 9
+        accuracies = trace.accuracy + [out.accuracy for out in outcomes] + logged
+        assert {type(a) for a in accuracies} == {float}
+
+
+class TestInertCells:
+    def test_criterion_4_cell_is_named_with_its_window_and_its_updates(self):
+        config = ExperimentConfig(name="mixed_kswin", stream=StreamConfig(kind="mixed"),
+                                  detector="kswin")
+        [line] = harness.inert_cells([config])
+        assert line == ("inert cell mixed_kswin: its kswin monitor needs 100 updates before "
+                        "its statistic can leave 0, and its stream gives 99, so it can never alarm")
+
+    def test_shipped_configs_are_not_inert(self):
+        assert harness.inert_cells([load_config(ROOT / "configs" / "sea_kswin_tuned.yaml")]) == []
+        assert harness.inert_cells(load_config_dir(ROOT / "configs")) == []
+
+    @pytest.mark.parametrize("detector, overrides, needed", [
+        ("kswin", {"window": 40, "recent": 10}, 40), ("ddm", {"min_samples": 30}, 30),
+        ("ddm", {"min_samples": 1}, 2), ("ph", {}, 2), ("hddm_a", {}, 2), ("hddm_w", {}, 2)])
+    def test_a_cell_is_inert_exactly_below_its_monitors_need(self, detector, overrides, needed):
+        names = []
+        for n_chunks in (needed, needed + 1):
+            config = small_config(name=f"c{n_chunks}", detector=detector, n_chunks=n_chunks,
+                                  detector_overrides=overrides)
+            names += [line.split(":")[0] for line in harness.inert_cells([config])]
+        assert names == [f"inert cell c{needed}"]
+
+    def test_csv_cells_are_not_checked(self):
+        config = ExperimentConfig(name="csv_kswin", detector="kswin",
+                                  stream=StreamConfig(kind="csv", csv_path="never_read.csv"))
+        assert harness.inert_cells([config]) == []
+
+
 class TestRowsAhead:
     def test_a_sporadic_race_under_a_negative_threshold_computes_no_rows_ahead(self, kernel_rows):
         """Statistics are never negative, so under a negative threshold RDM,
