@@ -1,55 +1,25 @@
 """Incremental Gaussian naive Bayes and the chunk evaluation step.
 
-The model keeps per-class running counts, means, and sums of squared
+The model keeps per-class running counts, means and sums of squared
 deviations, merged batch-wise with Chan's parallel update (Chan, Golub &
 LeVeque, Am. Stat. 1983), so training on a chunk is equivalent to having seen
-every instance one at a time. Both sides of a merge are states of the same
-form: a chunk's own class statistics are the state a fresh model takes after
-it, computed once per chunk; the class counts come from the pass that
-relabels the chunk's labels.
+every instance one at a time. Prediction maximizes the log joint density
+with a per-feature variance floor. Features are plain float64: a chunk whose
+class statistics overflow is rejected when a model trains on it, and a row
+that has no finite best class score raises instead of taking class 0.
 
-A model holds one read-only state, which models share. ``train`` moves a model
-to the state its current state becomes after the chunk, and the chunk keeps
-the states it led to, by parent state, in ``chunk.cache["trained"]``; its own
-state is the entry for the empty state. Every model of a pass that trains from
-the same state on the same chunk (each ``adapt`` on it, every continual
-lineage over the same chunks) takes one state, merged once. ``copy`` shares
-the state. A state refers to no chunk, so the memo makes no reference cycle
-and a chunk and its states are freed with its window. The merge writes in
-place only to arrays it made itself, in the operation order of its plain
-formula. Prediction maximizes the log joint density with a per-feature
-variance floor; the kernel's constants (log priors, means, doubled floored
-variances and log normalizers) are built once per state. Every model, the
-primary or a race candidate, scores a chunk through :func:`evaluate`: a
-window chunk through ``window_hits``, any other through ``predict``.
-
-Features are plain float64: a chunk whose class statistics overflow is
-rejected when a model trains on it, and a row that has no finite best class
-score raises instead of taking class 0.
-
-Classes that are every label ``0..k-1``, as every stream chunk's are, are one
-shared read-only ``arange(k)`` (:func:`_class_range`). The kernel's class
-indices are then the labels, so ``window_hits`` compares them with the
-window's labels without a gather, and ``_merge`` takes two such sets as equal
-by identity. A class set that a merge made as a union, or labels that are not
-``0..k-1``, keep the gather and the elementwise compare; ``predict`` always
-returns labels. A new state costs few numpy calls: the relabel pass takes one
-reduction, and the finiteness checks count instead of reducing.
-
-A stream builds its chunks a :class:`~drifttune.stream.Window` at a time, as
-row views of one feature block and one label block. The caller of
-:func:`evaluate` states how many more chunks it will score with the model as
-it is (the threshold policy knows: see :mod:`drifttune.dtd`); a state predicts
-exactly those chunks, clipped at the window's end, in one kernel call, keeps
-each chunk's count of correct labels as a Python int, and serves any model
-that holds it a chunk they cover as that count over the chunk's rows, a
-Python float. Each label depends only on its own row and the state's
-constants, so the counts are the ones per-chunk calls give.
+A model holds one read-only state, which models share, and a chunk keeps
+the states trained on it in its ``trained`` memo, so every model of a pass
+that trains from the same state on the same chunk takes one state, merged
+once. A state refers to no chunk, so the memo makes no reference cycle and a
+chunk and its states are freed with its window. Each predicted label
+depends only on its own row and the state's constants, so the hit counts a
+state keeps for the chunks it scored ahead are the ones per-chunk calls give.
 
 Module-level operation counters record how many instances were scored and
-trained, per call, whether its count or state was computed for it or served.
-The adaptation logic is bounded to a fixed small multiple of the chunk size
-per step, and tests read these counters to check that bound.
+trained, per call, whether its count or state was computed for it or served;
+tests read them to check that adaptation costs a fixed small multiple of the
+chunk size per step.
 """
 
 from __future__ import annotations
@@ -149,8 +119,7 @@ def _chunk_state(chunk: Chunk) -> _State:
     Computed on the first call for a chunk and kept as its ``trained`` memo
     entry for ``_EMPTY``; chunk arrays are read-only, so it cannot go stale.
     """
-    memo = chunk.cache.setdefault("trained", {})
-    state = memo.get(_EMPTY)
+    state = chunk.trained.get(_EMPTY)
     if state is None:
         X = np.ascontiguousarray(chunk.X, dtype=np.float64)
         if np.count_nonzero(np.isfinite(X)) != X.size:
@@ -164,7 +133,7 @@ def _chunk_state(chunk: Chunk) -> _State:
         if np.count_nonzero(np.isfinite(stats[2])) != stats[2].size:
             raise ModelError(f"chunk {chunk.index} has non-finite class statistics: "
                              "its features are outside the supported range")
-        state = memo[_EMPTY] = _State(*_read_only(labels, *stats))
+        state = chunk.trained[_EMPTY] = _State(*_read_only(labels, *stats))
     return state
 
 
@@ -243,12 +212,12 @@ class GaussianNB:
         seen takes the state made then; a fresh model takes the chunk's own."""
         if chunk.X.shape[0] == 0:
             raise ModelError("cannot train on an empty chunk")
-        state = chunk.cache.get("trained", {}).get(self._state)
+        state = chunk.trained.get(self._state)
         if state is None:
             self._require_width(chunk.X)
             own = _chunk_state(chunk)
-            memo = chunk.cache["trained"]
-            state = memo.get(self._state) or memo.setdefault(self._state, _merge(self._state, own))
+            # a fresh model's entry is the chunk's own state, which _chunk_state keeps
+            state = chunk.trained[self._state] = chunk.trained.get(self._state) or _merge(self._state, own)
         self._state = state
         op_counts.train_instances += chunk.X.shape[0]
         return self
@@ -331,9 +300,9 @@ def evaluate(model: GaussianNB, chunk: Chunk, detector, ahead: int | None = 0) -
     The model is not trained here. ``ahead`` counts the chunks after this one
     that the caller will score with the model unchanged, ``None`` for all to
     the window's end; any other value than ``None`` or an int >= 0 raises
-    ModelError. A chunk that a stream built is scored through
-    :meth:`GaussianNB.window_hits` on those chunks, clipped at the window's
-    end, and any other chunk through ``predict``. The detector sees exactly
+    ModelError. Every chunk is scored through :meth:`GaussianNB.window_hits`
+    on those chunks of its window, clipped at the window's end; a chunk built
+    by hand is the one chunk of its window. The detector sees exactly
     one update, the chunk error rate; callers read its statistic from the
     detector.
     """
@@ -344,14 +313,9 @@ def evaluate(model: GaussianNB, chunk: Chunk, detector, ahead: int | None = 0) -
     n = len(chunk)
     if n == 0:
         raise ModelError(f"cannot evaluate on an empty chunk (chunk {chunk.index})")
-    tag = chunk.cache.get("window")
-    if tag is None:
-        hits = int(np.count_nonzero(model.predict(chunk.X) == chunk.y))
-    else:
-        window, position = tag
-        last = len(window.starts) - 1
-        hits = model.window_hits(window, position,
-                                 last if ahead is None else min(position + 1 + ahead, last))
+    window, position = chunk.window, chunk.position
+    last = len(window.starts) - 1
+    hits = model.window_hits(window, position, last if ahead is None else min(position + 1 + ahead, last))
     # an int count over n is a correctly rounded Python float, as np.mean of
     # the bool array is: both are exact integers below 2**53
     accuracy = hits / n

@@ -18,8 +18,9 @@ Each monitor class declares its ``kind`` and its ``Params`` dataclass;
 fields are checked against their annotations when built: an ``int`` takes
 an integer, a ``float`` a number, and a bool is neither. Each ``Params``
 also states ``updates_needed``, how many updates its monitor takes before its
-statistic can leave 0, so a stream too short to give them is known before
-a run. An update takes a real number in [0, 1]; an exact float skips the
+statistic can leave 0, and ``statistic_bound``, the largest value its
+statistic can take, so a stream too short to give those updates, or a
+threshold the statistic cannot exceed, is known before a run. An update takes a real number in [0, 1]; an exact float skips the
 type check, and whatever a monitor computes from its params alone, such as
 an HDDM bound's constant, it computes once.
 """
@@ -71,6 +72,8 @@ class DdmParams:
         # the first update sets the minimum to itself, so it scores 0 too
         return max(2, self.min_samples)
 
+    statistic_bound = math.inf
+
 
 @dataclass(frozen=True)
 class PhParams:
@@ -82,6 +85,7 @@ class PhParams:
 
     # the first value is its own running mean
     updates_needed = 2
+    statistic_bound = math.inf
 
 
 @dataclass(frozen=True)
@@ -108,6 +112,9 @@ class KswinParams:
     def updates_needed(self) -> int:
         return self.window
 
+    # a KS distance between two empirical CDFs
+    statistic_bound = 1.0
+
 
 @dataclass(frozen=True)
 class HddmAParams:
@@ -122,6 +129,7 @@ class HddmAParams:
 
     # the test needs a value on each side of its cut
     updates_needed = 2
+    statistic_bound = math.inf
 
 
 @dataclass(frozen=True)
@@ -140,6 +148,7 @@ class HddmWParams:
 
     # the first value is its own EWMA and minimum
     updates_needed = 2
+    statistic_bound = math.inf
 
 
 class DriftMonitor:

@@ -39,6 +39,7 @@ never negative, so it adapts on each chunk.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -69,8 +70,9 @@ def check_policy(race_len: int, eta: float, training_mode: str) -> None:
     mode are valid; every policy state and experiment config checks here."""
     check_count("race_len", race_len, minimum=1)
     check_real("eta", eta)
-    if not eta > 0.0:
-        raise ConfigError("eta must be positive")
+    # PM would set the primary's threshold to infinity, and it would never alarm again
+    if not 0.0 < eta < math.inf:
+        raise ConfigError(f"eta must be positive and finite, got {eta!r}")
     if training_mode not in TRAINING_MODES:
         raise ConfigError(f"training_mode must be one of {TRAINING_MODES}, got {training_mode!r}")
 

@@ -15,7 +15,7 @@ the stream they read: the configs whose stream settings are equal share
 one pass per seed, so a CSV file is parsed once per pass. Each chunk is
 built once and fed to every method of every config in the pass in
 lockstep; the policies share only the read-only chunk, its cached class
-statistics and its window tag, so a trace is the same whichever configs
+statistics and its window, so a trace is the same whichever configs
 share its pass. The passes run in ``parallel`` processes, this one
 included: this process runs one share and each other share runs in a
 forked child. When processes outnumber the passes, each pass's configs
@@ -109,15 +109,20 @@ class ExperimentConfig:
 
 
 def inert_cells(configs: Sequence[ExperimentConfig]) -> list[str]:
-    """One line for each config whose monitor can never alarm: its synthetic
+    """One line for each config whose monitor can never alarm: its threshold
+    is at or above the largest value its statistic takes, or its synthetic
     stream gives fewer evaluated chunks than the updates the monitor takes
     before its statistic can leave 0. A CSV stream's chunk count is known
-    only once it is loaded, so CSV cells are not checked."""
+    only once it is loaded, so CSV cells are not checked for the second."""
     lines = []
     for config in configs:
-        needed = params_from_dict(config.detector, config.detector_overrides).updates_needed
-        evaluated = config.stream.n_chunks - 1
-        if config.stream.kind != "csv" and evaluated < needed:
+        params = params_from_dict(config.detector, config.detector_overrides)
+        needed, evaluated = params.updates_needed, config.stream.n_chunks - 1
+        if params.threshold >= params.statistic_bound:
+            lines.append(f"inert cell {config.name}: its {config.detector} monitor's threshold "
+                         f"{params.threshold} is at or above {params.statistic_bound}, the largest "
+                         "value its statistic takes, so it can never alarm")
+        elif config.stream.kind != "csv" and evaluated < needed:
             lines.append(f"inert cell {config.name}: its {config.detector} monitor needs "
                          f"{needed} updates before its statistic can leave 0, and its stream "
                          f"gives {evaluated}, so it can never alarm")

@@ -60,33 +60,23 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK_128 = 2**128 - 1
 
 
-def _freeze_rows(owner: str, X: np.ndarray, y: np.ndarray) -> None:
-    """Make ``X`` and ``y`` read-only, after checking that they are a 2-d
-    feature matrix and one integer (or bool) label per row."""
-    if X.ndim != 2 or y.ndim != 1 or y.dtype.kind not in "biu" or X.shape[0] != y.shape[0]:
-        raise ModelError(f"{owner} needs a 2-d feature matrix and a 1-d integer "
-                         f"label per row, got X {X.shape} and y {y.shape} {y.dtype}")
-    X.setflags(write=False)
-    y.setflags(write=False)
-
-
 class Chunk:
     """One batch of instances: a 2-d feature matrix and one integer (or bool)
-    label per row. Arrays are read-only views. An empty chunk can be built,
-    but a model neither trains nor scores on one. A chunk compares and
-    hashes by identity.
+    label per row, read-only row views of chunk ``position`` of ``window``.
+    A chunk built by hand is the one chunk of a window over its own arrays.
+    An empty chunk can be built, but a model neither trains nor scores on
+    one. A chunk compares and hashes by identity.
 
-    ``cache`` holds values derived from the arrays, such as the model
-    states trained on the chunk (its own class statistics among them) and,
-    for a chunk a stream built, its window tag ``(window, position)``.
+    ``trained`` is the classifier's memo of the model states trained on the
+    chunk, keyed by their parent state.
     """
 
-    __slots__ = ("index", "X", "y", "cache", "__weakref__")
+    __slots__ = ("index", "X", "y", "window", "position", "trained", "__weakref__")
 
     def __init__(self, index: int, X: np.ndarray, y: np.ndarray):
-        _freeze_rows(f"chunk {index}", X, y)
-        self.index, self.X, self.y = index, X, y
-        self.cache: dict = {}
+        self.window = Window(X, y, [0])  # checks the rows before their count is read
+        self.window.starts.append(X.shape[0])
+        self.index, self.X, self.y, self.position, self.trained = index, X, y, 0, {}
 
     def __len__(self) -> int:
         return self.X.shape[0]
@@ -97,22 +87,29 @@ class Chunk:
 
 class Window:
     """Consecutive chunks of one stream pass, built as one block of rows:
-    ``X`` holds their features and ``y`` their labels, both read-only and
-    checked once, and chunk ``position`` of the window is rows
-    ``starts[position]`` to ``starts[position + 1] - 1``, row views of both.
+    ``X`` holds their features and ``y`` their labels, and chunk
+    ``position`` of the window is rows ``starts[position]`` to
+    ``starts[position + 1] - 1``, row views of both.
 
-    The stream tags each chunk it builds with ``chunk.cache["window"] =
-    (window, position)``, so a model that has stopped training can score
-    the rows of several chunks in one kernel call and count each chunk's
-    correct labels against ``y``. A window refers to its blocks, not to its
-    chunks, so the tags make no reference cycle and a pass's chunks are
-    freed as soon as nothing uses them.
+    Building a window is the one check of a chunk's rows: ``X`` must be a
+    2-d ndarray and ``y`` a 1-d integer (or bool) ndarray with one label per
+    row; both are then made read-only. A model that has stopped training
+    scores the rows of several chunks of a window in one kernel call and
+    counts each chunk's correct labels against ``y``. A window refers to its
+    blocks, not to its chunks, so a pass's chunks make no reference cycle
+    and are freed as soon as nothing uses them.
     """
 
     __slots__ = ("X", "y", "starts")
 
     def __init__(self, X: np.ndarray, y: np.ndarray, starts: list[int]):
-        _freeze_rows("a window", X, y)
+        if not (isinstance(X, np.ndarray) and isinstance(y, np.ndarray) and X.ndim == 2 and y.ndim == 1
+                and y.dtype.kind in "biu" and X.shape[0] == y.shape[0]):
+            raise ModelError("a chunk needs a 2-d feature ndarray and a 1-d integer label ndarray "
+                             f"with one label per row, got X {getattr(X, 'shape', type(X))} "
+                             f"and y {getattr(y, 'shape', type(y))} {getattr(y, 'dtype', '')}")
+        X.setflags(write=False)
+        y.setflags(write=False)
         self.X, self.y, self.starts = X, y, starts
 
     def rows_from(self, position: int, stop: int) -> np.ndarray:
@@ -386,8 +383,7 @@ class Stream:
 
     def window(self, first: int, stop: int) -> list[Chunk]:
         """Chunks ``first`` to ``stop - 1``: read-only row views of one
-        feature block and one label block, each tagged with their
-        :class:`Window` and position."""
+        feature block and one label block, each chunk of one :class:`Window`."""
         if not 0 <= first < stop <= len(self):
             raise ConfigError(f"window [{first}, {stop}) out of range [0, {len(self)})")
         X, y, starts = self._block(first, stop)
@@ -395,10 +391,10 @@ class Stream:
         chunks = []
         for position in range(stop - first):
             a, b = starts[position], starts[position + 1]
-            # the window checked its blocks, so its row views skip Chunk's checks
+            # the window checked its blocks, so its row views skip Chunk.__init__
             chunk = Chunk.__new__(Chunk)
             chunk.index, chunk.X, chunk.y = first + position, X[a:b], y[a:b]
-            chunk.cache = {"window": (window, position)}
+            chunk.window, chunk.position, chunk.trained = window, position, {}
             chunks.append(chunk)
         return chunks
 

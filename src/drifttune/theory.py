@@ -194,6 +194,9 @@ class ThresholdStrategy:
     def __post_init__(self):
         if not self.segments:
             raise ConfigError("threshold strategy needs at least one segment")
+        for segment in self.segments:
+            if not isinstance(segment, (tuple, list)) or len(segment) != 2:
+                raise ConfigError(f"each segment must be a (start, threshold) pair, got {segment!r}")
         starts = [s for s, _ in self.segments]
         if starts[0] != 0:
             raise ConfigError(f"threshold strategy leaves a gap: first segment starts at {starts[0]}, not 0")

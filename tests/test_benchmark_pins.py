@@ -123,7 +123,7 @@ def test_a_sine_pass_draws_each_chunk_once_and_scores_ahead_on_views(monkeypatch
         return _kernel(X, params)
 
     def recorded(state, chunk):
-        window, position = chunk.cache["window"]
+        window, position = chunk.window, chunk.position
         current.append(window)
         assert np.shares_memory(chunk.X, window.X)
         assert np.shares_memory(window.rows_from(position, len(window.starts) - 1), window.X)
@@ -221,7 +221,7 @@ def test_a_sporadic_primary_scores_to_the_windows_end_from_its_first_score(kerne
         before = len(kernel_rows)
         out = baseline_step(state, chunk)
         if new_state[0]:
-            window, position = chunk.cache["window"]
+            window, position = chunk.window, chunk.position
             firsts.append((kernel_rows[before:], [window.starts[-1] - window.starts[position]]))
         new_state[0] = out.alarm
         return out
@@ -262,7 +262,7 @@ def test_a_sporadic_race_candidate_scores_its_race_in_one_call_per_window(kernel
         before = len(kernel_rows)
         accuracy = evaluate(model, chunk, *args, **kwargs)
         if model is not state.primary_model:
-            window, position = chunk.cache["window"]
+            window, position = chunk.window, chunk.position
             if not state.in_comparison:  # EDM scores the alarm chunk before the race opens
                 opened.append(chunk.index)
             left = state.race_len - (chunk.index - opened[-1])

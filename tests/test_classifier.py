@@ -576,8 +576,8 @@ class TestEvaluate:
     def test_ahead_must_be_none_or_a_non_negative_int(self, bad):
         warmup, chunks = window_of()
         model = GaussianNB().train(warmup)
-        untagged = Chunk(chunks[0].index, chunks[0].X, chunks[0].y)
-        for chunk in (chunks[0], untagged):
+        hand_built = Chunk(chunks[0].index, chunks[0].X, chunks[0].y)
+        for chunk in (chunks[0], hand_built):
             det = RecordingDetector()
             op_counts.reset()
             with pytest.raises(ModelError, match="ahead must be None or an int >= 0"):
@@ -713,14 +713,14 @@ def sine_stream(n_chunks=5, rows=25, seed=0):
 
 
 def window_of(n_chunks=4, rows=25, seed=0):
-    """A tagged window over a small sine stream, plus the chunk before it."""
+    """A window over a small sine stream, plus the chunk before it."""
     stream = sine_stream(n_chunks + 1, rows, seed)
     return stream.chunk(0), stream.window(1, n_chunks + 1)
 
 
 def to_end(chunk):
-    """The chunk's window tag with the bound at its window's end."""
-    window, position = chunk.cache["window"]
+    """The chunk's window and position with the bound at its window's end."""
+    window, position = chunk.window, chunk.position
     return window, position, len(window.starts) - 1
 
 
@@ -750,9 +750,9 @@ class TestScoringAhead:
 
     def test_window_tags_each_chunk_with_its_position(self):
         _, chunks = window_of()
-        window = chunks[0].cache["window"][0]
+        window = chunks[0].window
         assert isinstance(window, Window)
-        assert [c.cache["window"] for c in chunks] == [(window, i) for i in range(4)]
+        assert [(c.window, c.position) for c in chunks] == [(window, i) for i in range(4)]
         assert window.starts == [0, 25, 50, 75, 100]
         assert np.array_equal(window.rows_from(2, 4), np.vstack([c.X for c in chunks[2:]]))
         # the chunks and the rows ahead are views of the window's one block
@@ -784,7 +784,7 @@ class TestScoringAhead:
             def run(state, chunk):
                 out = step(state, chunk)
                 refs.append(weakref.ref(chunk))
-                refs.extend(map(weakref.ref, chunk.cache["trained"].values()))
+                refs.extend(map(weakref.ref, chunk.trained.values()))
                 return out
             return run
 
@@ -825,7 +825,7 @@ class TestScoringAhead:
         # a trained model holds a new state; the old one keeps its counts
         assert model._state.ahead is None and model._state.params is None
         assert kept.ahead is not None
-        got = model.window_hits(*chunks[2].cache["window"], 3)
+        got = model.window_hits(chunks[2].window, chunks[2].position, 3)
         # retrained: scored with the new constants, as far as its bound
         assert kernel_rows == [100, 25]
         assert got == correct(GaussianNB().train(warmup).train(chunks[1]), chunks[2])
@@ -842,15 +842,35 @@ class TestScoringAhead:
         twin.train(chunks[2])
         assert twin._state.ahead is None and model._state.ahead is not None
 
-    def test_an_untagged_chunk_is_never_served_from_kept_counts(self, kernel_rows):
+    def test_a_hand_built_chunk_is_never_served_another_windows_counts(self, kernel_rows):
         warmup, chunks = window_of()
         model = GaussianNB().train(warmup)
         for chunk in chunks[:2]:
             model.window_hits(*to_end(chunk))
-        untagged = Chunk(chunks[2].index, chunks[2].X, chunks[2].y)
-        for _ in range(2):
-            evaluate(model, untagged, RecordingDetector(), ahead=None)
-        assert kernel_rows == [100, 25, 25]
+        hand_built = Chunk(chunks[2].index, chunks[2].X, chunks[2].y)
+        assert hand_built.window is not chunks[2].window
+        accuracies = [evaluate(model, hand_built, RecordingDetector(), ahead=None) for _ in range(2)]
+        # its first score computes its own rows; a repeat is served from them
+        assert kernel_rows == [100, 25]
+        assert accuracies == [correct(model, chunks[2]) / 25] * 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(("sine", "sea")), n_chunks=st.integers(2, 9),
+           rows=st.integers(1, 40), seed=st.integers(0, 50), data=st.data())
+    def test_both_ways_of_building_a_chunk_score_alike(self, kind, n_chunks, rows, seed, data):
+        stream = make_stream(StreamConfig(kind=kind, seed=seed, n_chunks=n_chunks, chunk_size=rows,
+                                          drift_period=2))
+        model = GaussianNB().train(stream.chunk(0))
+        for chunk in stream.window(1, n_chunks):
+            ahead = data.draw(st.none() | st.integers(0, n_chunks), label="ahead")
+            hand_built = Chunk(chunk.index, chunk.X.copy(), chunk.y.copy())
+            order = data.draw(st.permutations((chunk, hand_built)), label="order")
+            detectors = {c: RecordingDetector() for c in order}
+            scores = {c: evaluate(model, c, detectors[c], ahead) for c in order}
+            assert type(scores[hand_built]) is float and scores[hand_built] == scores[chunk]
+            assert detectors[hand_built].values == detectors[chunk].values
+            if data.draw(st.booleans(), label="train"):
+                model.train(chunk)
 
     def test_another_window_scores_ahead_from_its_own_rows(self, kernel_rows):
         stream = sine_stream(n_chunks=7)
@@ -883,7 +903,7 @@ class TestScoringAhead:
         expected = [correct(fresh, c) for c in chunks]
         kernel_rows.clear()
         model = GaussianNB().train(warmup)
-        window, _ = chunks[0].cache["window"]
+        window = chunks[0].window
         assert model.window_hits(window, 0, 2) == expected[0]
         for chunk, want in zip(chunks[1:], expected[1:]):
             assert model.window_hits(*to_end(chunk)) == want
@@ -942,7 +962,7 @@ class TestServedAccuracy:
         checked = []
 
         def step(state, chunk):
-            window, position = chunk.cache["window"]
+            window, position = chunk.window, chunk.position
             assert np.shares_memory(chunk.y, window.y)
             model = state.primary_model
             expected = np.count_nonzero(model.predict(chunk.X) == chunk.y) / len(chunk)

@@ -309,6 +309,19 @@ class TestUpdatesNeeded:
         assert params.updates_needed == needed
         assert "updates_needed" not in {f.name for f in dataclasses.fields(params)}
 
+    @pytest.mark.parametrize("params, bound", [
+        (DdmParams(), math.inf), (PhParams(), math.inf), (KswinParams(), 1.0),
+        (HddmAParams(), math.inf), (HddmWParams(), math.inf)])
+    def test_each_kind_declares_its_statistic_bound(self, params, bound):
+        assert params.statistic_bound == bound
+        assert "statistic_bound" not in {f.name for f in dataclasses.fields(params)}
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.lists(st.floats(0.0, 1.0), min_size=12, max_size=80))
+    def test_the_kswin_statistic_stays_within_its_bound(self, values):
+        params = KswinParams(window=12, recent=4)
+        assert max(run(make_monitor("kswin", params), values)) <= params.statistic_bound
+
     @settings(max_examples=150, deadline=None)
     @given(params=st.sampled_from([DdmParams(min_samples=1), DdmParams(min_samples=5), PhParams(),
                                    KswinParams(window=12, recent=4), HddmAParams(samples_per_update=500),

@@ -61,6 +61,11 @@ class FirstLabelModel:
             raise ModelError("predict called before any training data")
         return np.full(X.shape[0], self.c, dtype=np.int64)
 
+    def window_hits(self, window, position, stop):
+        """The number of chunk ``position``'s rows labelled right; ``stop`` is ignored."""
+        labels = window.y[window.starts[position]:window.starts[position + 1]]
+        return int(np.count_nonzero(self.predict(window.rows_from(position, position + 1)) == labels))
+
     def copy(self):
         return copy.deepcopy(self)
 
@@ -124,6 +129,7 @@ class TestStateConstruction:
         ({"eta": None}, "eta"),
         ({"eta": True}, "eta"),
         ({"eta": math.nan}, "eta"),
+        ({"eta": math.inf}, "eta"),
         ({"eta": 10**400}, "eta must fit in a float"),  # math.isnan raises OverflowError
     ])
     def test_badly_typed_settings_rejected(self, kw, match):

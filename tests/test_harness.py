@@ -335,6 +335,13 @@ class TestInertCells:
             names += [line.split(":")[0] for line in harness.inert_cells([config])]
         assert names == [f"inert cell c{needed}"]
 
+    def test_a_threshold_at_the_statistics_bound_is_named(self):
+        lines = [line for threshold in (1.0, 0.99) for line in harness.inert_cells([
+            small_config(name=f"t{threshold}", detector="kswin", n_chunks=50,
+                         detector_overrides={"window": 40, "recent": 10, "threshold": threshold})])]
+        assert lines == ["inert cell t1.0: its kswin monitor's threshold 1.0 is at or above 1.0, "
+                         "the largest value its statistic takes, so it can never alarm"]
+
     def test_csv_cells_are_not_checked(self):
         config = ExperimentConfig(name="csv_kswin", detector="kswin",
                                   stream=StreamConfig(kind="csv", csv_path="never_read.csv"))
@@ -984,6 +991,9 @@ out: elsewhere
         ({"stream": {"kind": "sea"}, "detector": {"kind": "ddm"}, "seeds": "many"}, "seeds must be"),
         ({"stream": {"kind": "sea"}, "detector": {"kind": "ddm"}, "K": 2, "race_len": 2}, "not both"),
         ({"stream": {"kind": "sea"}, "detector": {"kind": "ddm"}, "eta": "small"}, "eta must be a number"),
+        # YAML's .inf: PM would install an infinite threshold
+        ({"stream": {"kind": "sea"}, "detector": {"kind": "ddm"}, "eta": yaml.safe_load(".inf")},
+         "eta must be positive and finite"),
         ("just a string", "must be a mapping"),
     ])
     def test_rejections(self, mapping, match):

@@ -44,5 +44,8 @@ def test_one_tiny_pair_against_head_of_a_throwaway_repo(tmp_path):
         assert figures["parent"]["values"][0] == figures["parent"]["median"] > 0
     lines = record["src_lines"]
     assert lines["parent"] == lines["change"] > 0 and lines["net"] == 0
+    code = record["src_code_lines"]
+    assert code["net"] == 0 and all(type(code[side]) is int and 0 < code[side] <= lines[side]
+                                    for side in ("parent", "change"))
     # the runs leave the throwaway repo as it was committed
     assert git("status", "--porcelain") == ""

@@ -192,13 +192,18 @@ class TestChunkObject:
         # float labels would be truncated to classes 0 and 1
         (np.zeros((4, 1)), np.array([0.4, 0.6, 1.2, 1.9])),
         (np.zeros((2, 1)), np.array(["0", "1"])),
-    ], ids=["rows", "2d-labels", "1d-features", "3d-features", "float-labels", "str-labels"])
+        # lists are not arrays, and the check converts nothing
+        ([[1.0], [2.0]], [0, 1]),
+        (np.zeros((2, 1)), [0, 1]),
+        ([[1.0], [2.0]], np.array([0, 1])),
+    ], ids=["rows", "2d-labels", "1d-features", "3d-features", "float-labels", "str-labels",
+            "lists", "list-labels", "list-features"])
     def test_arrays_that_do_not_fit_together_rejected(self, X, y):
         with pytest.raises(ModelError):
             Chunk(0, X, y)
-        # a window's chunks skip these checks, so the window makes them once
+        # a hand-built chunk is the one chunk of a window, and building the window makes the checks
         with pytest.raises(ModelError):
-            stream_module.Window(X, y, [0, X.shape[0]])
+            stream_module.Window(X, y, [0, len(X)])
 
     @pytest.mark.parametrize("y", [np.array([0, 1, 1], dtype=np.uint8), np.array([True, False, True])],
                              ids=["uint8", "bool"])
@@ -390,8 +395,8 @@ class TestBlockSeeding:
         stream = make_stream(cfg)
         for first, stop in data.draw(windows(cfg.n_chunks)):
             chunks = stream.window(first, stop)
-            window = chunks[0].cache["window"][0]
-            assert [c.cache["window"] for c in chunks] == [(window, p) for p in range(stop - first)]
+            window = chunks[0].window
+            assert [(c.window, c.position) for c in chunks] == [(window, p) for p in range(stop - first)]
             stacked = np.vstack([c.X for c in chunks])
             assert window.X.tobytes() == stacked.tobytes() and not window.X.flags.writeable
             assert window.starts == [p * cfg.chunk_size for p in range(stop - first + 1)]
@@ -448,7 +453,7 @@ class TestCsv:
         path = self.write(tmp_path, "".join(f"{i}.5,{i % 3}\n" for i in range(7)))
         stream = make_stream(StreamConfig(kind="csv", csv_path=path, chunk_size=2))
         chunks = stream.window(1, 4)
-        window = chunks[0].cache["window"][0]
+        window = chunks[0].window
         assert window.starts == [0, 2, 4, 5]
         assert window.X.ravel().tolist() == [2.5, 3.5, 4.5, 5.5, 6.5]
         # views of the one array the stream loaded

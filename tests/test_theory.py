@@ -203,6 +203,9 @@ class TestThresholdStrategy:
         (((0, 1.0), (True, 2.0)), "integers"),
         (((0, True),), "number"),
         (((0, "3"),), "number"),
+        (((0,),), r"\(start, threshold\) pair, got \(0,\)"),
+        (((0, 1.0, 2),), r"\(start, threshold\) pair, got \(0, 1.0, 2\)"),
+        ((0,), r"\(start, threshold\) pair, got 0"),
     ])
     def test_validation(self, segments, match):
         with pytest.raises(ConfigError, match=match):

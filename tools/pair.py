@@ -18,8 +18,9 @@ strictly better run), the change's relative gap against the parent, and two
 verdicts: ``within_bound``, the change's median no worse than the parent's
 by more than the metric's bound, and ``gap_rule_met``, the change better in
 at least nine tenths of the pairs with a median gap larger than the parent's
-interquartile range. It also stores each run's ``correct`` flag and the
-``src/`` line count of each side. The series is printed as JSON, and with
+interquartile range. It also stores each run's ``correct`` flag and two
+``src/`` line counts of each side: ``src_lines``, every line, and
+``src_code_lines``, the lines that hold code. The series is printed as JSON, and with
 ``--out`` it is merged into that file under ``workloads["<workload>-seed<S>"]``,
 replacing an earlier series of the same name.
 """
@@ -27,6 +28,7 @@ replacing an earlier series of the same name.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import shutil
 import statistics
@@ -67,6 +69,23 @@ def copy_working_tree(dest: Path) -> None:
 
 def src_lines(side_dir: Path) -> int:
     return sum(len(p.read_text().splitlines()) for p in (side_dir / "src").rglob("*.py"))
+
+
+def src_code_lines(side_dir: Path) -> int:
+    """The ``src/`` lines that hold code, by the AST: each line some node
+    other than a docstring starts or ends on. Docstrings, comments, blank
+    lines and the inner lines of a multi-line string are left out."""
+    total = 0
+    for path in (side_dir / "src").rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        docstrings = {id(part) for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                      and ast.get_docstring(node, clean=False) is not None
+                      for part in (node.body[0], node.body[0].value)}
+        total += len({line for node in ast.walk(tree)
+                      if getattr(node, "end_lineno", None) is not None and id(node) not in docstrings
+                      for line in (node.lineno, node.end_lineno)})
+    return total
 
 
 def run_once(side_dir: Path, args) -> tuple[dict, dict]:
@@ -136,12 +155,14 @@ def run_series(args) -> dict:
                     f"{m['name']} {values[side][m['name']][-1]:.6g}" for m in spec),
                     file=sys.stderr, flush=True)
         lines = {side: src_lines(dirs[side]) for side in SIDES}
+        code_lines = {side: src_code_lines(dirs[side]) for side in SIDES}
     return {
         "command": (f"python3 e2ebench/run.py --workload {args.workload} --seed {args.seed} "
                     f"--seconds {args.seconds} --trace 0 --profile {args.profile}"),
         "parent_commit": commit,
         "environment": {key: env.get(key) for key in ("cores", "python", "numpy")},
         "src_lines": {**lines, "net": lines["change"] - lines["parent"]},
+        "src_code_lines": {**code_lines, "net": code_lines["change"] - code_lines["parent"]},
         "series": {
             "pairs": args.pairs,
             "order": order,
