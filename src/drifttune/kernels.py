@@ -18,12 +18,16 @@ takes the best class with one pass per class (``argmax_classes``),
 weighted ``bincount`` calls over all features, and both write their
 temporaries in place: predict adds its feature slabs into the first sum it
 makes and its log priors into that total (float addition commutes exactly),
-and checks the joint block with one add-reduce. Every floating-point
-operation, and the order of every sum, is the one
-the broadcast formulation uses, so their outputs are bit-identical to it:
-predict adds the per-feature slabs in the order of numpy's contiguous
-add-reduce (``_pairwise_sum``), and ``class_stats`` sums each class's
-rows one after another.
+and checks the joint block with one add-reduce.
+
+Every sum runs in the order its own layout gives, with one path per
+kernel: predict adds the feature slabs left to right (``_feature_sum``),
+and ``class_stats`` adds each class's rows one after another. For 2 to 7
+features that is also the order of numpy's add-reduce over the broadcast
+formulation's trailing feature axis, so there the outputs are
+bit-identical to it; with 8 or more features numpy sums pairwise, and a
+one-feature chunk's per-class gather is one contiguous column that numpy
+sums pairwise too, so those can differ from it in the last bits.
 """
 
 from __future__ import annotations
@@ -40,41 +44,15 @@ _LOG_2PI = math.log(2.0 * math.pi)
 NUMBA_ENABLED = False
 
 
-_PAIRWISE_BLOCK = 128  # numpy's PW_BLOCKSIZE
-
-
-def _pairwise_sum(terms):
+def _feature_sum(terms):
     """Sum a sequence of equal-shape arrays (or an array along its first axis)
-    in the order numpy's contiguous add-reduce uses.
-
-    ``np.stack(terms, axis=-1).sum(axis=-1)`` gives the same bits: left to
-    right below 8 terms, eight lanes combined pairwise up to 128 terms, and
-    halves (the first rounded down to a multiple of 8) above that. Only
-    arrays it made are written: below 8 terms it adds into the first sum, and
-    a single term comes back as a copy.
-    """
-    n = len(terms)
-    if n < 8:
-        if n == 1:
-            return terms[0].copy()
-        total = terms[0] + terms[1]
-        for term in terms[2:]:
-            total += term
-        return total
-    if n <= _PAIRWISE_BLOCK:
-        lanes = list(terms[:8])
-        stop = n - n % 8
-        for i in range(8, stop, 8):
-            lanes = [lane + term for lane, term in zip(lanes, terms[i:i + 8])]
-        total = (((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
-                 + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7])))
-        for term in terms[stop:]:
-            total += term
-        return total
-    half = n // 2
-    half -= half % 8
-    total = _pairwise_sum(terms[:half])
-    total += _pairwise_sum(terms[half:])
+    left to right, into the first sum it makes; a single term comes back as a
+    copy, so no term is written."""
+    if len(terms) == 1:
+        return terms[0].copy()
+    total = terms[0] + terms[1]
+    for term in terms[2:]:
+        total += term
     return total
 
 
@@ -125,11 +103,11 @@ def predict_indices(X, params):
     """Index of the most probable class per row; ties go to the lowest index.
 
     ``params`` comes from ``predict_params``. The feature slabs of the
-    (features, classes, rows) log-density block are added in the order a
-    reduction over a trailing feature axis uses. A row that scores NaN for
-    a class, or -inf for every class, raises ModelError instead of taking
-    index 0: one sum over the joint block shows whether any entry is not
-    finite, and only then are the rows checked one by one.
+    (features, classes, rows) log-density block are added left to right. A
+    row that scores NaN for a class, or -inf for every class, raises
+    ModelError instead of taking index 0: one sum over the joint block shows
+    whether any entry is not finite, and only then are the rows checked one
+    by one.
     """
     log_priors, means, two_variances, log_norms = params
     n_rows, n_features = X.shape
@@ -138,7 +116,7 @@ def predict_indices(X, params):
     log_like *= log_like
     log_like /= two_variances
     np.subtract(log_norms, log_like, out=log_like)
-    joint = _pairwise_sum(log_like)
+    joint = _feature_sum(log_like)
     joint += log_priors  # float addition commutes exactly
     if not math.isfinite(np.add.reduce(joint, axis=None)):
         bad = np.flatnonzero(~(joint.max(axis=0) > -math.inf))
@@ -146,17 +124,6 @@ def predict_indices(X, params):
             raise ModelError(f"row {bad[0]} has no finite best class score: a class scores "
                              "NaN, or every class scores -inf; see the supported feature range")
     return argmax_classes(joint)
-
-
-def _class_stats_gathered(X, y_idx, counts):
-    means = np.zeros((counts.shape[0], X.shape[1]))
-    m2 = np.zeros_like(means)
-    for c in np.flatnonzero(counts):
-        rows = X[y_idx == c]
-        mu = rows.mean(axis=0)
-        means[c] = mu
-        m2[c] = ((rows - mu) ** 2).sum(axis=0)
-    return means, m2
 
 
 def class_stats(X, y_idx, counts):
@@ -169,17 +136,12 @@ def class_stats(X, y_idx, counts):
     feature. The bin array is filled one feature column at a time, which
     costs half of a broadcast add with a ``features``-long inner loop, and
     stays row-major: feature-major bins were slower, as consecutive adds then
-    hit the same two bins. A bin adds its rows one after another, which is
-    how numpy reduces a gathered multi-column block over its rows, so the
-    results are bit-identical to per-class ``rows.mean(axis=0)`` and
-    ``((rows - mu) ** 2).sum(axis=0)``. A single contiguous column is
-    summed pairwise by numpy instead, so one-feature chunks keep the
-    per-class gather. Classes without rows get zeros.
+    hit the same two bins. A bin adds its rows one after another, from 0.0,
+    so a feature's statistics do not depend on the chunk's other features.
+    Classes without rows get zeros.
     """
     counts = counts.astype(np.float64)
     n_rows, n_features = X.shape
-    if n_features == 1:
-        return (counts, *_class_stats_gathered(X, y_idx, counts))
     bins = np.empty((n_rows, n_features), dtype=np.intp)
     base = y_idx * n_features
     for j in range(n_features):

@@ -63,9 +63,10 @@ _MASK_128 = 2**128 - 1
 class Chunk:
     """One batch of instances: a 2-d feature matrix and one integer (or bool)
     label per row, read-only row views of chunk ``position`` of ``window``.
-    A chunk built by hand is the one chunk of a window over its own arrays.
-    An empty chunk can be built, but a model neither trains nor scores on
-    one. A chunk compares and hashes by identity.
+    A chunk built by hand is the one chunk of a window over its own arrays,
+    and its ``index``, which traces record and errors name, must be an int
+    (not a bool) >= 0. An empty chunk can be built, but a model neither
+    trains nor scores on one. A chunk compares and hashes by identity.
 
     ``trained`` is the classifier's memo of the model states trained on the
     chunk, keyed by their parent state.
@@ -74,6 +75,8 @@ class Chunk:
     __slots__ = ("index", "X", "y", "window", "position", "trained", "__weakref__")
 
     def __init__(self, index: int, X: np.ndarray, y: np.ndarray):
+        if not isinstance(index, int) or isinstance(index, bool) or index < 0:
+            raise ModelError(f"a chunk index must be an int (not a bool) >= 0, got {index!r}")
         self.window = Window(X, y, [0])  # checks the rows before their count is read
         self.window.starts.append(X.shape[0])
         self.index, self.X, self.y, self.position, self.trained = index, X, y, 0, {}
@@ -92,21 +95,24 @@ class Window:
     ``starts[position + 1] - 1``, row views of both.
 
     Building a window is the one check of a chunk's rows: ``X`` must be a
-    2-d ndarray and ``y`` a 1-d integer (or bool) ndarray with one label per
-    row; both are then made read-only. A model that has stopped training
-    scores the rows of several chunks of a window in one kernel call and
-    counts each chunk's correct labels against ``y``. A window refers to its
-    blocks, not to its chunks, so a pass's chunks make no reference cycle
-    and are freed as soon as nothing uses them.
+    2-d bool, integer or float ndarray with at least one feature column and
+    ``y`` a 1-d integer (or bool) ndarray with one label per row; both are
+    then made read-only. A model that has stopped training scores the rows
+    of several chunks of a window in one kernel call and counts each chunk's
+    correct labels against ``y``. A window refers to its blocks, not to its
+    chunks, so a pass's chunks make no reference cycle and are freed as soon
+    as nothing uses them.
     """
 
     __slots__ = ("X", "y", "starts")
 
     def __init__(self, X: np.ndarray, y: np.ndarray, starts: list[int]):
         if not (isinstance(X, np.ndarray) and isinstance(y, np.ndarray) and X.ndim == 2 and y.ndim == 1
-                and y.dtype.kind in "biu" and X.shape[0] == y.shape[0]):
-            raise ModelError("a chunk needs a 2-d feature ndarray and a 1-d integer label ndarray "
-                             f"with one label per row, got X {getattr(X, 'shape', type(X))} "
+                and X.dtype.kind in "biuf" and X.shape[1] and y.dtype.kind in "biu"
+                and X.shape[0] == y.shape[0]):
+            raise ModelError("a chunk needs a 2-d real feature ndarray with at least one column and "
+                             "a 1-d integer label ndarray with one label per row, got "
+                             f"X {getattr(X, 'shape', type(X))} {getattr(X, 'dtype', '')} "
                              f"and y {getattr(y, 'shape', type(y))} {getattr(y, 'dtype', '')}")
         X.setflags(write=False)
         y.setflags(write=False)

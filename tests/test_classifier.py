@@ -142,12 +142,21 @@ class TestTraining:
             model.train(chunk_of([[np.nan, 0.0, 1.0]], [0], index=1))
 
 
+def row_sum(rows):
+    total = np.zeros(rows.shape[1])
+    for row in rows:
+        total = total + row
+    return total
+
+
 def reference_train(model, chunk):
     """The row-wise training path: admit the chunk's labels, index every row
-    into the model's classes, gather each class's rows for its count, mean
-    and M2, then merge by Chan's formulas as the digests were recorded with
-    them; a fresh model takes the gathered statistics as they are. The
-    per-chunk cache and the merge must give the same arrays bit for bit."""
+    into the model's classes, gather each class's rows and add them one after
+    another from 0.0 for its count, mean and M2 (for 2 or more features that
+    is numpy's ``rows.mean(axis=0)``, which the digests were recorded with),
+    then merge by Chan's formulas; a fresh model takes the gathered
+    statistics as they are. The per-chunk cache and the merge must give the
+    same arrays bit for bit."""
     X = np.ascontiguousarray(chunk.X, dtype=np.float64)
     y = np.asarray(chunk.y, dtype=np.int64)
     classes = np.union1d(model["classes"], y)
@@ -161,8 +170,8 @@ def reference_train(model, chunk):
     for c in range(shape[0]):
         rows = X[y_idx == c]
         if rows.shape[0]:
-            n_b[c], b_means[c] = rows.shape[0], rows.mean(axis=0)
-            b_m2[c] = ((rows - b_means[c]) ** 2).sum(axis=0)
+            n_b[c], b_means[c] = rows.shape[0], row_sum(rows) / rows.shape[0]
+            b_m2[c] = row_sum((rows - b_means[c]) ** 2)
     if not model["classes"].shape[0]:
         return {"classes": classes, "counts": n_b, "means": b_means, "m2": b_m2}
     n_ab = counts + n_b

@@ -82,6 +82,10 @@ class RecordingModel(FirstLabelModel):
         return super().train(chunk)
 
 
+# the index of a warm-up chunk that no later chunk of these tests takes
+WARMUP_INDEX = 99
+
+
 def chunk_from_labels(labels, index=0):
     y = np.asarray(labels, dtype=np.int64)
     return Chunk(index, np.zeros((y.shape[0], 1)), y)
@@ -225,7 +229,7 @@ class TestCandidateCreation:
         assert state.candidates[CandidateKind.EDM].model.c == int(prev.y[0])
 
     def test_early_hypothesis_is_fresh_model_trained_on_previous_chunk(self):
-        model = RecordingModel().train(chunk_from_labels([1], index=-1))
+        model = RecordingModel().train(chunk_from_labels([1], index=WARMUP_INDEX))
         state = DtdState(model, IdentityMonitor(StubParams()), race_len=2,
                          training_mode="sporadic")
         prev = chunk_from_labels(labels(first=0, ones=99), index=0)
@@ -235,7 +239,7 @@ class TestCandidateCreation:
         # the primary's type, but none of its state: only the previous chunk
         assert type(edm) is RecordingModel and edm is not state.primary_model
         assert edm.trained_on == [prev.index]
-        assert state.primary_model.trained_on == [-1]
+        assert state.primary_model.trained_on == [WARMUP_INDEX]
 
     def test_early_hypothesis_readapted_when_it_alarms_too(self):
         state = fresh_state(c=1, mode="sporadic")
@@ -250,7 +254,7 @@ class TestCandidateCreation:
 
     def test_primary_does_not_train_on_race_opening_chunk(self):
         # the race winner replaces the primary, so training it would be waste
-        model = RecordingModel().train(chunk_from_labels([1], index=-1))
+        model = RecordingModel().train(chunk_from_labels([1], index=WARMUP_INDEX))
         state = DtdState(model, IdentityMonitor(StubParams()), race_len=2,
                          training_mode="continual")
         prev = chunk_from_labels(labels(first=1, ones=99), index=0)  # quiet: stat 0.01
@@ -259,7 +263,7 @@ class TestCandidateCreation:
         out = dtd_step(state, alarm)
         assert out.alarm and state.in_comparison
         assert state.primary_model is model
-        assert model.trained_on == [-1, prev.index]
+        assert model.trained_on == [WARMUP_INDEX, prev.index]
 
     def test_pm_trains_on_alarm_chunk_in_continual(self):
         state, _, alarm, _ = self.alarm_setup(mode="continual")
@@ -404,7 +408,7 @@ class TestComparisonPhase:
         # EDM takes the last normal-phase chunk and its statistic. Right after
         # a race that is the chunk which opened the race, not the chunk before
         # the new alarm (the race chunks are not normal-phase chunks).
-        model = RecordingModel().train(chunk_from_labels([1], index=-1))
+        model = RecordingModel().train(chunk_from_labels([1], index=WARMUP_INDEX))
         state = DtdState(model, IdentityMonitor(StubParams()), race_len=1,
                          training_mode="sporadic")
         dtd_step(state, chunk_from_labels(labels(first=1, ones=99), index=0))  # quiet, stat 0.01

@@ -1,5 +1,7 @@
 """Kernel exactness: the kernels against hand-computed densities, two-pass
-class statistics and frozen copies of the broadcast kernels they replaced."""
+class statistics, references that sum in the kernels' own order, and frozen
+copies of the broadcast kernels they replaced, on the shapes where the two
+orders agree."""
 
 import math
 
@@ -69,19 +71,36 @@ def test_predict_params_leave_their_inputs_untouched():
 
 
 # ------------------------------------------------- bit-exactness vs reference
-# Frozen copies of the broadcast numpy kernels that the column-wise ones
-# replaced. Every trace digest was recorded with these, so the kernels must
-# reproduce them bit for bit, not just approximately.
+# Each kernel sums in the order its own layout gives: predict adds the feature
+# slabs left to right, and the class statistics add each class's rows one
+# after another from 0.0. The references below sum in that order by hand.
+# The frozen broadcast kernels that the column-wise ones replaced, with which
+# every trace digest was recorded, sum in the same order wherever numpy's
+# add-reduce does: over 1 to 7 features for predict, and over a class's rows
+# of a chunk with 2 or more features for the statistics. There the kernels
+# must reproduce them bit for bit too, not just approximately.
 
 
-def reference_predict_indices(X, log_priors, means, variances):
+def reference_log_likelihoods(X, means, variances):
+    """The (rows, classes, features) log-density terms of the broadcast kernel."""
     diff = X[:, None, :] - means[None, :, :]
-    log_like = -0.5 * (math.log(2.0 * math.pi) + np.log(variances)) - diff * diff / (2.0 * variances)
-    joint = log_priors[None, :] + log_like.sum(axis=2)
+    return -0.5 * (math.log(2.0 * math.pi) + np.log(variances)) - diff * diff / (2.0 * variances)
+
+
+def broadcast_predict_indices(X, log_priors, means, variances):
+    joint = log_priors[None, :] + reference_log_likelihoods(X, means, variances).sum(axis=2)
     return np.argmax(joint, axis=1)
 
 
-def reference_class_stats(X, y_idx, n_classes):
+def left_to_right_predict_indices(X, log_priors, means, variances):
+    log_like = reference_log_likelihoods(X, means, variances)
+    total = log_like[:, :, 0].copy()
+    for j in range(1, X.shape[1]):
+        total = total + log_like[:, :, j]
+    return np.argmax(log_priors[None, :] + total, axis=1)
+
+
+def gathered_class_stats(X, y_idx, n_classes):
     n_features = X.shape[1]
     counts = np.zeros(n_classes)
     means = np.zeros((n_classes, n_features))
@@ -94,6 +113,27 @@ def reference_class_stats(X, y_idx, n_classes):
         mu = rows.mean(axis=0)
         means[c] = mu
         m2[c] = ((rows - mu) ** 2).sum(axis=0)
+    return counts, means, m2
+
+
+def row_by_row_class_stats(X, y_idx, n_classes):
+    def row_sum(rows):
+        total = np.zeros(rows.shape[1])
+        for row in rows:
+            total = total + row
+        return total
+
+    n_features = X.shape[1]
+    counts = np.zeros(n_classes)
+    means = np.zeros((n_classes, n_features))
+    m2 = np.zeros((n_classes, n_features))
+    for c in range(n_classes):
+        rows = X[y_idx == c]
+        if rows.shape[0] == 0:
+            continue
+        counts[c] = rows.shape[0]
+        means[c] = row_sum(rows) / rows.shape[0]
+        m2[c] = row_sum((rows - means[c]) ** 2)
     return counts, means, m2
 
 
@@ -110,9 +150,10 @@ scales = st.sampled_from([1e-3, 1.0, 1e4])
 
 @settings(max_examples=150, deadline=None)
 @given(shape=shapes, seed=seeds, scale=scales, integral=st.booleans(), twin=st.sampled_from(["none", "copy", "permuted"]))
-# pinned shapes: one feature, exactly one block of 8 lanes, lanes plus a
-# remainder, the widest case and a lone class
+# pinned shapes: one feature, the widest shape that numpy still sums left to
+# right, the narrowest that it sums pairwise, wider ones and a lone class
 @example(shape=(50, 1, 3), seed=0, scale=1.0, integral=False, twin="copy")
+@example(shape=(120, 7, 2), seed=1, scale=1.0, integral=False, twin="permuted")
 @example(shape=(120, 8, 2), seed=1, scale=1.0, integral=False, twin="permuted")
 @example(shape=(300, 13, 6), seed=2, scale=1e4, integral=True, twin="copy")
 @example(shape=(300, 40, 4), seed=3, scale=1e-3, integral=False, twin="permuted")
@@ -138,9 +179,11 @@ def test_predict_indices_bit_identical_to_reference(shape, seed, scale, integral
             means[c], variances[c] = means[0][perm], variances[0][perm]
             X = np.repeat(X[:, :1], d, axis=1)
     got = kernels.predict_indices(X, kernels.predict_params(log_priors, means, variances))
-    want = reference_predict_indices(X, log_priors, means, variances)
+    want = left_to_right_predict_indices(X, log_priors, means, variances)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
+    if d < 8:
+        assert np.array_equal(got, broadcast_predict_indices(X, log_priors, means, variances))
 
 
 @settings(max_examples=150, deadline=None)
@@ -158,10 +201,29 @@ def test_class_stats_bit_identical_to_reference(shape, seed, scale, integral, n_
     present = rng.choice(k, size=min(n_present, k), replace=False)
     y_idx = rng.choice(present, size=n).astype(np.int64)
     got = kernels.class_stats(X, y_idx, np.bincount(y_idx, minlength=k))
-    want = reference_class_stats(X, y_idx, k)
-    for a, b in zip(got, want):
-        assert a.shape == b.shape
-        assert np.array_equal(a, b)
+    references = [row_by_row_class_stats(X, y_idx, k)]
+    if d > 1:
+        references.append(gathered_class_stats(X, y_idx, k))
+    for want in references:
+        for a, b in zip(got, want, strict=True):
+            assert a.shape == b.shape
+            assert np.array_equal(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.tuples(st.integers(1, 300), st.integers(1, 12), st.integers(1, 4)),
+       seed=seeds, scale=scales, integral=st.booleans())
+def test_a_features_class_stats_do_not_depend_on_the_other_features(shape, seed, scale, integral):
+    n, d, k = shape
+    rng = np.random.default_rng(seed)
+    X = features(rng, n, d, scale, integral) + rng.normal() * scale
+    y_idx = rng.integers(0, k, size=n).astype(np.int64)
+    counts = np.bincount(y_idx, minlength=k)
+    _, means, m2 = kernels.class_stats(X, y_idx, counts)
+    for j in range(d):
+        _, column_means, column_m2 = kernels.class_stats(X[:, [j]], y_idx, counts)
+        assert np.ascontiguousarray(means[:, [j]]).tobytes() == column_means.tobytes(), j
+        assert np.ascontiguousarray(m2[:, [j]]).tobytes() == column_m2.tobytes(), j
 
 
 @st.composite
@@ -193,24 +255,27 @@ def test_argmax_classes_matches_numpy_argmax(joint):
     assert np.array_equal(got, want)
 
 
-def test_pairwise_sum_matches_numpy_reduce():
+def test_feature_sum_adds_left_to_right():
     rng = np.random.default_rng(7)
-    differs_from_left_to_right = 0
+    differs_from_numpy = 0
     for width in range(1, 301):
         # magnitudes spread widely, so a different summation order shows
         a = rng.normal(size=(4, width)) * 10.0 ** rng.uniform(-6, 6, size=(4, width))
-        want = a.sum(axis=1)
-        assert np.array_equal(kernels._pairwise_sum(list(a.T)), want), width
-        assert np.array_equal(kernels._pairwise_sum(np.ascontiguousarray(a.T)), want), width
-        left_to_right = a[:, 0].copy()
+        want = a[:, 0].copy()
         for j in range(1, width):
-            left_to_right = left_to_right + a[:, j]
-        differs_from_left_to_right += not np.array_equal(left_to_right, want)
-    # the check has teeth: plain left-to-right order would fail it
-    assert differs_from_left_to_right > 0
+            want = want + a[:, j]
+        assert np.array_equal(kernels._feature_sum(list(a.T)), want), width
+        assert np.array_equal(kernels._feature_sum(np.ascontiguousarray(a.T)), want), width
+        numpy_order = a.sum(axis=1)
+        if width < 8:
+            # below 8 terms numpy's contiguous add-reduce is left to right too
+            assert np.array_equal(numpy_order, want), width
+        differs_from_numpy += not np.array_equal(numpy_order, want)
+    # the check has teeth: numpy's pairwise order would fail it
+    assert differs_from_numpy > 0
 
 
-def test_pairwise_sum_matches_a_stacked_sum_and_writes_no_term():
+def test_feature_sum_matches_a_stacked_sum_below_8_terms_and_writes_no_term():
     rng = np.random.default_rng(11)
     for n in [*range(1, 21), 131]:
         # magnitudes spread widely, so a different summation order shows
@@ -219,9 +284,13 @@ def test_pairwise_sum_matches_a_stacked_sum_and_writes_no_term():
         terms = [term.copy() for term in block]
         for term in terms:
             term.setflags(write=False)
-        want = np.stack(terms, axis=-1).sum(axis=-1)
+        want = terms[0].copy()
+        for term in terms[1:]:
+            want = want + term
+        if n < 8:
+            assert np.array_equal(np.stack(terms, axis=-1).sum(axis=-1), want), n
         for given_terms in (terms, block):
-            got = kernels._pairwise_sum(given_terms)
+            got = kernels._feature_sum(given_terms)
             assert np.array_equal(got, want), n
             assert got.flags.writeable and not np.shares_memory(got, block)
             assert not any(np.shares_memory(got, term) for term in terms)

@@ -38,6 +38,8 @@ def test_one_tiny_pair_against_head_of_a_throwaway_repo(tmp_path):
     series = record["workloads"]["sea-ddm-continual-seed0"]
     assert series["pairs"] == 1 and series["order"] == [["parent", "change"]]
     assert series["correct"] == {"parent": [True], "change": [True]}
+    assert series["digests_equal"] == [True]
+    assert "WARNING" not in proc.stderr
     assert sorted(series["metrics"]) == sorted(m["name"] for m in SPEC["end_to_end"])
     for figures in series["metrics"].values():
         assert figures["change_wins"] in ("0/1", "1/1")

@@ -196,8 +196,15 @@ class TestChunkObject:
         ([[1.0], [2.0]], [0, 1]),
         (np.zeros((2, 1)), [0, 1]),
         ([[1.0], [2.0]], np.array([0, 1])),
+        # features a model cannot use: text, complex values that would lose
+        # their imaginary parts, timestamps, and rows without a feature
+        (np.array([["1.0"], ["2.0"]]), np.zeros(2, dtype=np.int64)),
+        (np.array([[1.0 + 2.0j], [3.0]]), np.zeros(2, dtype=np.int64)),
+        (np.array([["2020-01-01"], ["2020-01-02"]], dtype="datetime64[D]"), np.zeros(2, dtype=np.int64)),
+        (np.zeros((2, 0)), np.zeros(2, dtype=np.int64)),
     ], ids=["rows", "2d-labels", "1d-features", "3d-features", "float-labels", "str-labels",
-            "lists", "list-labels", "list-features"])
+            "lists", "list-labels", "list-features", "str-features", "complex-features",
+            "datetime-features", "no-features"])
     def test_arrays_that_do_not_fit_together_rejected(self, X, y):
         with pytest.raises(ModelError):
             Chunk(0, X, y)
@@ -209,6 +216,19 @@ class TestChunkObject:
                              ids=["uint8", "bool"])
     def test_unsigned_and_bool_labels_accepted(self, y):
         assert len(Chunk(0, np.zeros((3, 2)), y)) == 3
+
+    @pytest.mark.parametrize("index", [1.5, "a", True, -3, None, np.int64(2)],
+                             ids=["float", "str", "bool", "negative", "none", "numpy-int"])
+    def test_an_index_that_is_not_a_count_rejected(self, index):
+        # traces record the index and errors name it
+        with pytest.raises(ModelError, match="chunk index"):
+            Chunk(index, np.zeros((2, 1)), np.zeros(2, dtype=np.int64))
+
+    @pytest.mark.parametrize("X", [np.zeros((3, 2), dtype=bool), np.zeros((3, 2), dtype=np.int32),
+                                   np.zeros((3, 2), dtype=np.uint16), np.zeros((3, 2), dtype=np.float32)],
+                             ids=["bool", "int32", "uint16", "float32"])
+    def test_real_feature_dtypes_accepted(self, X):
+        assert len(Chunk(0, X, np.zeros(3, dtype=np.int64))) == 3
 
     def test_an_empty_chunk_can_be_built(self):
         assert len(Chunk(0, np.zeros((0, 2)), np.zeros(0, dtype=np.int64))) == 0

@@ -18,10 +18,14 @@ strictly better run), the change's relative gap against the parent, and two
 verdicts: ``within_bound``, the change's median no worse than the parent's
 by more than the metric's bound, and ``gap_rule_met``, the change better in
 at least nine tenths of the pairs with a median gap larger than the parent's
-interquartile range. It also stores each run's ``correct`` flag and two
-``src/`` line counts of each side: ``src_lines``, every line, and
-``src_code_lines``, the lines that hold code. The series is printed as JSON, and with
-``--out`` it is merged into that file under ``workloads["<workload>-seed<S>"]``,
+interquartile range. It also stores each run's ``correct`` flag and, per
+pair, ``digests_equal``: whether both runs printed the same trace
+``digest``. So a change that moves traces shows at every ``--seed``, not only
+at the default one that ``run.py`` checks against its reference, and a
+stderr warning names each pair that differs. Last come two ``src/`` line
+counts of each side: ``src_lines``, every line, and ``src_code_lines``, the
+lines that hold code. The series is printed as JSON, and with ``--out`` it
+is merged into that file under ``workloads["<workload>-seed<S>"]``,
 replacing an earlier series of the same name.
 """
 
@@ -88,8 +92,9 @@ def src_code_lines(side_dir: Path) -> int:
     return total
 
 
-def run_once(side_dir: Path, args) -> tuple[dict, dict]:
-    """One fresh benchmark process; returns its final JSON line and its env line."""
+def run_once(side_dir: Path, args) -> tuple[dict, dict, str | None]:
+    """One fresh benchmark process; returns its final JSON line, its env line
+    and the digest of its first job's traces."""
     command = [sys.executable, "e2ebench/run.py", "--workload", args.workload,
                "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0",
                "--profile", args.profile]
@@ -100,7 +105,8 @@ def run_once(side_dir: Path, args) -> tuple[dict, dict]:
         raise SystemExit(f"pair: {' '.join(command)} in {side_dir} failed "
                          f"(exit {proc.returncode}):\n{proc.stderr[-2000:]}")
     env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), {})
-    return json.loads(lines[-1]), env
+    digest = next((line.split()[1] for line in lines if line.startswith("digest ")), None)
+    return json.loads(lines[-1]), env, digest
 
 
 def spread(values: list[float]) -> dict:
@@ -141,12 +147,13 @@ def run_series(args) -> dict:
         copy_working_tree(dirs["change"])
         values = {side: {m["name"]: [] for m in spec} for side in SIDES}
         correct = {side: [] for side in SIDES}
-        order, env = [], {}
+        order, env, digests_equal = [], {}, []
         for k in range(args.pairs):
             sides = SIDES if k % 2 == 0 else SIDES[::-1]
             order.append(list(sides))
+            digests = {}
             for side in sides:
-                result, run_env = run_once(dirs[side], args)
+                result, run_env, digests[side] = run_once(dirs[side], args)
                 env = env or run_env
                 correct[side].append(result["correct"])
                 for m in spec:
@@ -154,6 +161,11 @@ def run_series(args) -> dict:
                 print(f"pair {k + 1}/{args.pairs} {side}: " + "  ".join(
                     f"{m['name']} {values[side][m['name']][-1]:.6g}" for m in spec),
                     file=sys.stderr, flush=True)
+            digests_equal.append(digests["parent"] is not None and digests["parent"] == digests["change"])
+            if not digests_equal[-1]:
+                print(f"pair {k + 1}/{args.pairs}: WARNING: the traces differ, parent digest "
+                      f"{digests['parent']}, change digest {digests['change']}",
+                      file=sys.stderr, flush=True)
         lines = {side: src_lines(dirs[side]) for side in SIDES}
         code_lines = {side: src_code_lines(dirs[side]) for side in SIDES}
     return {
@@ -167,6 +179,7 @@ def run_series(args) -> dict:
             "pairs": args.pairs,
             "order": order,
             "correct": correct,
+            "digests_equal": digests_equal,
             "metrics": {m["name"]: compare(m, values["parent"][m["name"]],
                                            values["change"][m["name"]]) for m in spec},
         },
